@@ -76,8 +76,10 @@ profile:
 tables:
 	pytest benchmarks/ -s --benchmark-disable
 
+# Stops at the first failing script (a bare loop exits with the last
+# script's status only).
 examples:
-	@for f in examples/*.py; do echo "== $$f =="; python $$f; done
+	@set -e; for f in examples/*.py; do echo "== $$f =="; python $$f; done
 
 # sdradlint: whole-program static verification of the SDRaD compartment
 # invariants (R1 enter/exit pairing, R2 domain-heap escape, R3

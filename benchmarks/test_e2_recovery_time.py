@@ -15,6 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.memcached_server import IsolationMode, MemcachedServer
+from repro.obs import Observability
 from repro.resilience.strategy import RecoveryStrategyModel
 from repro.sdrad.constants import DomainFlags
 from repro.sdrad.runtime import SdradRuntime
@@ -29,23 +30,13 @@ ATTACK = b"get " + b"K" * 270 + b"\r\n"
 
 def measured_rewind_latency() -> float:
     """Drive a real fault through the Memcached replica; time the rewind."""
-    runtime = SdradRuntime()
+    runtime = SdradRuntime(obs=Observability())
     server = MemcachedServer(runtime, isolation=IsolationMode.PER_CONNECTION)
     server.connect("attacker")
-    rewinds = []
-    runtime.tracer.subscribe(
-        lambda e: rewinds.append(e) if e.kind == "domain.rewind" else None
-    )
-    before_fault = {}
-
-    def mark(e):
-        if e.kind == "domain.fault":
-            before_fault["t"] = e.timestamp
-
-    runtime.tracer.subscribe(mark)
     server.handle("attacker", ATTACK)
+    rewinds = runtime.obs.buffer.of_name("domain.rewind")
     assert rewinds, "attack did not trigger a rewind"
-    return rewinds[0].timestamp - before_fault["t"]
+    return rewinds[0].attrs["duration"]
 
 
 def test_e2_recovery_time_table(experiment_printer):

@@ -4,7 +4,7 @@
 Run:  python examples/quickstart.py
 """
 
-from repro.sdrad import DomainFlags, SdradRuntime
+from repro.sdrad import DomainFlags, SdradRuntime, telemetry
 from repro.sustainability.report import format_seconds
 
 
@@ -52,10 +52,14 @@ def main() -> None:
     result = runtime.execute(domain.udi, work)
     print(f"after rewind-> ok={result.ok} (domain discarded and reusable)")
 
-    # --- 5. what happened, when ------------------------------------------
-    print("\nevent trace:")
-    for event in runtime.tracer.events:
-        print(f"  {event}")
+    # --- 5. what each domain went through -------------------------------
+    print("\nper-domain telemetry:")
+    for row in telemetry.snapshot(runtime)["domains"]:
+        print(
+            f"  udi={row['udi']} state={row['state']} entries={row['entries']} "
+            f"clean_exits={row['clean_exits']} faults={row['faults']} "
+            f"rewinds={row['rewinds']}"
+        )
     print(f"\ntotal virtual time: {format_seconds(runtime.clock.now)}")
 
 

@@ -322,10 +322,15 @@ class MsgpackSerializer(Serializer):
 
 
 class JsonSerializer(Serializer):
-    """serde_json stand-in. ``bytes`` ride as latin-1 strings under a marker."""
+    """serde_json stand-in. ``bytes`` ride as latin-1 strings under a marker.
+
+    A user dict whose only key is a marker is escaped under
+    ``_ESCAPE_MARKER`` so it cannot decode as something else.
+    """
 
     name = "json"
     _BYTES_MARKER = "__ffi_bytes__"
+    _ESCAPE_MARKER = "__ffi_dict__"
 
     def encode(self, value: Any) -> bytes:
         check_serializable(value)
@@ -343,15 +348,29 @@ class JsonSerializer(Serializer):
         if isinstance(value, (list, tuple)):
             return [self._wrap(v) for v in value]
         if isinstance(value, dict):
-            return {k: self._wrap(v) for k, v in value.items()}
+            wrapped = {k: self._wrap(v) for k, v in value.items()}
+            if len(value) == 1 and (
+                self._BYTES_MARKER in value or self._ESCAPE_MARKER in value
+            ):
+                return {self._ESCAPE_MARKER: wrapped}
+            return wrapped
         return value
 
     def _unwrap(self, value: Any) -> Any:
         if isinstance(value, list):
             return [self._unwrap(v) for v in value]
         if isinstance(value, dict):
-            if set(value) == {self._BYTES_MARKER}:
-                return value[self._BYTES_MARKER].encode("latin-1")
+            if len(value) == 1 and self._BYTES_MARKER in value:
+                text = value[self._BYTES_MARKER]
+                if not isinstance(text, str):
+                    raise SerializationError("JSON bytes marker must hold a string")
+                # A non-latin-1 code point raises UnicodeEncodeError, a
+                # ValueError that decode() reports as SerializationError.
+                return text.encode("latin-1")
+            if len(value) == 1 and self._ESCAPE_MARKER in value:
+                value = value[self._ESCAPE_MARKER]
+                if not isinstance(value, dict):
+                    raise SerializationError("JSON dict escape must hold an object")
             return {k: self._unwrap(v) for k, v in value.items()}
         return value
 

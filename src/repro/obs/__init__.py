@@ -4,8 +4,8 @@ The subsystem the serving stack reports itself through:
 
 * :mod:`~repro.obs.spans` — parent-linked spans over virtual time;
 * :mod:`~repro.obs.metrics` — counters/gauges/fixed-bucket histograms in
-  one :class:`ObsRegistry` (the ``repro.sim.metrics`` primitives register
-  here too);
+  one :class:`ObsRegistry` (an exact ``repro.sim.metrics.Histogram`` can
+  be adopted into it);
 * :mod:`~repro.obs.hub` — the :class:`Observability` hub handed to
   ``SdradRuntime(obs=...)`` and the app servers; deterministic sampling,
   strict no-op when absent;

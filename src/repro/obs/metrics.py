@@ -338,8 +338,8 @@ class ObsRegistry:
     def adopt_histogram(self, histogram: object) -> None:
         """Register a foreign exact-sample histogram for snapshot/export.
 
-        Used by ``repro.sim.metrics.MetricsRegistry`` so the old exact
-        histograms surface through the same exporters (as summaries).
+        Lets the exact-sample ``repro.sim.metrics.Histogram`` surface
+        through the same exporters (as a summary).
         """
         name = getattr(histogram, "name", None)
         if not isinstance(name, str):

@@ -19,11 +19,10 @@ Semantics:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..sim.clock import YEARS
 from ..sim.engine import Engine
-from ..sim.trace import Tracer
 from .availability import availability_from_downtime, nines
 from .strategy import StrategySpec
 
@@ -58,7 +57,6 @@ class ServiceAvailabilitySimulation:
         fault_times: Sequence[float],
         horizon: float = YEARS,
         request_rate: float = 0.0,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         if horizon <= 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
@@ -68,7 +66,8 @@ class ServiceAvailabilitySimulation:
         self.fault_times = sorted(t for t in fault_times if 0 <= t < horizon)
         self.horizon = horizon
         self.request_rate = request_rate
-        self.tracer = tracer if tracer is not None else Tracer()
+        #: ``(down_at, up_at)`` per restart, ``up_at`` clipped to the horizon.
+        self.down_intervals: list[tuple[float, float]] = []
         self._down_until = -1.0
         self._recovered = 0
         self._absorbed = 0
@@ -77,12 +76,13 @@ class ServiceAvailabilitySimulation:
 
     def run(self) -> ServiceOutcome:
         engine = Engine()
-        self.tracer.record(0.0, "service.start", strategy=self.spec.name)
         for t in self.fault_times:
             engine.schedule_at(t, lambda t=t: self._on_fault(t))
         engine.run(until=self.horizon)
 
-        downtime = self.tracer.downtime(self.horizon) + self._micro_downtime
+        downtime = (
+            sum(up - down for down, up in self.down_intervals) + self._micro_downtime
+        )
         availability = availability_from_downtime(downtime, self.horizon)
         offered = self.request_rate * self.horizon
         dropped = self.request_rate * downtime + self._requests_lost
@@ -106,24 +106,18 @@ class ServiceAvailabilitySimulation:
     def _on_fault(self, now: float) -> None:
         if now < self._down_until:
             self._absorbed += 1
-            self.tracer.record(now, "fault.absorbed")
             return
         self._recovered += 1
         self._requests_lost += self.spec.requests_lost_per_fault
         dt = self.spec.downtime_per_fault
-        self.tracer.record(now, "fault.detected", strategy=self.spec.name)
-        # In-process recovery is so short that modelling it as a service
-        # down/up pair would drown the trace; account it directly instead.
+        # In-process recovery is so short that modelling it as a down/up
+        # interval would drown the list; account it directly instead.
         if dt < 1e-3:
             self._micro_downtime += dt
-            self.tracer.record(now, "fault.rewound", recovery=dt)
             return
+        # A restart still running at the horizon is cut off there.
         self._down_until = min(now + dt, self.horizon)
-        self.tracer.record(now, "service.down")
-        # The matching "up" event may land beyond the horizon; downtime()
-        # then truncates the interval at the horizon.
-        if self._down_until < self.horizon:
-            self.tracer.record(self._down_until, "service.up")
+        self.down_intervals.append((now, self._down_until))
 
 
 def compare_strategies(

@@ -28,6 +28,9 @@ class DomainStats:
     clean_exits: int = 0
     faults: int = 0
     rewinds: int = 0
+    #: Re-entries a retrying policy made after a rewind; each also counts
+    #: in ``entries``, so ``entries - retries`` is the number of executions.
+    retries: int = 0
     bytes_copied_in: int = 0
     bytes_copied_out: int = 0
     fault_kinds: dict[str, int] = field(default_factory=dict)
@@ -35,6 +38,18 @@ class DomainStats:
     def record_fault(self, kind: str) -> None:
         self.faults += 1
         self.fault_kinds[kind] = self.fault_kinds.get(kind, 0) + 1
+
+    def absorb(self, other: "DomainStats") -> None:
+        """Add ``other``'s counts to these (retiring a destroyed domain)."""
+        self.entries += other.entries
+        self.clean_exits += other.clean_exits
+        self.faults += other.faults
+        self.rewinds += other.rewinds
+        self.retries += other.retries
+        self.bytes_copied_in += other.bytes_copied_in
+        self.bytes_copied_out += other.bytes_copied_out
+        for kind, count in other.fault_kinds.items():
+            self.fault_kinds[kind] = self.fault_kinds.get(kind, 0) + count
 
 
 class Domain:

@@ -150,9 +150,6 @@ class VirtualKeyManager:
         victim.pkey = self.lock_pkey
         self._free_pkeys.append(pkey)
         self.stats.evictions += 1
-        self.runtime.tracer.record(
-            self.runtime.clock.now, "keyvirt.evict", udi=victim_udi
-        )
 
     def _retag_domain(self, domain: "Domain", pkey: int) -> None:
         """Retag every page of the domain's regions (``pkey_mprotect``).

@@ -48,11 +48,10 @@ from ..memory.mpk import PKEY_DEFAULT
 from ..sim.clock import VirtualClock
 from ..sim.cost import DEFAULT_COST_MODEL, CostModel
 from ..sim.rng import RngFactory
-from ..sim.trace import Tracer
 from .constants import ROOT_UDI, DomainFlags, DomainState
 from .context import ContextStack
 from .detect import FaultReport, classify, is_recoverable
-from .domain import Domain
+from .domain import Domain, DomainStats
 from .policy import (
     ProcessCrashed,
     RecoveryPolicy,
@@ -219,7 +218,6 @@ class SdradRuntime:
         space: Optional[AddressSpace] = None,
         clock: Optional[VirtualClock] = None,
         cost: CostModel = DEFAULT_COST_MODEL,
-        tracer: Optional[Tracer] = None,
         rng: Optional[RngFactory] = None,
         root_heap_size: int = 1024 * 1024,
         key_virtualization: bool = False,
@@ -268,7 +266,6 @@ class SdradRuntime:
         # Checked accesses already charged by an inner (nested) domain exit
         # — SFI instruments each access once, in the innermost sandbox.
         self._taxed_accesses = 0
-        self.tracer = tracer if tracer is not None else Tracer()
         # Observability is strictly opt-in: with ``obs=None`` (the
         # default) every instrumented site below reduces to one attribute
         # load and a falsy check, keeping E1's overhead numbers intact
@@ -292,6 +289,10 @@ class SdradRuntime:
         )
         self.contexts = ContextStack()
         self._domains: dict[int, Domain] = {}
+        # Destroyed domains' statistics, folded in at destroy so lifetime
+        # totals survive ephemeral (per-request) domains.
+        self.destroyed_stats = DomainStats()
+        self.destroyed_count = 0
         self._udi_counter = itertools.count(1)
         # Page 0 stays unmapped forever: null-pointer dereferences must
         # fault, as on any sane mmap_min_addr configuration.
@@ -429,7 +430,6 @@ class SdradRuntime:
             lazy_scrub=self.scrub_mode == "lazy",
         )
         self._domains[udi] = domain
-        self.tracer.record(self.clock.now, "domain.init", udi=udi, pkey=pkey)
         if self.obs is not None:
             self.obs.registry.counter("sdrad_domains_created_total").increment()
         return domain
@@ -454,8 +454,9 @@ class SdradRuntime:
             self.space.pkeys.free(domain.pkey)
         domain.mark_destroyed()
         del self._domains[udi]
+        self.destroyed_stats.absorb(domain.stats)
+        self.destroyed_count += 1
         self.charge(self._teardown_cost)
-        self.tracer.record(self.clock.now, "domain.destroy", udi=udi)
         if self.obs is not None:
             self.obs.registry.counter("sdrad_domains_destroyed_total").increment()
 
@@ -605,7 +606,6 @@ class SdradRuntime:
                 gate.grant(granted.pkey, read=True, write=False)
             handle = DomainHandle(self, domain)
             check_heap = domain.check_heap_on_exit
-        self.tracer.record(self.clock.now, "domain.enter", udi=udi)
         obs = self.obs
         span = None
         if obs is not None:
@@ -623,19 +623,13 @@ class SdradRuntime:
             except BaseException as exc:  # noqa: BLE001 - boundary must see all
                 if not is_recoverable(exc):
                     # Logic error: restore trusted state, propagate.
-                    self._leave(domain, context, saved_gate, access_mark, taxed_mark, clean=False)
+                    self._leave(context, saved_gate, access_mark, taxed_mark)
                     if obs is not None:
                         obs.end_span(span, status="error")
                     raise
                 report = classify(exc, domain_udi=udi, timestamp=self.clock.now)
                 domain.mark_faulted()
                 domain.stats.record_fault(report.mechanism.value)
-                self.tracer.record(
-                    self.clock.now,
-                    "domain.fault",
-                    udi=udi,
-                    mechanism=report.mechanism.value,
-                )
                 attempt += 1
                 if obs is not None:
                     obs.event(
@@ -647,8 +641,7 @@ class SdradRuntime:
                     ).increment()
                 decision = policy.decide(report, attempt)
                 if decision.abort:
-                    self._leave(domain, context, saved_gate, access_mark, taxed_mark, clean=False)
-                    self.tracer.record(self.clock.now, "process.crash", udi=udi)
+                    self._leave(context, saved_gate, access_mark, taxed_mark)
                     if obs is not None:
                         obs.registry.counter(
                             "sdrad_crashes_total",
@@ -665,22 +658,17 @@ class SdradRuntime:
                     # layers) decide whether to honour it — enforcement here
                     # would turn every later entry into a hard error.
                     domain.quarantined_until = self.clock.now + decision.quarantine
-                    self.tracer.record(
-                        self.clock.now,
-                        "domain.quarantine",
-                        udi=udi,
-                        until=domain.quarantined_until,
-                    )
                     if obs is not None:
                         obs.registry.counter(
                             "sdrad_quarantines_total"
                         ).increment()
                 if decision.retry:
+                    domain.stats.retries += 1
                     if decision.backoff > 0.0:
                         self.charge(decision.backoff)
                         recovery_time += decision.backoff
                     continue
-                self._leave(domain, context, saved_gate, access_mark, taxed_mark, clean=False)
+                self._leave(context, saved_gate, access_mark, taxed_mark)
                 if obs is not None:
                     obs.end_span(span, status="fault", retries=attempt - 1)
                 return DomainResult(
@@ -692,7 +680,7 @@ class SdradRuntime:
                 )
             else:
                 domain.mark_exited()
-                self._leave(domain, context, saved_gate, access_mark, taxed_mark, clean=True)
+                self._leave(context, saved_gate, access_mark, taxed_mark)
                 if obs is not None:
                     obs.end_span(span, status="ok")
                 return DomainResult(
@@ -739,7 +727,6 @@ class SdradRuntime:
         restore(self.space, stack_snap)
         domain.heap.import_state(heap_state)
         self.charge(self.cost.copy_time(footprint))
-        self.tracer.record(self.clock.now, "domain.restore", udi=udi)
         result.recovery_time += self.clock.now - before
         return result
 
@@ -759,12 +746,6 @@ class SdradRuntime:
             if not is_recoverable(exc):
                 raise
             report = classify(exc, domain_udi=ROOT_UDI, timestamp=self.clock.now)
-            self.tracer.record(
-                self.clock.now,
-                "process.crash",
-                udi=ROOT_UDI,
-                mechanism=report.mechanism.value,
-            )
             if self.obs is not None:
                 self.obs.event("process.crash", **report.span_attrs())
                 self.obs.registry.counter(
@@ -777,9 +758,6 @@ class SdradRuntime:
         before = self.clock.now
         pages = domain.discard()
         self.charge(self.cost.rewind_time(scrub_pages=pages))
-        self.tracer.record(
-            self.clock.now, "domain.rewind", udi=domain.udi, scrubbed_pages=pages
-        )
         obs = self.obs
         if obs is not None:
             elapsed = self.clock.now - before
@@ -798,14 +776,7 @@ class SdradRuntime:
         return self.clock.now - before
 
     def _leave(
-        self,
-        domain: Domain,
-        context,
-        saved_gate: int,
-        access_mark: int = 0,
-        taxed_mark: int = 0,
-        *,
-        clean: bool,
+        self, context, saved_gate: int, access_mark: int = 0, taxed_mark: int = 0
     ) -> None:
         self.contexts.pop(context)
         self.space.gate.write(saved_gate)
@@ -821,9 +792,6 @@ class SdradRuntime:
             if fresh > 0:
                 self.charge(fresh * self._access_tax)
                 self._taxed_accesses += fresh
-        self.tracer.record(
-            self.clock.now, "domain.exit", udi=domain.udi, clean=clean
-        )
 
     def _apply_domain_gate(self, domain: Domain) -> None:
         """Grant access only to the domain's tag (plus shared-heap parents).

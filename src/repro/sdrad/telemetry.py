@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Any
 
 from .constants import ROOT_UDI
+from .domain import DomainStats
 from .runtime import SdradRuntime
 
 
@@ -55,10 +56,6 @@ def snapshot(runtime: SdradRuntime) -> dict[str, Any]:
         "checked_loads": space.loads,
         "checked_stores": space.stores,
         "hardware_faults": space.faults,
-        # Gate-write count; "wrpkru" is the historical (MPK) name, kept so
-        # dashboards and goldens survive the backend axis. gate_writes is
-        # the substrate-neutral alias.
-        "wrpkru_writes": space.gate.writes,
         "gate_writes": space.gate.writes,
         "tlb_enabled": space.tlb_enabled,
         "tlb_hits": space.tlb_hits,
@@ -83,7 +80,6 @@ def snapshot(runtime: SdradRuntime) -> dict[str, Any]:
             "recovery_time": total_rewinds * runtime.cost.rewind,
         },
         "memory": memory,
-        "trace_events": len(runtime.tracer),
     }
     if runtime.keys is not None:
         out["key_virtualization"] = {
@@ -115,61 +111,42 @@ def consistency_check(runtime: SdradRuntime) -> list[str]:
     problems: list[str] = []
     data = snapshot(runtime)
     totals = data["totals"]
-
-    trace_rewinds = runtime.tracer.count("domain.rewind")
-    if trace_rewinds != totals["rewinds"]:
-        problems.append(
-            f"trace says {trace_rewinds} rewinds, domain stats say "
-            f"{totals['rewinds']}"
-        )
-    trace_faults = runtime.tracer.count("domain.fault")
-    if trace_faults != totals["faults"]:
-        problems.append(
-            f"trace says {trace_faults} faults, domain stats say "
-            f"{totals['faults']}"
-        )
     if sum(totals["fault_mix"].values()) != totals["faults"]:
         problems.append("fault mix does not sum to total faults")
-
     for domain in data["domains"]:
-        if domain["udi"] == ROOT_UDI:
-            continue
-        if domain["state"] == "destroyed":
+        if domain["udi"] != ROOT_UDI and domain["state"] == "destroyed":
             problems.append(f"destroyed domain {domain['udi']} still listed")
-        if domain["faults"] < domain["rewinds"] and domain["rewinds"] > 0:
-            # every rewind follows a fault (discard() can also be called
-            # directly, in which case stats.rewinds may exceed faults —
-            # only runtime-driven domains are checked here)
-            pass
-
     entries = runtime.contexts.depth
     if entries != 0:
         problems.append(f"{entries} execution context(s) left on the stack")
 
-    # Obs cross-checks: the obs metric counters must track the tracer
-    # event-for-event (the tracer, unlike domain stats, survives domain
-    # destroys, so it is the authoritative count for ephemeral domains).
-    # Metrics are exempt from span sampling precisely so this holds at any
-    # sampling rate. Caveat: these compare one runtime against the hub, so
-    # they assume the hub is not shared with other runtimes (a cluster's
-    # shared hub aggregates across workers and must be checked at the
-    # cluster level instead).
+    # Obs cross-checks: every obs lifecycle counter must equal the lifetime
+    # total the runtime keeps itself — live domains' stats plus the
+    # aggregate destroyed domains were folded into. Metrics are exempt from
+    # span sampling precisely so this holds at any sampling rate. Caveat:
+    # these compare one runtime against the hub, so they assume the hub is
+    # not shared with other runtimes (a cluster's shared hub aggregates
+    # across workers and must be checked at the cluster level instead).
     obs = runtime.obs
     if obs is not None:
-        pairs = [
-            ("domain.rewind", "sdrad_rewinds_total"),
-            ("domain.fault", "sdrad_domain_faults_total"),
-            ("domain.enter", "sdrad_domain_entries_total"),
-            ("domain.init", "sdrad_domains_created_total"),
-            ("domain.destroy", "sdrad_domains_destroyed_total"),
-        ]
-        for trace_kind, counter_name in pairs:
-            traced = runtime.tracer.count(trace_kind)
+        lifetime = DomainStats()
+        lifetime.absorb(runtime.destroyed_stats)
+        for domain in runtime.domains():
+            lifetime.absorb(domain.stats)
+        expected = {
+            "sdrad_rewinds_total": lifetime.rewinds,
+            "sdrad_domain_faults_total": lifetime.faults,
+            "sdrad_domain_entries_total": lifetime.entries - lifetime.retries,
+            "sdrad_domains_created_total": data["domain_count"]
+            + runtime.destroyed_count,
+            "sdrad_domains_destroyed_total": runtime.destroyed_count,
+        }
+        for counter_name, owned in expected.items():
             counted = obs.registry.counter_total(counter_name)
-            if traced != counted:
+            if counted != owned:
                 problems.append(
-                    f"tracer saw {traced} {trace_kind!r} events but obs "
-                    f"counter {counter_name!r} totals {counted}"
+                    f"runtime counts {owned} but obs counter "
+                    f"{counter_name!r} totals {counted}"
                 )
         if obs.open_span_count != 0:
             problems.append(

@@ -19,9 +19,8 @@ from .clock import (
 )
 from .cost import DEFAULT_COST_MODEL, GIB, CostModel
 from .engine import Engine, Process
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, Summary
+from .metrics import Counter, Gauge, Histogram, Summary
 from .rng import RngFactory, ZipfSampler, zipf_weights
-from .trace import TraceEvent, Tracer
 
 __all__ = [
     "DAYS",
@@ -42,11 +41,8 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "MetricsRegistry",
     "Summary",
     "RngFactory",
     "ZipfSampler",
     "zipf_weights",
-    "TraceEvent",
-    "Tracer",
 ]

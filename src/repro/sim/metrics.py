@@ -7,10 +7,9 @@ percentages (E3), per-client success rates (E4) and energy totals (E5).
 As of the ``repro.obs`` subsystem there is **one** set of metric
 primitives: :class:`Counter` and :class:`Gauge` live in
 :mod:`repro.obs.metrics` and are re-exported here so historic imports
-keep working, and :class:`MetricsRegistry` registers everything it
-creates into a backing :class:`~repro.obs.metrics.ObsRegistry` — so
-experiment metrics surface through the same snapshot and Prometheus
-exporters as the serving-path metrics.
+keep working. An exact :class:`Histogram` surfaces through the obs
+snapshot and Prometheus exporters once adopted with
+:meth:`~repro.obs.metrics.ObsRegistry.adopt_histogram`.
 
 The exact-sample :class:`Histogram` stays here: experiments record at
 most a few hundred thousand observations, so exact storage is affordable
@@ -24,15 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
-from ..obs.metrics import Counter, Gauge, ObsRegistry
+from ..obs.metrics import Counter, Gauge
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "MetricsRegistry",
     "Summary",
 ]
 
@@ -120,52 +118,3 @@ class Histogram:
             p95=self.percentile(95),
             p99=self.percentile(99),
         )
-
-
-class MetricsRegistry:
-    """A namespace of counters, gauges and histograms for one simulation run.
-
-    A thin veneer over :class:`ObsRegistry` preserving the historic
-    unlabelled API and snapshot format. Metrics created here land in the
-    backing obs registry too (counters/gauges directly, exact histograms
-    via adoption), so one Prometheus snapshot covers both worlds. Pass an
-    existing ``ObsRegistry`` (e.g. ``Observability().registry``) to share
-    a namespace with the serving-path metrics.
-    """
-
-    def __init__(self, obs_registry: Optional[ObsRegistry] = None) -> None:
-        self.obs_registry = obs_registry if obs_registry is not None else ObsRegistry()
-        self.counters: dict[str, Counter] = {}
-        self.gauges: dict[str, Gauge] = {}
-        self.histograms: dict[str, Histogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        if name not in self.counters:
-            self.counters[name] = self.obs_registry.counter(name)
-        return self.counters[name]
-
-    def gauge(self, name: str) -> Gauge:
-        if name not in self.gauges:
-            self.gauges[name] = self.obs_registry.gauge(name)
-        return self.gauges[name]
-
-    def histogram(self, name: str) -> Histogram:
-        if name not in self.histograms:
-            histogram = Histogram(name)
-            self.histograms[name] = histogram
-            self.obs_registry.adopt_histogram(histogram)
-        return self.histograms[name]
-
-    def snapshot(self) -> dict[str, object]:
-        """Flatten everything into a JSON-friendly dict for reports."""
-        out: dict[str, object] = {}
-        for name, counter in self.counters.items():
-            out[f"counter/{name}"] = counter.value
-        for name, gauge in self.gauges.items():
-            out[f"gauge/{name}"] = gauge.value
-        for name, histogram in self.histograms.items():
-            if histogram.count:
-                out[f"histogram/{name}"] = histogram.summary().as_dict()
-            else:
-                out[f"histogram/{name}"] = {"count": 0}
-        return out

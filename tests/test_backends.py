@@ -157,7 +157,7 @@ class TestMpkBitIdentity:
         runtime = SdradRuntime()
         memory = snapshot(runtime)["memory"]
         assert memory["backend"] == "mpk"
-        assert memory["gate_writes"] == memory["wrpkru_writes"]
+        assert memory["gate_writes"] == runtime.space.gate.writes
 
 
 class TestCheriScale:

@@ -3,7 +3,7 @@
 Each test drives an ugly path — repeated faults under a retry policy, a
 poisoned request inside a batch, a watchdog quarantine, a worker process
 crash — and demands a well-formed span tree afterwards: every span closed,
-every parent link valid, metrics in agreement with the tracer.
+every parent link valid, metrics in agreement with the runtime's own counts.
 """
 
 from __future__ import annotations

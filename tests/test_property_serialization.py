@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ffi.serialization import (
@@ -55,6 +55,10 @@ def test_msgpack_roundtrip(value):
 
 @settings(max_examples=150, deadline=None)
 @given(value=ffi_values)
+@example(value={"__ffi_bytes__": ""})
+@example(value={"__ffi_bytes__": b"x"})
+@example(value={"__ffi_dict__": {"__ffi_bytes__": None}})
+@example(value=[{"__ffi_bytes__": 1}, {"__ffi_bytes__": "s", "k": b""}])
 def test_json_roundtrip(value):
     s = JsonSerializer()
     assert s.decode(s.encode(value)) == value
@@ -102,6 +106,11 @@ def test_msgpack_never_crashes_on_garbage(garbage):
 
 @settings(max_examples=100, deadline=None)
 @given(garbage=st.binary(max_size=128))
+@example(garbage=b'{"__ffi_bytes__": ""}')
+@example(garbage=b'{"__ffi_bytes__": null}')
+@example(garbage=b'{"__ffi_bytes__": 1}')
+@example(garbage=b'{"__ffi_bytes__": "\\u0100"}')
+@example(garbage=b'{"__ffi_dict__": 1}')
 def test_json_never_crashes_on_garbage(garbage):
     from repro.errors import SerializationError
 

@@ -136,12 +136,21 @@ class TestValidation:
 
 class TestTraceIndependence:
     def test_downtime_computed_from_trace_not_bookkeeping(self):
-        """The trace is the independent witness of the availability math."""
+        """The down intervals are the witness of the availability math."""
         spec = MODEL.process_restart(10 * GIB)
-        sim = ServiceAvailabilitySimulation(spec, year_times(2))
+        times = year_times(2)
+        sim = ServiceAvailabilitySimulation(spec, times)
         outcome = sim.run()
-        trace_downtime = sim.tracer.downtime(YEARS)
-        assert outcome.downtime == pytest.approx(trace_downtime)
-        assert sim.tracer.count("fault.detected") == 2
-        assert sim.tracer.count("service.down") == 2
-        assert sim.tracer.count("service.up") == 2
+        assert sim.down_intervals == [
+            (t, t + spec.downtime_per_fault) for t in times
+        ]
+        assert outcome.downtime == pytest.approx(2 * spec.downtime_per_fault)
+
+    def test_intervals_absorb_and_truncate(self):
+        spec = MODEL.process_restart(10 * GIB)
+        sim = ServiceAvailabilitySimulation(spec, [100.0, 110.0, 990.0], horizon=1000.0)
+        sim.run()
+        assert sim.down_intervals == [
+            (100.0, 100.0 + spec.downtime_per_fault),
+            (990.0, 1000.0),
+        ]

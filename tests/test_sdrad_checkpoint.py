@@ -90,9 +90,15 @@ class TestCheckpointRestore:
         )
 
     def test_trace_records_restore(self, setup):
+        """The restore copy is reported as recovery time, on top of the rewind."""
         runtime, domain, _ = setup
-        runtime.execute_with_checkpoint(domain.udi, lambda h: h.store(0, b"x"))
-        assert runtime.tracer.count("domain.restore") == 1
+        result = runtime.execute_with_checkpoint(
+            domain.udi, lambda h: h.store(0, b"x")
+        )
+        footprint = domain.heap_size + domain.stack_size
+        assert result.recovery_time == pytest.approx(
+            runtime.cost.rewind + runtime.cost.copy_time(footprint)
+        )
 
 
 class TestCheckpointStrategySpec:

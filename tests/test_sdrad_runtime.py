@@ -267,8 +267,8 @@ class TestRewind:
 
     def test_trace_records_fault_and_rewind(self, runtime, domain):
         runtime.execute(domain.udi, _wild_write_into(runtime, runtime.root.heap_base))
-        assert runtime.tracer.count("domain.fault") == 1
-        assert runtime.tracer.count("domain.rewind") == 1
+        assert domain.stats.faults == 1
+        assert domain.stats.rewinds == 1
 
     def test_check_heap_on_exit_catches_silent_corruption(self, runtime):
         domain = runtime.domain_init(

@@ -49,7 +49,8 @@ class TestSnapshot:
         data = snapshot(busy_runtime())
         memory = data["memory"]
         assert memory["checked_stores"] > 0
-        assert memory["wrpkru_writes"] > 0
+        assert memory["gate_writes"] > 0
+        assert "wrpkru_writes" not in memory
         assert memory["mapped_bytes"] <= memory["space_bytes"]
 
     def test_json_serialisable(self):
@@ -89,15 +90,29 @@ class TestConsistency:
         domain = runtime.domain_init(flags=DomainFlags.RETURN_TO_PARENT)
         runtime.execute(domain.udi, lambda h: h.store(0, b"x"))
         runtime.domain_destroy(domain.udi)
-        # destroyed domain leaves the listing; trace still shows its fault,
-        # so the check must not claim trace/stat divergence spuriously
-        problems = consistency_check(runtime)
-        assert all("destroyed" not in p for p in problems)
+        assert consistency_check(runtime) == []
+
+    def test_destroy_folds_stats_into_runtime_aggregate(self):
+        runtime = SdradRuntime()
+        for _ in range(3):
+            domain = runtime.domain_init(flags=DomainFlags.RETURN_TO_PARENT)
+            runtime.execute(domain.udi, lambda h: h.store(0, b"x"))
+            runtime.copy_into(domain.udi, b"abc")
+            runtime.domain_destroy(domain.udi)
+        retired = runtime.destroyed_stats
+        assert runtime.destroyed_count == 3
+        assert (retired.entries, retired.faults, retired.rewinds) == (3, 3, 3)
+        assert retired.fault_kinds == {"page-fault": 3}
+        assert retired.bytes_copied_in == 9
+        # The snapshot still reports live domains only.
+        assert snapshot(runtime)["totals"]["faults"] == 0
 
 
 class TestObsConsistency:
-    """The obs counters are cross-checked against the tracer, so silent
-    counter drift fails a tier-1 test instead of shipping wrong metrics."""
+    """The obs counters are cross-checked against the runtime's own
+    lifetime totals (live domains plus the destroyed-domain aggregate), so
+    silent counter drift fails a tier-1 test instead of shipping wrong
+    metrics."""
 
     def busy_observed_runtime(self) -> SdradRuntime:
         from repro.obs import Observability
@@ -108,7 +123,7 @@ class TestObsConsistency:
         runtime.execute(a.udi, lambda h: h.store(h.malloc(32), b"data"))
         runtime.execute(a.udi, lambda h: h.store(0, b"fault"))  # rewind
         runtime.execute(b.udi, lambda h: None)
-        runtime.domain_destroy(b.udi)  # ephemeral: stats gone, tracer stays
+        runtime.domain_destroy(b.udi)  # ephemeral: stats folded at destroy
         return runtime
 
     def test_observed_runtime_is_consistent(self):
@@ -119,6 +134,28 @@ class TestObsConsistency:
         runtime.obs.registry.counter("sdrad_domain_entries_total").increment()
         problems = consistency_check(runtime)
         assert any("sdrad_domain_entries_total" in p for p in problems)
+
+    def test_rewind_drift_after_destroying_faulted_domain(self):
+        runtime = self.busy_observed_runtime()
+        a = runtime.domains()[1]
+        runtime.domain_destroy(a.udi)  # takes its fault and rewind with it
+        assert consistency_check(runtime) == []
+        runtime.obs.registry.counter("sdrad_rewinds_total", cause="x").increment()
+        problems = consistency_check(runtime)
+        assert any("sdrad_rewinds_total" in p for p in problems)
+
+    def test_retries_count_as_one_entry(self):
+        from repro.obs import Observability
+        from repro.sdrad.policy import RetryPolicy
+
+        runtime = SdradRuntime(obs=Observability())
+        domain = runtime.domain_init(flags=DomainFlags.RETURN_TO_PARENT)
+        runtime.execute(
+            domain.udi, lambda h: h.store(0, b"x"), policy=RetryPolicy(max_retries=2)
+        )
+        assert domain.stats.entries == 3
+        assert domain.stats.retries == 2
+        assert consistency_check(runtime) == []
 
     def test_snapshot_obs_block_serialises(self):
         data = snapshot(self.busy_observed_runtime())

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.sim.metrics import Counter, Gauge, Histogram
 
 
 class TestCounter:
@@ -88,23 +88,3 @@ class TestHistogram:
         h = Histogram("h")
         h.observe_many(range(1000))
         assert h.percentile(99) == pytest.approx(989.01, abs=0.5)
-
-
-class TestMetricsRegistry:
-    def test_same_name_same_object(self):
-        registry = MetricsRegistry()
-        assert registry.counter("a") is registry.counter("a")
-        assert registry.histogram("b") is registry.histogram("b")
-        assert registry.gauge("c") is registry.gauge("c")
-
-    def test_snapshot_structure(self):
-        registry = MetricsRegistry()
-        registry.counter("reqs").increment(3)
-        registry.gauge("live").set(2)
-        registry.histogram("lat").observe(1.0)
-        registry.histogram("empty")
-        snap = registry.snapshot()
-        assert snap["counter/reqs"] == 3
-        assert snap["gauge/live"] == 2
-        assert snap["histogram/lat"]["count"] == 1
-        assert snap["histogram/empty"] == {"count": 0}
