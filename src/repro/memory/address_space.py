@@ -49,7 +49,6 @@ from typing import Iterable, Literal
 
 from ..errors import (
     MemoryError_,
-    PermissionFault,
     SdradError,
     SegmentationFault,
 )
@@ -445,7 +444,8 @@ class AddressSpace:
         self.tlb_flushes += 1
         # Any mapping/permission/key change kills every plan. Page-scoped
         # plan invalidation would need a page->plan index; range updates
-        # are domain-lifecycle-rate events, so conservative is cheap.
+        # follow the domain lifecycle (several per request under PER_REQUEST
+        # isolation), so each costs plan rebuilds — one run probe apiece.
         if self.plans is not None:
             self.plans.shootdown()
 
@@ -487,22 +487,10 @@ class AddressSpace:
                 tlb[key] = True
 
     def _check_page(self, address: int, *, write: bool) -> None:
-        entry = self.page_table.entry_for(address)
-        access = "store" if write else "load"
-        if not entry.present:
-            self.faults += 1
-            raise SegmentationFault(address, access=access)
-        if write and not entry.writable:
-            self.faults += 1
-            raise PermissionFault(address, access, entry.perms())
-        if not write and not entry.readable:
-            self.faults += 1
-            raise PermissionFault(address, access, entry.perms())
-        allowed = (
-            self.pkru.allows_write(entry.pkey)
-            if write
-            else self.pkru.allows_read(entry.pkey)
+        # ``address`` is bounds-checked; a TLB miss builds no entry snapshot.
+        fault = self.page_table.access_fault(
+            address, write, self.pkru, self._violation
         )
-        if not allowed:
+        if fault is not None:
             self.faults += 1
-            raise self._violation(address, entry.pkey, access)
+            raise fault

@@ -4,20 +4,33 @@ This is the simulated MMU's view of memory. It deliberately stores *only*
 what the isolation protocol needs — present bit, read/write permissions and
 the protection key — because that is the entire interface SDRaD uses
 (``mmap``/``mprotect``/``pkey_mprotect``).
+
+It is two flat per-page arrays — a ``bytearray`` of permission bits and a
+list of tags (CHERI and SFI tags are unbounded) — so every range operation
+is a C-level slice operation, not a Python visit per page, and the access
+checks read the arrays without building :class:`PageEntry` snapshots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import and_
 
-from ..errors import SdradError, SegmentationFault
-from .layout import PAGE_SIZE, is_page_aligned, page_index, pages_spanned
+from ..errors import PermissionFault, SdradError, SegmentationFault
+from .layout import PAGE_SIZE, is_page_aligned
 from .mpk import NUM_PKEYS, PKEY_DEFAULT
 
+#: Per-page permission bits; ``PRESENT`` (bit 0) is set exactly on mapped
+#: pages, so an unmapped page's bits are zero. Unmapped pages carry tag 0.
+PRESENT = 1
+READABLE = 2
+WRITABLE = 4
 
-@dataclass
+
+@dataclass(frozen=True)
 class PageEntry:
-    """One page-table entry."""
+    """Read-only snapshot of one page-table entry."""
 
     present: bool = False
     readable: bool = False
@@ -32,6 +45,10 @@ class PageEntry:
         return f"{r}{w}-"
 
 
+def _perm_bits(readable: bool, writable: bool) -> int:
+    return PRESENT | (READABLE if readable else 0) | (WRITABLE if writable else 0)
+
+
 class PageTable:
     """Page table over a fixed-size simulated address space."""
 
@@ -42,25 +59,24 @@ class PageTable:
             raise SdradError(
                 f"address-space size must be a positive page multiple, got {space_size}"
             )
-        #: Valid tag ceiling for :meth:`tag_range` — MPK's 16 hardware keys
-        #: by default; ``None`` for substrates with full-width tags (CHERI
-        #: object types, SFI region ids).
+        #: Valid tag ceiling for :meth:`map_range`/:meth:`tag_range` — MPK's
+        #: 16 hardware keys by default; ``None`` for substrates with
+        #: full-width tags (CHERI object types, SFI region ids).
         self.num_keys = num_keys
         self.space_size = space_size
         self.num_pages = space_size // PAGE_SIZE
-        self._entries = [PageEntry() for _ in range(self.num_pages)]
+        self._bits = bytearray(self.num_pages)
+        self._tags = [PKEY_DEFAULT] * self.num_pages  # sdradlint: ignore[R6] tag 0 is every backend's root tag
         #: Hook called with ``(first_page, last_page)`` after any mapping,
         #: permission, or key change — the simulated MMU's TLB shootdown.
         self.on_range_update = None
 
-    def _notify_range(self, address: int, length: int) -> None:
-        if self.on_range_update is not None:
-            span = pages_spanned(address, length)
-            self.on_range_update(span.start, span.stop - 1)
-
     # ------------------------------------------------------------------
     # Mapping / protection syscall analogues
     # ------------------------------------------------------------------
+    # Each update applies to the leading pages that pass its per-page check,
+    # raises naming the first page that fails, and shoots down the whole
+    # range either way: a partial failure has already mutated the prefix.
 
     def map_range(
         self,
@@ -72,84 +88,121 @@ class PageTable:
         pkey: int = PKEY_DEFAULT,  # sdradlint: ignore[R6] tag 0 is every backend's root tag
     ) -> None:
         """``mmap`` analogue: mark pages present with given perms and key."""
-        self._check_range(address, length)
-        # Shootdown runs even on a partial failure: some pages may already
-        # have been mutated when the error is raised.
+        self._check_key(pkey)
+        first, stop = self._check_range(address, length)
         try:
-            for index in pages_spanned(address, length):
-                entry = self._entries[index]
-                if entry.present:
-                    raise SdradError(
-                        f"page {index} already mapped (double map at {address:#x})"
-                    )
-                entry.present = True
-                entry.readable = readable
-                entry.writable = writable
-                entry.pkey = pkey
+            run = self._bits[first:stop]
+            end = stop - len(run.lstrip(b"\0"))  # first already-mapped page
+            self._bits[first:end] = bytes((_perm_bits(readable, writable),)) * (end - first)
+            self._tags[first:end] = [pkey] * (end - first)
+            if end < stop:
+                raise SdradError(
+                    f"page {end} already mapped (double map at {address:#x})"
+                )
         finally:
-            self._notify_range(address, length)
+            self._notify(first, stop)
 
     def unmap_range(self, address: int, length: int) -> None:
         """``munmap`` analogue."""
-        self._check_range(address, length)
+        first, stop = self._check_range(address, length)
         try:
-            for index in pages_spanned(address, length):
-                entry = self._entries[index]
-                if not entry.present:
-                    raise SdradError(f"page {index} not mapped (double unmap)")
-                self._entries[index] = PageEntry()
+            end = self._mapped_prefix_end(first, stop)
+            self._bits[first:end] = bytes(end - first)
+            self._tags[first:end] = [PKEY_DEFAULT] * (end - first)  # sdradlint: ignore[R6] tag 0 is every backend's root tag
+            if end < stop:
+                raise SdradError(f"page {end} not mapped (double unmap)")
         finally:
-            self._notify_range(address, length)
+            self._notify(first, stop)
 
     def protect_range(
         self, address: int, length: int, *, readable: bool, writable: bool
     ) -> None:
         """``mprotect`` analogue."""
-        self._check_range(address, length)
+        first, stop = self._check_range(address, length)
         try:
-            for index in pages_spanned(address, length):
-                entry = self._entries[index]
-                if not entry.present:
-                    raise SegmentationFault(index * PAGE_SIZE, access="mprotect")
-                entry.readable = readable
-                entry.writable = writable
+            end = self._mapped_prefix_end(first, stop)
+            self._bits[first:end] = bytes((_perm_bits(readable, writable),)) * (end - first)
+            if end < stop:
+                raise SegmentationFault(end * PAGE_SIZE, access="mprotect")
         finally:
-            self._notify_range(address, length)
+            self._notify(first, stop)
 
     def tag_range(self, address: int, length: int, pkey: int) -> None:
         """``pkey_mprotect`` analogue: retag pages with a protection key."""
-        if pkey < 0 or (self.num_keys is not None and pkey >= self.num_keys):
-            raise SdradError(f"protection key out of range: {pkey}")
-        self._check_range(address, length)
+        self._check_key(pkey)
+        first, stop = self._check_range(address, length)
         try:
-            for index in pages_spanned(address, length):
-                entry = self._entries[index]
-                if not entry.present:
-                    raise SegmentationFault(index * PAGE_SIZE, access="pkey_mprotect")
-                entry.pkey = pkey
+            end = self._mapped_prefix_end(first, stop)
+            self._tags[first:end] = [pkey] * (end - first)
+            if end < stop:
+                raise SegmentationFault(end * PAGE_SIZE, access="pkey_mprotect")
         finally:
-            self._notify_range(address, length)
+            self._notify(first, stop)
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
 
     def entry_for(self, address: int) -> PageEntry:
-        """Entry covering ``address``; raises for out-of-space addresses."""
+        """Snapshot of the entry covering ``address`` (faults off-space)."""
         if not 0 <= address < self.space_size:
             raise SegmentationFault(address)
-        return self._entries[page_index(address)]
+        index = address // PAGE_SIZE
+        bits = self._bits[index]
+        return PageEntry(
+            bool(bits & PRESENT),
+            bool(bits & READABLE),
+            bool(bits & WRITABLE),
+            self._tags[index],
+        )
 
     def pages_tagged(self, pkey: int) -> list[int]:
         """Page indices currently tagged with ``pkey``."""
-        return [
-            i for i, e in enumerate(self._entries) if e.present and e.pkey == pkey
-        ]
+        # PRESENT is bit 0: ``bits & (tag == pkey)`` selects mapped matches.
+        matches = map(and_, self._bits, map(pkey.__eq__, self._tags))
+        return list(compress(range(self.num_pages), matches))
 
     def mapped_bytes(self) -> int:
-        return PAGE_SIZE * sum(1 for e in self._entries if e.present)
+        return PAGE_SIZE * (self.num_pages - self._bits.count(0))
 
-    def _check_range(self, address: int, length: int) -> None:
+    def access_fault(self, address: int, write: bool, gate, violation):
+        """The fault a checked access to the in-space page holding
+        ``address`` raises under ``gate``, or ``None`` if it is allowed."""
+        index = address // PAGE_SIZE
+        bits = self._bits[index]
+        access = "store" if write else "load"
+        if not bits & PRESENT:
+            return SegmentationFault(address, access=access)
+        if not bits & (WRITABLE if write else READABLE):
+            return PermissionFault(address, access, self.entry_for(address).perms())
+        tag = self._tags[index]
+        if not (gate.allows_write(tag) if write else gate.allows_read(tag)):
+            return violation(address, tag, access)
+        return None
+
+    def run_allows(self, first: int, stop: int, gate, *, read: bool, write: bool) -> bool:
+        """Whether every page in ``[first, stop)`` passes :meth:`access_fault`
+        for the given modes, read off the run once: each distinct permission
+        byte must carry the needed bits, and the gate is asked once per
+        distinct tag. Raises and counts nothing."""
+        need = _perm_bits(read, write)
+        if any(bits & need != need for bits in set(self._bits[first:stop])):
+            return False
+        tags = set(self._tags[first:stop])
+        if read and not all(map(gate.allows_read, tags)):
+            return False
+        return not write or all(map(gate.allows_write, tags))
+
+    # ------------------------------------------------------------------
+    # Checks
+    # ------------------------------------------------------------------
+
+    def _check_key(self, pkey: int) -> None:
+        if pkey < 0 or (self.num_keys is not None and pkey >= self.num_keys):
+            raise SdradError(f"protection key out of range: {pkey}")
+
+    def _check_range(self, address: int, length: int) -> tuple[int, int]:
+        """Validate a page-aligned in-space range; return its page span."""
         if length <= 0:
             raise SdradError(f"range length must be positive, got {length}")
         if not is_page_aligned(address) or not is_page_aligned(length):
@@ -158,3 +211,13 @@ class PageTable:
             )
         if address < 0 or address + length > self.space_size:
             raise SegmentationFault(address, access="map")
+        return address // PAGE_SIZE, (address + length) // PAGE_SIZE
+
+    def _mapped_prefix_end(self, first: int, stop: int) -> int:
+        """First unmapped page in ``[first, stop)``, or ``stop``."""
+        hole = self._bits.find(0, first, stop)
+        return stop if hole < 0 else hole
+
+    def _notify(self, first: int, stop: int) -> None:
+        if self.on_range_update is not None:
+            self.on_range_update(first, stop - 1)

@@ -60,7 +60,7 @@ import struct
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..errors import SdradError
-from .layout import PAGE_SIZE, pages_spanned
+from .layout import PAGE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .address_space import AddressSpace
@@ -565,30 +565,20 @@ class AccessPlanCache:
     # ------------------------------------------------------------------
 
     def _probe(self, base: int, length: int, mode: str) -> bool:
-        """Non-faulting walk of every page in the run under the current
-        PKRU — the same verdict ``_check_access`` would compute, minus the
-        raising and the fault counting (a failed probe means "no plan",
-        not "a fault happened")."""
+        """Non-faulting check of the run under the current PKRU — the
+        verdict ``_check_access`` would compute page by page, read off the
+        run once by the page table. No raising and no fault counting (a
+        failed probe means "no plan", not "a fault happened")."""
         space = self._space
         if base < 0 or length <= 0 or base + length > space.size:
             return False
-        page_table = space.page_table
-        pkru = space.pkru
-        need_read = "r" in mode
-        need_write = "w" in mode
-        for index in pages_spanned(base, length):
-            entry = page_table.entry_for(index * PAGE_SIZE)
-            if not entry.present:
-                return False
-            if need_read and not (
-                entry.readable and pkru.allows_read(entry.pkey)
-            ):
-                return False
-            if need_write and not (
-                entry.writable and pkru.allows_write(entry.pkey)
-            ):
-                return False
-        return True
+        return space.page_table.run_allows(
+            base // PAGE_SIZE,
+            (base + length - 1) // PAGE_SIZE + 1,
+            space.pkru,
+            read="r" in mode,
+            write="w" in mode,
+        )
 
     def shootdown(self) -> None:
         """Kill every plan (the full-shootdown analogue).

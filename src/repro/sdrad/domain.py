@@ -19,6 +19,11 @@ from ..memory.allocator import FreeListAllocator
 from ..memory.stack import CallStack
 from .constants import DomainFlags, DomainState
 
+_NONISOLATED_HEAP = int(DomainFlags.NONISOLATED_HEAP)
+_CHECK_HEAP_ON_EXIT = int(DomainFlags.CHECK_HEAP_ON_EXIT)
+_SCRUB_ON_DISCARD = int(DomainFlags.SCRUB_ON_DISCARD)
+_RETURN_TO_PARENT = int(DomainFlags.RETURN_TO_PARENT)
+
 
 @dataclass
 class DomainStats:
@@ -105,15 +110,16 @@ class Domain:
     def flags(self, value: DomainFlags) -> None:
         # Flag tests sit on the entry/exit hot path; IntFlag's ``&`` is two
         # orders of magnitude slower than an attribute load, so the checks
-        # below read these cached booleans. Anything that changes flags after
-        # construction must go through this setter (the runtime's
-        # ``set_domain_flags`` does, and also invalidates entry tickets).
+        # below read these cached booleans (derived with plain-int masks).
+        # Anything that changes flags after construction must go through
+        # this setter (the runtime's ``set_domain_flags`` does, and also
+        # invalidates entry tickets).
         self._flags = value
         bits = int(value)
-        self.nonisolated_heap = bool(bits & DomainFlags.NONISOLATED_HEAP)
-        self.check_heap_on_exit = bool(bits & DomainFlags.CHECK_HEAP_ON_EXIT)
-        self.scrub_on_discard = bool(bits & DomainFlags.SCRUB_ON_DISCARD)
-        self.return_to_parent = bool(bits & DomainFlags.RETURN_TO_PARENT)
+        self.nonisolated_heap = bool(bits & _NONISOLATED_HEAP)
+        self.check_heap_on_exit = bool(bits & _CHECK_HEAP_ON_EXIT)
+        self.scrub_on_discard = bool(bits & _SCRUB_ON_DISCARD)
+        self.return_to_parent = bool(bits & _RETURN_TO_PARENT)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -16,6 +16,8 @@ stay honest even with plans off.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.memcached_server import IsolationMode, MemcachedServer
 from repro.errors import (
@@ -374,6 +376,127 @@ class TestAblationBitIdentical:
         baseline = grid[(False, False)]
         for cell, got in grid.items():
             assert got == baseline, cell
+
+
+_PROBE_PAGES = 8
+#: (mapped, readable, writable), weighted towards accessible pages so that
+#: multi-page runs often hinge on their tags alone.
+_page_perms = st.sampled_from(
+    [(True, True, True)] * 4
+    + [(True, True, False), (True, False, True), (True, False, False)]
+    + [(False, False, False)]
+)
+_page_states = st.lists(
+    st.tuples(_page_perms, st.integers(0, 3)),
+    min_size=_PROBE_PAGES,
+    max_size=_PROBE_PAGES,
+)
+_grants = st.lists(
+    st.tuples(st.integers(0, 3), st.booleans(), st.booleans()), max_size=6
+)
+_runs = st.lists(
+    st.tuples(
+        st.integers(0, _PROBE_PAGES * PAGE_SIZE),
+        st.integers(1, 4 * PAGE_SIZE),
+        st.sampled_from(["r", "w", "rw"]),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@pytest.mark.parametrize("backend", ["mpk", "cheri", "sfi"])
+@settings(max_examples=150, deadline=None)
+@given(pages=_page_states, grants=_grants, runs=_runs)
+def test_probe_matches_per_page_check(backend, pages, grants, runs):
+    """A checked plan exists exactly when the per-access path would let
+    every page of the run through, and building one leaves the fault and
+    TLB counters alone — on every substrate."""
+    space = AddressSpace(size=_PROBE_PAGES * PAGE_SIZE, backend=backend)
+    tags = [0] + [space.tags.alloc() for _ in range(3)]
+    for index, ((mapped, readable, writable), tag) in enumerate(pages):
+        if mapped:
+            space.page_table.map_range(
+                index * PAGE_SIZE,
+                PAGE_SIZE,
+                readable=readable,
+                writable=writable,
+                pkey=tags[tag],
+            )
+    for tag, read, write in grants:
+        space.gate.grant(tags[tag], read=read, write=write)
+    for base, length, mode in runs:
+        before = (space.faults, space.tlb_hits, space.tlb_misses)
+        plan = space.plans.checked_plan(base, length, mode)
+        assert (space.faults, space.tlb_hits, space.tlb_misses) == before
+        passes = True
+        for write in {"r": [False], "w": [True], "rw": [False, True]}[mode]:
+            try:
+                space._check_access(base, length, write=write)
+            except MemoryError_:
+                passes = False
+        assert (plan is not None) == passes, (base, length, mode)
+
+
+def _e1_memcached_counters(backend: str, isolation: IsolationMode, batch: int):
+    """E1's memcached trace (300 requests, a set every tenth) with one
+    contained stack smash in the middle; returns the architectural
+    counters and the final virtual clock."""
+    trace = [
+        b"set key%03d 0 0 8\r\nvalue%03d\r\n" % (i, i)
+        if i % 10 == 0
+        else b"get key%03d\r\n" % (i - i % 10)
+        for i in range(300)
+    ]
+    trace.insert(150, b"get " + b"K" * 300 + b"\r\n")
+    runtime = SdradRuntime(backend=backend)
+    server = MemcachedServer(runtime, isolation=isolation)
+    server.connect("client")
+    if batch > 1:
+        for i in range(0, len(trace), batch):
+            server.handle_batch("client", trace[i : i + batch])
+    else:
+        for raw in trace:
+            server.handle("client", raw)
+    space = runtime.space
+    return (
+        space.tlb_hits,
+        space.tlb_misses,
+        space.tlb_flushes,
+        space.plans.built,
+        space.plans.hits,
+        space.plans.shootdowns,
+        space.faults,
+        space.gate.writes,
+        runtime.clock.now,
+    )
+
+
+#: (tlb_hits, tlb_misses, tlb_flushes, plans.built, plans.hits,
+#: plans.shootdowns, faults, gate_writes, virtual clock), recorded from the
+#: per-page page table this array-backed one replaced.
+_E1_COUNTERS = {
+    ("mpk", "per-connection", 1): (360, 1, 5, 6, 0, 5, 1, 1204, 0.003101799999999996),
+    ("mpk", "per-connection", 16): (367, 1, 5, 6, 0, 5, 2, 140, 0.003025500000000007),
+    ("mpk", "per-request", 1): (360, 1, 1508, 1234, 0, 1508, 1, 1204, 0.005504799999999943),
+    ("cheri", "per-connection", 1): (360, 1, 5, 6, 0, 5, 1, 903, 0.0030817400000000346),
+    ("cheri", "per-connection", 16): (367, 1, 5, 6, 0, 5, 2, 105, 0.0030214000000000074),
+    ("cheri", "per-request", 1): (360, 1, 1508, 1234, 0, 1508, 1, 903, 0.004132240000000051),
+    ("sfi", "per-connection", 1): (360, 1, 5, 6, 0, 5, 1, 903, 0.003009619999999993),
+    ("sfi", "per-connection", 16): (367, 1, 5, 6, 0, 5, 2, 105, 0.003013132000000009),
+    ("sfi", "per-request", 1): (360, 1, 1508, 1234, 0, 1508, 1, 903, 0.003729619999999999),
+}
+
+
+@pytest.mark.parametrize(
+    "config", sorted(_E1_COUNTERS), ids=lambda c: "/".join(map(str, c))
+)
+def test_e1_counters_pinned(config):
+    """TLB, plan, fault and gate counters are exact functions of the
+    workload: a faster page table or probe must not move any of them."""
+    backend, isolation, batch = config
+    got = _e1_memcached_counters(backend, IsolationMode(isolation), batch)
+    assert got == _E1_COUNTERS[config]
 
 
 class TestBatchedCoalescing:
