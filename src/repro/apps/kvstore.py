@@ -19,6 +19,7 @@ An LRU list provides Memcached's eviction policy when the slab arena fills.
 
 from __future__ import annotations
 
+import re
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -32,6 +33,8 @@ ITEM_HEADER = 8
 MAX_KEY_LEN = 250  # memcached protocol limit
 
 _ITEM_STRUCT = struct.Struct("<HHI")  # key length, flags, value length
+#: Matches exactly the keys ``_validate_key`` accepts, in one C-level call.
+_valid_key = re.compile(rb"[^ \r\n]{1,%d}" % MAX_KEY_LEN).fullmatch
 
 
 @dataclass
@@ -96,14 +99,21 @@ class KVStore:
     # ------------------------------------------------------------------
 
     def set(self, key: bytes, value: bytes, flags: int = 0) -> None:
-        """Store ``value`` under ``key``, evicting LRU items if needed."""
+        """Store ``value`` under ``key``, evicting LRU items if needed.
+
+        An item above the largest slab class raises ``AllocationFailure``
+        before anything is freed or evicted: no eviction can make room.
+        """
         self._validate_key(key)
-        if len(value) > 0xFFFFFFFF:
-            raise SdradError("value too large")
+        needed = ITEM_HEADER + len(key) + len(value)
+        largest = self.slabs.chunk_sizes[-1]
+        if needed > largest:
+            raise AllocationFailure(
+                f"object of {needed} bytes exceeds largest slab class ({largest})"
+            )
         self.stats.sets += 1
         if key in self._index:
             self._free_item(key)
-        needed = ITEM_HEADER + len(key) + len(value)
         addr = self._alloc_with_eviction(needed)
         header = _ITEM_STRUCT.pack(len(key), flags & 0xFFFF, len(value))
         plan = self._arena_plan()
@@ -117,17 +127,27 @@ class KVStore:
 
     def get(self, key: bytes) -> Optional[tuple[bytes, int]]:
         """Return ``(value, flags)`` or ``None`` on miss."""
-        self._validate_key(key)
-        self.stats.gets += 1
-        addr = self._index.get(key)
-        self.runtime.charge(self.runtime.cost.memcached_op)
+        if _valid_key(key) is None:
+            self._validate_key(key)
+        stats = self.stats
+        stats.gets += 1
+        index = self._index
+        addr = index.get(key)
+        runtime = self.runtime
+        runtime.charge(runtime.cost.memcached_op)
         if addr is None:
-            self.stats.misses += 1
+            stats.misses += 1
             return None
-        self.stats.hits += 1
-        self._index.move_to_end(key)
-        value, flags = self._read_item(addr, key)
-        return value, flags
+        stats.hits += 1
+        index.move_to_end(key)
+        plan = self._plan
+        if plan is None or not plan.cell[0]:
+            return self._read_item(addr, key)  # (re)acquires the arena plan
+        klen, flags, vlen = plan.unpack_from(_ITEM_STRUCT, addr)
+        body = plan.load(addr + ITEM_HEADER, klen + vlen)
+        if body[:klen] != key:
+            raise SdradError("index/item key mismatch — store corrupted")
+        return body[klen:], flags
 
     def get_many(
         self, keys: list[bytes]
@@ -257,6 +277,8 @@ class KVStore:
     # ------------------------------------------------------------------
 
     def _validate_key(self, key: bytes) -> None:
+        if _valid_key(key) is not None:
+            return
         if not key:
             raise SdradError("empty key")
         if len(key) > MAX_KEY_LEN:

@@ -38,7 +38,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..errors import SdradError
+from ..errors import AllocationFailure, SdradError
 from ..sdrad.constants import ROOT_UDI, DomainFlags
 from ..sdrad.policy import ProcessCrashed
 from ..sdrad.runtime import DomainHandle, SdradRuntime
@@ -65,18 +65,6 @@ class ServerMetrics:
     quarantines: int = 0
     quarantine_refusals: int = 0
     per_client_faults: dict[str, int] = field(default_factory=dict)
-
-
-@dataclass
-class _ParsedOp:
-    """Trusted-side representation of a parsed command."""
-
-    op: str
-    key: bytes = b""
-    flags: int = 0
-    value: bytes = b""
-    #: Multi-key ``get k1 k2 ...`` — empty for every other command.
-    keys: tuple = ()
 
 
 def _response_status(response: bytes) -> str:
@@ -290,7 +278,7 @@ class MemcachedServer:
             return [self._handle(client_id, raw) for raw in raws]
         self._batch_pipelined = True
         self.metrics.requests += len(raws)
-        return [self._apply(parsed) for parsed in result.value]
+        return list(map(self._apply, result.value))
 
     # ------------------------------------------------------------------
     # Internals
@@ -309,31 +297,68 @@ class MemcachedServer:
         faults = self.metrics.per_client_faults
         faults[client_id] = faults.get(client_id, 0) + 1
 
-    def _apply(self, parsed: Optional[_ParsedOp]) -> bytes:
-        """Trusted-side application of a successfully parsed command."""
+    def _apply(self, parsed: Optional[tuple]) -> bytes:
+        """Trusted-side application of a successfully parsed command.
+
+        ``parsed`` is ``_parse_parts``'s tuple, or ``None`` for a line the
+        parser rejected. No branch answers ``SERVER_ERROR``: the pipelined
+        obs path and the fleet's health accounting rely on that.
+        """
         if parsed is None:
             self.metrics.client_errors += 1
             return b"ERROR\r\n"
-        if parsed.op in ("set", "add", "replace"):
+        op = parsed[0]
+        if op == b"get":
             try:
-                if parsed.op == "set":
-                    self.store.set(parsed.key, parsed.value, parsed.flags)
+                if len(parsed) == 2:
+                    key = parsed[1]
+                    hit = self.store.get(key)
+                    self.metrics.ok += 1
+                    if hit is None:
+                        return b"END\r\n"
+                    value, flags = hit
+                    return b"VALUE %s %d %d\r\n%s\r\nEND\r\n" % (key, flags, len(value), value)
+                # Multi-key get: one batched store lookup for the whole
+                # request (memcached's ``get k1 k2 ...``).
+                keys = parsed[1:]
+                hits = self.store.get_many(list(keys))
+            except SdradError:
+                self.metrics.client_errors += 1
+                return b"CLIENT_ERROR bad key\r\n"
+            self.metrics.ok += 1
+            chunks = []
+            for key in keys:
+                item = hits.get(key)
+                if item is not None:
+                    value, flags = item
+                    chunks.append(b"VALUE %s %d %d\r\n%s\r\n" % (key, flags, len(value), value))
+            chunks.append(b"END\r\n")
+            return b"".join(chunks)
+        if op in (b"set", b"add", b"replace"):
+            _, key, flags, value = parsed
+            try:
+                if op == b"set":
+                    self.store.set(key, value, flags)
                     stored = True
-                elif parsed.op == "add":
-                    stored = self.store.add(parsed.key, parsed.value, parsed.flags)
+                elif op == b"add":
+                    stored = self.store.add(key, value, flags)
                 else:
-                    stored = self.store.replace(
-                        parsed.key, parsed.value, parsed.flags
-                    )
+                    stored = self.store.replace(key, value, flags)
+            except AllocationFailure:
+                # No slab chunk can hold the item (refused before anything
+                # is freed or evicted), or its class has no page left and
+                # nothing is left to evict.
+                self.metrics.client_errors += 1
+                return b"CLIENT_ERROR object too large for cache\r\n"
             except SdradError:
                 self.metrics.client_errors += 1
                 return b"CLIENT_ERROR bad data chunk\r\n"
             self.metrics.ok += 1
             return b"STORED\r\n" if stored else b"NOT_STORED\r\n"
-        if parsed.op in ("incr", "decr"):
-            delta = parsed.flags if parsed.op == "incr" else -parsed.flags
+        if op in (b"incr", b"decr"):
+            _, key, delta = parsed
             try:
-                new_value = self.store.incr(parsed.key, delta)
+                new_value = self.store.incr(key, delta if op == b"incr" else -delta)
             except SdradError:
                 self.metrics.client_errors += 1
                 return b"CLIENT_ERROR bad key\r\n"
@@ -341,44 +366,15 @@ class MemcachedServer:
             if new_value is None:
                 return b"NOT_FOUND\r\n"
             return b"%d\r\n" % new_value
-        if parsed.op == "get":
-            keys = parsed.keys or (parsed.key,)
+        if op == b"delete":
             try:
-                if len(keys) == 1:
-                    hit = self.store.get(keys[0])
-                    hits = {} if hit is None else {keys[0]: hit}
-                else:
-                    # Multi-key get: one batched store lookup for the
-                    # whole request (memcached's ``get k1 k2 ...``).
-                    hits = self.store.get_many(list(keys))
-            except SdradError:
-                self.metrics.client_errors += 1
-                return b"CLIENT_ERROR bad key\r\n"
-            self.metrics.ok += 1
-            if not hits:
-                return b"END\r\n"
-            chunks = []
-            for key in keys:
-                item = hits.get(key)
-                if item is None:
-                    continue
-                value, flags = item
-                chunks.append(
-                    b"VALUE %s %d %d\r\n" % (key, flags, len(value))
-                    + value
-                    + b"\r\n"
-                )
-            chunks.append(b"END\r\n")
-            return b"".join(chunks)
-        if parsed.op == "delete":
-            try:
-                found = self.store.delete(parsed.key)
+                found = self.store.delete(parsed[1])
             except SdradError:
                 self.metrics.client_errors += 1
                 return b"CLIENT_ERROR bad key\r\n"
             self.metrics.ok += 1
             return b"DELETED\r\n" if found else b"NOT_FOUND\r\n"
-        if parsed.op == "stats":
+        if op == b"stats":
             self.metrics.ok += 1
             stats = self.store.stats
             body = (
@@ -392,7 +388,7 @@ class MemcachedServer:
         return b"ERROR\r\n"
 
 
-def _parse_in_domain(handle: DomainHandle, raw: bytes) -> Optional[_ParsedOp]:
+def _parse_in_domain(handle: DomainHandle, raw: bytes) -> Optional[tuple]:
     """The "unsafe C parser" running inside the client's domain.
 
     Faithfully unsafe: the key copy trusts token length, the value buffer
@@ -417,8 +413,14 @@ def _parse_parts(
     parts: list,
     raw: bytes,
     line_end: int,
-) -> Optional[_ParsedOp]:
+) -> Optional[tuple]:
     """Parse one split command line inside an already-open stack frame.
+
+    Returns a plain tuple, or ``None`` for a malformed line:
+    ``(b"get", key, ...)`` with one entry per requested key,
+    ``(op, key, flags, value)`` for set/add/replace, ``(op, key, delta)``
+    for incr/decr, ``(b"delete", key)`` and ``(b"stats",)``. ``get``, most
+    of the traffic, is tested first.
 
     ``key_buf`` is ``None`` on the per-request path (each command allocas
     its own buffer, the seed behaviour) and a pre-alloca'd buffer on the
@@ -426,6 +428,22 @@ def _parse_parts(
     stack slot — the same reuse idiom as a multi-key ``get``.
     """
     command = parts[0]
+    if command == b"get":
+        if len(parts) < 2:
+            return None
+        keys = parts[1:]
+        # Each key of a multi-key get is "strcpy'd" into the same fixed
+        # stack buffer in turn — BUG 1 fires for any over-long key in
+        # the pipeline, exactly as for a single-key get.
+        if key_buf is None:
+            key_buf = frame.alloca(KEY_STACK_BUFFER)
+        for key in keys:
+            frame.write_buffer(key_buf, key + b"\x00")
+        if max(map(len, keys)) > MAX_KEY_LEN:
+            return None
+        if len(keys) == 1:
+            return (command, bytes(keys[0]))
+        return (command, *[bytes(key) for key in keys])
     if command in (b"set", b"add", b"replace"):
         if len(parts) != 5:
             return None
@@ -456,9 +474,7 @@ def _parse_parts(
         handle.free(value_buf)
         if len(key) > MAX_KEY_LEN:
             return None  # reached only if the overflow was survivable
-        return _ParsedOp(
-            op=command.decode("ascii"), key=bytes(key), flags=flags, value=value
-        )
+        return (command, bytes(key), flags, value)
     if command in (b"incr", b"decr"):
         if len(parts) != 3:
             return None
@@ -472,27 +488,7 @@ def _parse_parts(
             return None
         if delta < 0 or len(key) > MAX_KEY_LEN:
             return None
-        return _ParsedOp(
-            op=command.decode("ascii"), key=bytes(key), flags=delta
-        )
-    if command == b"get":
-        if len(parts) < 2:
-            return None
-        keys = parts[1:]
-        # Each key of a multi-key get is "strcpy'd" into the same fixed
-        # stack buffer in turn — BUG 1 fires for any over-long key in
-        # the pipeline, exactly as for a single-key get.
-        if key_buf is None:
-            key_buf = frame.alloca(KEY_STACK_BUFFER)
-        for key in keys:
-            frame.write_buffer(key_buf, key + b"\x00")
-        if any(len(key) > MAX_KEY_LEN for key in keys):
-            return None
-        if len(keys) == 1:
-            return _ParsedOp(op="get", key=bytes(keys[0]))
-        return _ParsedOp(
-            op="get", key=bytes(keys[0]), keys=tuple(bytes(k) for k in keys)
-        )
+        return (command, bytes(key), delta)
     if command == b"delete":
         if len(parts) != 2:
             return None
@@ -502,15 +498,15 @@ def _parse_parts(
         frame.write_buffer(key_buf, key + b"\x00")
         if len(key) > MAX_KEY_LEN:
             return None
-        return _ParsedOp(op="delete", key=bytes(key))
+        return (command, bytes(key))
     if command == b"stats":
-        return _ParsedOp(op="stats")
+        return (command,)
     return None
 
 
 def _parse_batch_in_domain(
     handle: DomainHandle, raws: list[bytes]
-) -> list[Optional[_ParsedOp]]:
+) -> list[Optional[tuple]]:
     """Parse a whole request pipeline inside one domain entry.
 
     The batch parser is one "C function": a single activation record whose

@@ -22,6 +22,7 @@ payload accesses are the application's problem (checked path).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from ..errors import AllocationFailure, HeapCorruption, InvalidFree, SdradError
@@ -102,13 +103,13 @@ class SlabAllocator:
 
     def class_for(self, nbytes: int) -> int:
         """Smallest size class whose chunks can hold ``nbytes``."""
-        for class_id, chunk_size in enumerate(self.chunk_sizes):
-            if chunk_size >= nbytes:
-                return class_id
-        raise AllocationFailure(
-            f"object of {nbytes} bytes exceeds largest slab class "
-            f"({self.chunk_sizes[-1]})"
-        )
+        class_id = bisect_left(self.chunk_sizes, nbytes)
+        if class_id == len(self.chunk_sizes):
+            raise AllocationFailure(
+                f"object of {nbytes} bytes exceeds largest slab class "
+                f"({self.chunk_sizes[-1]})"
+            )
+        return class_id
 
     def alloc(self, nbytes: int) -> int:
         """Allocate a chunk for ``nbytes``; returns the payload address."""

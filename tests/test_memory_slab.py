@@ -54,6 +54,15 @@ class TestSizeClasses:
         with pytest.raises(AllocationFailure):
             slabs.class_for(slabs.chunk_sizes[-1] + 1)
 
+    def test_class_for_matches_linear_scan(self, slabs: SlabAllocator):
+        """Every size in 1..largest+1 gets the class the linear scan gave."""
+        sizes = slabs.chunk_sizes
+        for nbytes in range(1, sizes[-1] + 1):
+            expected = next(i for i, size in enumerate(sizes) if size >= nbytes)
+            assert slabs.class_for(nbytes) == expected
+        with pytest.raises(AllocationFailure, match="exceeds largest slab class"):
+            slabs.class_for(sizes[-1] + 1)
+
     def test_largest_class_must_fit_slab_page(self, space):
         with pytest.raises(SdradError):
             SlabAllocator(space, 0, ARENA, chunk_sizes=[128 * 1024], slab_page_size=64 * 1024)
