@@ -45,6 +45,7 @@ exactly what experiments E4 and the integration tests assert.
 
 from __future__ import annotations
 
+import mmap
 from typing import Iterable, Literal
 
 from ..errors import (
@@ -108,7 +109,10 @@ class AddressSpace:
         self.tags = self.pkeys
         self._violation = self.backend.violation
         self.check_mode: CheckMode = check_mode
-        self._memory = bytearray(size)
+        # An anonymous private mapping: the kernel zero-fills each page on
+        # first touch, so resident memory follows the pages written, not
+        # the size of the space (DESIGN.md §2).
+        self._memory = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
         self._view = memoryview(self._memory)
         #: Access counters, used by cost accounting and tests.
         self.loads = 0

@@ -16,7 +16,9 @@ wall-clock gate (DESIGN.md §9):
 
 * span records go into a **preallocated buffer** (one index store), with
   names/statuses interned to integer codes and materialised only at
-  export time;
+  export time; the buffer swaps a stored span's attrs for a read-only
+  mapping shared by every stored span with the same items, so retained
+  spans hold one dict per distinct attribute set;
 * once the buffer saturates, span *construction* stops too: the stack
   tracks the shared :data:`DROPPED` placeholder while ids, the sampling
   accumulator and the ``dropped`` counter keep advancing exactly as if

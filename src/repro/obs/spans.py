@@ -29,6 +29,7 @@ growth, and a saturated buffer costs one counter bump per drop.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterator, Optional
 
 from ..errors import SdradError
@@ -59,7 +60,8 @@ def _intern(label: str) -> int:
 
 
 class Span:
-    """One finished-or-open span. Mutable until ended.
+    """One finished-or-open span. Mutable until ended; a buffered span's
+    ``attrs`` is a read-only mapping, possibly shared (:class:`SpanBuffer`).
 
     ``name`` and ``status`` are stored as interned integer codes
     (:func:`_intern`); the string properties resolve lazily, so the hot
@@ -119,6 +121,8 @@ class Span:
 
     def set_attrs(self, **attrs: object) -> None:
         """Annotate mid-flight (uniform with the unsampled placeholder)."""
+        if self.end is not None:
+            raise ObsError(f"span #{self.span_id} has ended; its attrs are read-only")
         self.attrs.update(attrs)
 
     @property
@@ -183,7 +187,16 @@ class SpanBuffer:
     tracing is on, and the hub stops even *constructing* spans once
     :attr:`full` goes true (see ``Observability.start_span``). Drop order
     is oldest-kept/newest-dropped so early-run context survives.
+
+    Every stored span's ``attrs`` becomes a read-only mapping shared by
+    all stored spans with the same items (same keys, order, value types
+    and values), so the many spans that repeat an attribute set hold one
+    dict between them. The table of shared mappings holds at most
+    :attr:`SHARED_ATTRS_BOUND` entries and is cleared when full; a span
+    with an unhashable value keeps its own dict, wrapped read-only.
     """
+
+    SHARED_ATTRS_BOUND = 4096
 
     def __init__(self, capacity: Optional[int] = None) -> None:
         if capacity is not None and capacity < 1:
@@ -196,6 +209,7 @@ class SpanBuffer:
         )
         self._count = 0
         self.dropped = 0
+        self._shared_attrs: dict = {}
 
     @property
     def capacity(self) -> Optional[int]:
@@ -216,6 +230,17 @@ class SpanBuffer:
         else:
             self._slots[i] = span
         self._count = i + 1
+        attrs = span.attrs
+        key = (tuple(attrs.items()), tuple(map(type, attrs.values())))
+        shared = self._shared_attrs
+        try:
+            span.attrs = shared[key]
+        except KeyError:
+            if len(shared) >= self.SHARED_ATTRS_BOUND:
+                shared.clear()
+            span.attrs = shared[key] = MappingProxyType(attrs)
+        except TypeError:  # an unhashable value
+            span.attrs = MappingProxyType(attrs)
 
     @property
     def spans(self) -> "list[Span]":
@@ -234,6 +259,7 @@ class SpanBuffer:
             self._slots = [None] * self._capacity
         self._count = 0
         self.dropped = 0
+        self._shared_attrs.clear()
 
     # ------------------------------------------------------------------
     # Tree queries (tests and reports)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import mmap
+import os
+
 import pytest
 
 from repro.errors import (
@@ -12,6 +16,9 @@ from repro.errors import (
 )
 from repro.memory.address_space import AddressSpace
 from repro.memory.layout import PAGE_SIZE
+from repro.sdrad.runtime import SdradRuntime
+
+STATM = "/proc/self/statm"
 
 
 @pytest.fixture
@@ -219,3 +226,51 @@ class TestBatchedAndZeroCopyAccess:
         assert space.raw_load(0, 3 * PAGE_SIZE) == b"\xab" * (3 * PAGE_SIZE)
         space.raw_fill(16, 8, 7)
         assert space.raw_load(16, 8) == bytes([7]) * 8
+
+
+def settled_rss() -> int:
+    """Resident bytes of this process after a full collection."""
+    gc.collect()
+    with open(STATM) as statm:
+        return int(statm.read().split()[1]) * mmap.PAGESIZE
+
+
+class TestLazilyBackedMemory:
+    """A space's bytes cost resident memory only once they are written."""
+
+    @pytest.mark.skipif(not os.access(STATM, os.R_OK), reason="needs /proc (Linux)")
+    def test_untouched_runtimes_stay_small(self):
+        before = settled_rss()
+        runtimes = [SdradRuntime() for _ in range(8)]
+        grown = settled_rss() - before
+        assert len(runtimes) == 8
+        # Eight 16 MiB spaces; zero-filled up front they would add 128 MiB.
+        assert grown < 16 * 2**20, f"8 runtimes made {grown / 2**20:.1f} MiB resident"
+
+    def test_fresh_space_reads_zeros_at_both_ends(self):
+        space = AddressSpace()
+        last_page = space.size - PAGE_SIZE
+        space.page_table.map_range(0, PAGE_SIZE, pkey=0)
+        space.page_table.map_range(last_page, PAGE_SIZE, pkey=0)
+        assert space.load(0, 1) == b"\x00"
+        assert space.load(space.size - 1, 1) == b"\x00"
+        assert space.load(last_page, PAGE_SIZE) == bytes(PAGE_SIZE)
+
+    def test_store_across_a_page_boundary_round_trips(self):
+        space = AddressSpace(size=4 * PAGE_SIZE)
+        space.page_table.map_range(0, 2 * PAGE_SIZE, pkey=0)
+        data = bytes(range(1, 17))
+        space.store(PAGE_SIZE - 5, data)
+        assert space.load(PAGE_SIZE - 5, len(data)) == data
+        assert space.raw_load(PAGE_SIZE - 6, len(data) + 2) == b"\x00" + data + b"\x00"
+
+    def test_one_byte_past_the_end_faults(self):
+        space = AddressSpace(size=4 * PAGE_SIZE)
+        space.page_table.map_range(0, 4 * PAGE_SIZE, pkey=0)
+        with pytest.raises(SegmentationFault):
+            space.load(space.size, 1)
+        with pytest.raises(SegmentationFault):
+            space.store(space.size - 1, b"ab")
+        with pytest.raises(SegmentationFault):
+            space.raw_store(space.size, b"a")
+        assert space.raw_load(space.size - 1, 1) == b"\x00"

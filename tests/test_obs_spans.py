@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.obs import ObsError, Observability, Span, SpanBuffer, UNSAMPLED
+from repro.obs import ObsError, Observability, Span, SpanBuffer, UNSAMPLED, spans_to_jsonl
 from repro.sim.clock import VirtualClock
 
 
@@ -26,7 +28,7 @@ class TestSpan:
         assert open_span.duration == 0.0
 
     def test_set_attrs_merges(self):
-        span = make_span(a=1)
+        span = make_span(end=None, status="open", a=1)
         span.set_attrs(b=2, a=3)
         assert span.attrs == {"a": 3, "b": 2}
 
@@ -40,6 +42,67 @@ class TestSpan:
         assert make_span().sampled is True
         assert UNSAMPLED.sampled is False
         UNSAMPLED.set_attrs(ignored=True)  # accepted, discarded
+
+
+class TestSharedAttrs:
+    """Buffered spans hold read-only attrs, shared between equal sets."""
+
+    def test_equal_attrs_share_one_read_only_mapping(self):
+        obs = Observability()
+        first = obs.event("domain.fault", mechanism="stack-canary", udi=1)
+        second = obs.event("domain.fault", mechanism="stack-canary", udi=1)
+        assert first.attrs is second.attrs
+        assert first.attrs == {"mechanism": "stack-canary", "udi": 1}
+        with pytest.raises(TypeError):
+            first.attrs["udi"] = 2  # type: ignore[index]
+
+    def test_equal_values_of_different_types_are_not_shared(self):
+        obs = Observability()
+        as_int = obs.event("e", size=1)
+        as_bool = obs.event("e", size=True)
+        assert as_int.attrs is not as_bool.attrs
+        assert as_bool.attrs["size"] is True
+        assert spans_to_jsonl(obs.buffer).splitlines()[1].startswith('{"attrs":{"size":true},')
+
+    def test_open_span_stays_mutable(self):
+        obs = Observability()
+        span = obs.start_span("request", client="c0")
+        span.set_attrs(retries=1)
+        obs.end_span(span, status="ok", size=3)
+        assert span.attrs == {"client": "c0", "retries": 1, "size": 3}
+
+    def test_set_attrs_on_ended_span_raises(self):
+        obs = Observability()
+        span = obs.start_span("request", client="c0")
+        obs.end_span(span)
+        twin = obs.start_span("request", client="c0")
+        obs.end_span(twin)
+        with pytest.raises(ObsError, match=f"#{span.span_id} "):
+            span.set_attrs(client="c1")
+        assert twin.attrs == {"client": "c0"}
+
+    def test_table_never_exceeds_its_bound(self):
+        buf = SpanBuffer()
+        bound = SpanBuffer.SHARED_ATTRS_BOUND
+        peak = 0
+        for i in range(2 * bound + 10):
+            buf.append(make_span(span_id=i + 1, n=i))
+            peak = max(peak, len(buf._shared_attrs))
+        assert peak == bound
+        assert [dict(s.attrs) for s in buf] == [{"n": i} for i in range(2 * bound + 10)]
+        buf.clear()
+        assert buf._shared_attrs == {}
+
+    def test_list_valued_event_is_recorded_and_exported(self):
+        obs = Observability()
+        event = obs.event("fleet.multiget", keys=["a", "b"], shard=2)
+        twin = obs.event("fleet.multiget", keys=["a", "b"], shard=2)
+        assert event.attrs == {"keys": ["a", "b"], "shard": 2}
+        assert event.attrs is not twin.attrs
+        with pytest.raises(TypeError):
+            event.attrs["shard"] = 3  # type: ignore[index]
+        rows = [json.loads(line) for line in spans_to_jsonl(obs.buffer).splitlines()]
+        assert [row["attrs"] for row in rows] == [{"keys": ["a", "b"], "shard": 2}] * 2
 
 
 class TestSpanBuffer:

@@ -4,10 +4,17 @@ Domain events are counted in ``DomainStats`` (and in ``repro.obs`` when it
 is enabled), never appended to an unbounded per-event log, so a long run
 of entries and of domain init/destroy cycles must not grow retained
 memory with the number of events.
+
+``tracemalloc`` sees only the Python heap, not the pages of the simulated
+address space (an anonymous mapping), so the same loop is also held to a
+resident-set budget read from ``/proc/self/statm`` where Linux provides it.
 """
 
 from __future__ import annotations
 
+import gc
+import mmap
+import os
 import tracemalloc
 
 from repro.sdrad.constants import DomainFlags
@@ -16,6 +23,17 @@ from repro.sdrad.runtime import SdradRuntime
 EXECUTES = 50_000
 LIFECYCLES = 2_000
 BUDGET = 1024 * 1024  # bytes of retained growth allowed
+RSS_BUDGET = 4 * 1024 * 1024  # bytes of resident growth allowed
+STATM = "/proc/self/statm"
+
+
+def _settled_rss() -> int:
+    """Resident bytes after a full collection; 0 where ``/proc`` is absent."""
+    if not os.access(STATM, os.R_OK):
+        return 0
+    gc.collect()
+    with open(STATM) as statm:
+        return int(statm.read().split()[1]) * mmap.PAGESIZE
 
 
 def _work(handle) -> None:
@@ -37,10 +55,15 @@ def test_retained_memory_does_not_grow_with_events():
     try:
         _drive(runtime, domain.udi, 1_000, 50)  # warm-up: caches, tickets
         before, _ = tracemalloc.get_traced_memory()
+        rss_before = _settled_rss()
         _drive(runtime, domain.udi, EXECUTES, LIFECYCLES)
         after, _ = tracemalloc.get_traced_memory()
+        rss_after = _settled_rss()
     finally:
         tracemalloc.stop()
     assert domain.stats.entries == 1_000 + EXECUTES
     assert runtime.destroyed_count == 50 + LIFECYCLES
     assert after - before < BUDGET, f"retained {after - before} bytes"
+    assert rss_after - rss_before < RSS_BUDGET, (
+        f"resident set grew {rss_after - rss_before} bytes"
+    )
