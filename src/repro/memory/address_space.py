@@ -31,7 +31,7 @@ Invalidation mirrors what hardware (or the kernel on its behalf) does:
   different PKRU are never consulted;
 * page-table updates (map/unmap/mprotect/pkey_mprotect) shoot down the
   affected pages in *all* cached PKRU views;
-* ``pkey_free`` (key recycling) flushes everything.
+* ``pkey_free`` (key recycling) flushes every verdict.
 
 Only *allow* verdicts are cached. Denied accesses always take the slow path
 and raise, so fault counting and fault types are byte-for-byte identical to
@@ -403,11 +403,14 @@ class AddressSpace:
 
     def tlb_flush(self) -> None:
         """Drop every cached verdict (all PKRU views) and every plan."""
+        self._flush_verdicts()
+        if self.plans is not None:
+            self.plans.shootdown()
+
+    def _flush_verdicts(self) -> None:
         self._tlb = {}
         self._tlb_by_pkru = {self.pkru.value: self._tlb}
         self.tlb_flushes += 1
-        if self.plans is not None:
-            self.plans.shootdown()
 
     def _tlb_switch_pkru(self, value: int) -> None:
         """WRPKRU hook: activate the verdict cache for the new PKRU value.
@@ -446,17 +449,21 @@ class AddressSpace:
                     cache.pop(page * 2, None)
                     cache.pop(page * 2 + 1, None)
         self.tlb_flushes += 1
-        # Any mapping/permission/key change kills every plan. Page-scoped
-        # plan invalidation would need a page->plan index; range updates
-        # follow the domain lifecycle (several per request under PER_REQUEST
-        # isolation), so each costs plan rebuilds — one run probe apiece.
+        # A mapping/permission/key change kills only the checked plans
+        # over the updated pages; kernel plans never read the page table.
         if self.plans is not None:
-            self.plans.shootdown()
+            self.plans.shootdown_checked(
+                first_page * PAGE_SIZE, (last_page + 1) * PAGE_SIZE
+            )
 
     def _tlb_on_pkey_free(self, pkey: int) -> None:
         """``pkey_free`` hook: a recycled key may re-appear under a new
-        owner with the same PKRU bits, so no cached verdict is safe."""
-        self.tlb_flush()
+        owner with the same PKRU bits, so no cached verdict and no checked
+        plan is safe. Kernel plans read neither the gate nor the page
+        table, so they survive."""
+        self._flush_verdicts()
+        if self.plans is not None:
+            self.plans.shootdown_checked()
 
     # ------------------------------------------------------------------
     # Checks

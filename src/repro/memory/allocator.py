@@ -103,7 +103,7 @@ class FreeListAllocator:
         self._scrub_pending = False
         self.lazy_scrubbed_bytes = 0
         # Compiled kernel window over the arena for boundary-tag I/O;
-        # rebuilt on demand after any plan shootdown.
+        # rebuilt on demand after a full plan shootdown.
         self._plan = None
         # Deferred-free fast bin (dlmalloc's fastbin idea, depth 1): the
         # most recently freed block is parked fully verified but with its
@@ -387,8 +387,10 @@ class FreeListAllocator:
 
         Boundary-tag traffic is the allocator's whole access profile, so a
         single compiled window over ``[base, base+size)`` serves every
-        header, guard and scrub; a shootdown (mprotect/retag/``pkey_free``
-        on any page) drops ``cell[0]`` and the next call recompiles.
+        header, guard and scrub. Like ``raw_*`` it ignores the page table
+        and the gate, so it survives remaps and ``pkey_free``; a
+        ``tlb_flush`` (or the plan-cache bound) drops ``cell[0]`` and the
+        next call recompiles.
         """
         plan = self._plan
         if plan is not None and plan.cell[0]:

@@ -27,12 +27,17 @@ event                 effect on plans
                       the same PKRU value returns — mirroring the per-PKRU
                       TLB verdict caches.
 map/mprotect/retag    ``PageTable.on_range_update`` →
-                      :meth:`AccessPlanCache.shootdown` (every plan dies).
-``pkey_free``         TLB full flush → shootdown.
-``tlb_flush``         shootdown.
-domain destroy        unmaps the domain's regions → range update →
-                      shootdown; a stale plan can never serve a freed
-                      domain's heap.
+                      :meth:`AccessPlanCache.shootdown_checked` over the
+                      updated pages: checked plans whose run overlaps
+                      them die; kernel plans survive (they read neither
+                      the page table nor the gate).
+``pkey_free``         TLB full flush → every checked plan dies (a recycled
+                      key may return under a new owner with the same PKRU
+                      bits); kernel plans survive.
+``tlb_flush``         :meth:`AccessPlanCache.shootdown` (every plan dies).
+domain destroy        unmaps the domain's regions → range update → the
+                      checked plans over them die; a stale plan can never
+                      serve a freed domain's heap.
 ====================  =====================================================
 
 A dead or dormant plan never raises by itself: every accessor falls back
@@ -348,9 +353,10 @@ def _compile_kernel(space: "AddressSpace", base: int, length: int) -> AccessPlan
 
     Mirrors ``raw_load``/``raw_store``: bounds-checked, PKRU-exempt, and
     exempt from the ``loads``/``stores`` counters exactly like the raw
-    path it replaces. Only the shootdown cell guards validity — kernel
-    access does not depend on the PKRU, but a remapped or recycled run
-    must still drop its compiled window.
+    path it replaces. Only the shootdown cell guards validity: like
+    ``raw_*``, kernel access reads neither the page table nor the gate,
+    so remaps, retags and ``pkey_free`` leave the plan live; only
+    ``tlb_flush`` and the cache bound kill it.
     """
     plan = AccessPlan()
     plan.base = base
@@ -490,11 +496,13 @@ class AccessPlanCache:
 
     Checked plans are cached per ``(PKRU value, base, length, mode)`` —
     the same segregation the software TLB applies to verdicts — and kernel
-    plans per ``(base, length)``. :meth:`shootdown` (wired into the PR1 TLB
-    shootdown hooks by :class:`~repro.memory.address_space.AddressSpace`)
-    kills every plan ever handed out: a plan is only ever live while it is
-    in the cache, so consumers that cached a plan object re-request it when
-    ``plan.cell[0]`` goes false.
+    plans per ``(base, length)``. The TLB shootdown hooks of
+    :class:`~repro.memory.address_space.AddressSpace` drive invalidation:
+    a range update kills the checked plans overlapping it
+    (:meth:`shootdown_checked`), ``pkey_free`` kills every checked plan,
+    and ``tlb_flush`` kills every plan (:meth:`shootdown`). A plan is only
+    ever live while it is in the cache, so consumers that cached a plan
+    object re-request it when ``plan.cell[0]`` goes false.
     """
 
     #: Backstop against pathological run churn: past this many cached
@@ -581,16 +589,23 @@ class AccessPlanCache:
         )
 
     def shootdown(self) -> None:
-        """Kill every plan (the full-shootdown analogue).
-
-        Wired into ``tlb_flush``, page-table range updates and
-        ``pkey_free``; conservative by design — invalidating per page run
-        would save rebuilds but a missed edge would serve stale rights.
-        """
-        for plan in self._checked.values():
-            plan.cell[0] = False
+        """Kill every plan, kernel plans included (``tlb_flush``, bound)."""
         for plan in self._kernel.values():
             plan.cell[0] = False
-        self._checked.clear()
         self._kernel.clear()
+        self.shootdown_checked()
+
+    def shootdown_checked(self, lo: int = 0, hi: Optional[int] = None) -> None:
+        """Kill the checked plans whose run overlaps bytes ``[lo, hi)``
+        (every checked plan by default), in all PKRU views.
+
+        The range is page-aligned by the caller, so a byte overlap is a
+        page overlap: a plan sharing even one page with the update dies.
+        """
+        checked = self._checked
+        if hi is None:
+            hi = self._space.size
+        # Keys are (pkru, base, length, mode).
+        for key in [k for k in checked if k[1] < hi and lo < k[1] + k[2]]:
+            checked.pop(key).cell[0] = False
         self.shootdowns += 1

@@ -406,13 +406,18 @@ class SdradRuntime:
             pkey = self.space.pkeys.alloc()
         heap_size = page_align_up(heap_size)
         stack_size = page_align_up(stack_size)
+        # Reserve both regions before mapping either, so a stack that does
+        # not fit rolls the heap's reservation back instead of leaking it.
+        bump, free_regions = self._bump, self._free_regions[:]
         try:
-            heap_base = self._map_region(heap_size, pkey)
-            stack_base = self._map_region(stack_size, pkey)
+            heap = _Region(self._reserve_region(heap_size), heap_size)
+            stack = _Region(self._reserve_region(stack_size), stack_size)
         except AllocationFailure:
+            self._bump, self._free_regions = bump, free_regions
             if self.keys is None:
                 self.space.pkeys.free(pkey)
             raise
+        self._update_regions(self.space.page_table.map_range, heap, stack, pkey=pkey)
         # Substrate setup syscalls (pkey_alloc + two pkey_mprotect on MPK,
         # capability derivation on CHERI, mask install on SFI) + heap arena.
         self.charge(self._setup_cost + self.cost.domain_heap_init)
@@ -420,9 +425,9 @@ class SdradRuntime:
             udi=udi,
             pkey=pkey,
             space=self.space,
-            heap_base=heap_base,
+            heap_base=heap.base,
             heap_size=heap_size,
-            stack_base=stack_base,
+            stack_base=stack.base,
             stack_size=stack_size,
             flags=flags,
             parent_udi=parent_udi,
@@ -441,8 +446,10 @@ class SdradRuntime:
             raise SdradError("cannot destroy the root domain")
         if self.contexts.contains_udi(udi):
             raise DomainStateError(f"domain {udi} is currently entered")
-        self._unmap_region(domain.heap_base, domain.heap_size)
-        self._unmap_region(domain.stack_base, domain.stack_size)
+        heap = _Region(domain.heap_base, domain.heap_size)
+        stack = _Region(domain.stack_base, domain.stack_size)
+        self._update_regions(self.space.page_table.unmap_range, heap, stack)
+        self._free_regions += (heap, stack)
         # A destroyed udi may be recreated (tests and the facade do), and
         # under key virtualisation the physical key returns to the manager's
         # pool without a ``pkey_free`` ever firing — so the destroy itself
@@ -872,10 +879,16 @@ class SdradRuntime:
 
     def _map_region(self, size: int, pkey: int) -> int:
         size = page_align_up(size)
+        base = self._reserve_region(size)
+        self.space.page_table.map_range(base, size, pkey=pkey)
+        return base
+
+    def _reserve_region(self, size: int) -> int:
+        """Base for ``size`` page-aligned bytes, not yet mapped: an
+        exact-size freed region first, then the bump pointer."""
         for i, region in enumerate(self._free_regions):
             if region.size == size:
                 del self._free_regions[i]
-                self.space.page_table.map_range(region.base, size, pkey=pkey)
                 return region.base
         base = self._bump
         guard = PAGE_SIZE if self.guard_pages else 0
@@ -885,9 +898,14 @@ class SdradRuntime:
                 f"({self._bump}/{self.space.size} used)"
             )
         self._bump += size + guard  # the guard page stays unmapped
-        self.space.page_table.map_range(base, size, pkey=pkey)
         return base
 
-    def _unmap_region(self, base: int, size: int) -> None:
-        self.space.page_table.unmap_range(base, size)
-        self._free_regions.append(_Region(base=base, size=size))
+    @staticmethod
+    def _update_regions(update, heap: _Region, stack: _Region, **kw) -> None:
+        """Apply a page-table range update to a domain's heap and stack:
+        one call when they are adjacent (no guard page), else two."""
+        if heap.base + heap.size == stack.base:
+            update(heap.base, heap.size + stack.size, **kw)
+        else:
+            update(heap.base, heap.size, **kw)
+            update(stack.base, stack.size, **kw)

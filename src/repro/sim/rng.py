@@ -23,7 +23,6 @@ class RngFactory:
 
     def __init__(self, root_seed: int = 0) -> None:
         self._root_seed = int(root_seed)
-        self._issued: dict[str, int] = {}
 
     @property
     def root_seed(self) -> int:
@@ -31,17 +30,11 @@ class RngFactory:
 
     def stream(self, label: str) -> random.Random:
         """Return a fresh deterministic generator for ``label``."""
-        seed = self._derive(label)
-        self._issued[label] = seed
-        return random.Random(seed)
+        return random.Random(self._derive(label))
 
     def child(self, label: str) -> "RngFactory":
         """Return a sub-factory whose streams are independent of this one's."""
         return RngFactory(self._derive(f"factory/{label}"))
-
-    def issued_streams(self) -> dict[str, int]:
-        """Labels and derived seeds handed out so far (for trace metadata)."""
-        return dict(self._issued)
 
     def _derive(self, label: str) -> int:
         # Stable across processes and Python versions: hash() is salted, so

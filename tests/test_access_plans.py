@@ -1,16 +1,19 @@
 """Adversarial tests for compiled access plans and batched coalescing.
 
-A plan is a batched TLB verdict, and like the re-entry tickets it is only
-sound because every event that could change the verdict shoots it down:
-mprotect, pkey retag, ``pkey_free``, explicit TLB flush, PKRU switch
-(dormancy, not death), and domain destroy. Each event gets a scenario
-that *goes wrong* if its shootdown hook — and only that hook — is
-deleted: a stale plan would then read through revoked permissions, a
-recycled key, or a freed domain's heap. The ablation tests pin the pure
-fast-path contract — ``AddressSpace(access_plans=False)`` must be
-bit-identical in responses, virtual time and architectural counters —
-and the coalescing tests pin fault identity for the batched paths that
-stay honest even with plans off.
+A checked plan is a batched TLB verdict, and like the re-entry tickets it
+is only sound because every event that could change the verdict shoots it
+down: mprotect, pkey retag or (un)map of any page of its run,
+``pkey_free``, explicit TLB flush, PKRU switch (dormancy, not death), and
+domain destroy. Each event gets a scenario that *goes wrong* if its
+shootdown hook — and only that hook — is deleted: a stale plan would then
+read through revoked permissions, a recycled key, or a freed domain's
+heap. Range shootdown is scoped: a plan whose run the update misses stays
+live, and a differential test holds random op sequences to the plan-off
+twin. Kernel plans mirror ``raw_*`` and die only on a TLB flush. The
+ablation tests pin the pure fast-path contract —
+``AddressSpace(access_plans=False)`` must be bit-identical in responses,
+virtual time and architectural counters — and the coalescing tests pin
+fault identity for the batched paths that stay honest even with plans off.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 from repro.apps.memcached_server import IsolationMode, MemcachedServer
 from repro.errors import (
     MemoryError_,
+    ReproError,
     PermissionFault,
     ProtectionKeyViolation,
     SegmentationFault,
@@ -93,8 +97,8 @@ class TestPlanFastPath:
 
 
 class TestMprotectShootdown:
-    """``protect_range`` must kill every plan or a write-plan outlives
-    a read-only downgrade of its pages."""
+    """``protect_range`` must kill the plans over its pages or a
+    write-plan outlives a read-only downgrade of its pages."""
 
     def test_write_plan_dies_on_readonly_downgrade(self):
         space = _mapped_space()
@@ -157,7 +161,8 @@ class TestRetagShootdown:
 
 
 class TestPkeyFreeShootdown:
-    """Key recycling flushes the TLB and must take every plan with it."""
+    """Key recycling flushes the TLB and must take every checked plan
+    with it."""
 
     def test_unrelated_pkey_free_kills_plans(self):
         space = _mapped_space()
@@ -225,10 +230,11 @@ class TestPkruSwitchDormancy:
 
 
 class TestKernelPlans:
-    """Kernel plans mirror ``raw_*``: PKRU-exempt, counter-exempt, but
-    still bound to the mapping they were compiled over."""
+    """Kernel plans mirror ``raw_*``: PKRU-exempt, counter-exempt and
+    blind to the page table, so only a TLB flush (or the cache bound)
+    kills them."""
 
-    def test_survives_pkru_switch_but_not_range_update(self):
+    def test_survives_pkru_switch_and_range_update_not_flush(self):
         space = _mapped_space()
         plan = space.plans.kernel_plan(0, 2 * PAGE_SIZE)
         loads, stores = space.loads, space.stores
@@ -240,19 +246,76 @@ class TestKernelPlans:
         assert plan.is_valid()  # kernel access ignores PKRU, like raw_*
         assert plan.load(32, 8) == b"metadata"
 
-        space.page_table.protect_range(
-            0, 4 * PAGE_SIZE, readable=True, writable=False
-        )
+        table = space.page_table
+        table.protect_range(0, 4 * PAGE_SIZE, readable=True, writable=False)
+        table.tag_range(0, PAGE_SIZE, space.pkeys.alloc())
+        table.unmap_range(PAGE_SIZE, PAGE_SIZE)
+        space.pkeys.free(space.pkeys.alloc())
+        assert plan.is_valid()
+        # Live across remaps, it reads and writes exactly like raw_*:
+        # read-only, foreign-keyed and unmapped pages alike.
+        plan.store(PAGE_SIZE + 8, b"unmapped")
+        assert plan.load(PAGE_SIZE + 8, 8) == space.raw_load(PAGE_SIZE + 8, 8)
+        assert plan.load(32, 8) == space.raw_load(32, 8) == b"metadata"
+        plan.store_u32(40, 0xC0FFEE)
+        assert plan.load_u32(40) == int.from_bytes(space.raw_load(40, 4), "little")
+        straddle = 2 * PAGE_SIZE - 4  # leaves the run: raw_* fallback
+        assert plan.load(straddle, 8) == space.raw_load(straddle, 8)
+        with pytest.raises(SegmentationFault):
+            plan.load(space.size - 4, 8)  # off the space: raw_* bounds
+        assert (space.loads, space.stores, space.faults) == (loads, stores, 0)
+
+        space.tlb_flush()
         assert not plan.is_valid()
-        # Dead kernel plan falls back to the raw path (still PKRU/perm
-        # exempt), so trusted-runtime semantics are unchanged.
+        # Dead, it falls back to the raw path: same bytes either way.
         assert plan.load(32, 8) == b"metadata"
+        plan.store(48, b"after")
+        assert space.raw_load(48, 5) == b"after"
 
     def test_rejects_out_of_space_runs(self):
         space = _mapped_space()
         assert space.plans.kernel_plan(-8, PAGE_SIZE) is None
         assert space.plans.kernel_plan(0, 0) is None
         assert space.plans.kernel_plan(space.size - 16, 64) is None
+
+
+class TestScopedShootdown:
+    """A range update kills exactly the checked plans whose run shares a
+    page with it; plans elsewhere stay live."""
+
+    #: A run over pages 4..5 that starts and ends mid-page.
+    BASE, LENGTH = 4 * PAGE_SIZE + 100, PAGE_SIZE
+
+    @pytest.mark.parametrize(
+        "first_page, pages, live",
+        [
+            (0, 4, True),  # ends one page below the run
+            (6, 2, True),  # starts one page above it
+            (3, 2, False),  # one-page overlap at the low end (page 4)
+            (5, 3, False),  # one-page overlap at the high end (page 5)
+        ],
+    )
+    def test_only_overlapping_plans_die(self, first_page, pages, live):
+        space = _mapped_space(pages=8)
+        plan = space.plans.checked_plan(self.BASE, self.LENGTH, "rw")
+        kernel = space.plans.kernel_plan(self.BASE, self.LENGTH)
+        shootdowns = space.plans.shootdowns
+        space.page_table.protect_range(
+            first_page * PAGE_SIZE, pages * PAGE_SIZE, readable=True, writable=True
+        )
+        assert space.plans.shootdowns == shootdowns + 1
+        assert plan.is_valid() is live
+        assert kernel.is_valid()
+        assert (space.plans.checked_plan(self.BASE, self.LENGTH, "rw") is plan) is live
+
+    def test_update_kills_dormant_plans_of_other_pkru_values(self):
+        space = _mapped_space(pages=8)
+        space.pkru.grant(space.pkeys.alloc())
+        plan = space.plans.checked_plan(self.BASE, self.LENGTH, "r")
+        space.pkru.write(PkruRegister.DENY_ALL_EXCEPT_DEFAULT)
+        assert plan.cell[0] and not plan.is_valid()  # dormant
+        space.page_table.unmap_range(5 * PAGE_SIZE, PAGE_SIZE)
+        assert not plan.cell[0]
 
 
 class TestDomainDestroyShootdown:
@@ -438,6 +501,165 @@ def test_probe_matches_per_page_check(backend, pages, grants, runs):
         assert (plan is not None) == passes, (base, length, mode)
 
 
+_DIFF_PAGES = 8
+_span = st.tuples(st.integers(0, _DIFF_PAGES - 1), st.integers(1, 3))
+_slot = st.integers(0, 7)
+_diff_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("map"), _span, st.booleans(), st.booleans(), _slot),
+        st.tuples(st.just("unmap"), _span),
+        st.tuples(st.just("protect"), _span, st.booleans(), st.booleans()),
+        st.tuples(st.just("tag"), _span, _slot),
+        st.tuples(st.just("alloc")),
+        st.tuples(st.just("free"), _slot),
+        st.tuples(st.just("grant"), _slot, st.booleans(), st.booleans()),
+        st.tuples(st.just("revoke"), _slot),
+        st.tuples(st.just("gate"), _slot),
+        st.tuples(
+            st.just("plan"),
+            st.sampled_from(["r", "w", "rw", "kernel"]),
+            st.one_of(
+                st.integers(0, _DIFF_PAGES - 1).map(lambda page: page * PAGE_SIZE),
+                st.integers(0, _DIFF_PAGES * PAGE_SIZE - 1),
+            ),
+            st.integers(1, 3 * PAGE_SIZE),
+        ),
+        st.tuples(
+            st.just("access"),
+            _slot,
+            st.sampled_from(["load", "store", "load_u32", "store_u32"]),
+            st.integers(-16, 3 * PAGE_SIZE),
+            st.integers(0, 64),
+        ),
+    ),
+    min_size=8,
+    max_size=40,
+)
+
+
+class _DiffSide:
+    """One side of the plans on/off differential: the space plus the
+    tags, gate values and plan windows its op sequence has produced."""
+
+    def __init__(self, backend: str, access_plans: bool) -> None:
+        self.space = AddressSpace(
+            size=_DIFF_PAGES * PAGE_SIZE, backend=backend, access_plans=access_plans
+        )
+        self.space.page_table.map_range(0, 6 * PAGE_SIZE)
+        self.tags = [0]
+        self.gate_values = [self.space.gate.value]
+        #: (kind, base, plan); ``plan`` is ``None`` on the plan-off side or
+        #: when the probe refused the run.
+        self.windows: list = []
+
+    def apply(self, op):
+        space, table = self.space, self.space.page_table
+        name = op[0]
+        if name in ("map", "unmap", "protect", "tag"):
+            first, pages = op[1]
+            span = (first * PAGE_SIZE, pages * PAGE_SIZE)
+            if name == "map":
+                tag = self.tags[op[4] % len(self.tags)]
+                return table.map_range(*span, readable=op[2], writable=op[3], pkey=tag)
+            if name == "unmap":
+                return table.unmap_range(*span)
+            if name == "protect":
+                return table.protect_range(*span, readable=op[2], writable=op[3])
+            return table.tag_range(*span, self.tags[op[2] % len(self.tags)])
+        if name == "alloc":
+            self.tags.append(space.tags.alloc())
+            return self.tags[-1]
+        if name == "free":
+            return space.tags.free(self.tags[op[1] % len(self.tags)])
+        if name in ("grant", "revoke"):
+            tag = self.tags[op[1] % len(self.tags)]
+            if name == "grant":
+                space.gate.grant(tag, read=op[2], write=op[3])
+            else:
+                space.gate.revoke(tag)
+            self.gate_values.append(space.gate.value)
+            return space.gate.value
+        if name == "gate":
+            return space.gate.write(self.gate_values[op[1] % len(self.gate_values)])
+        if name == "plan":
+            _, kind, base, length = op
+            plan = None
+            if space.plans is not None:
+                plan = (
+                    space.plans.kernel_plan(base, length)
+                    if kind == "kernel"
+                    else space.plans.checked_plan(base, length, kind)
+                )
+            self.windows.append((kind, base, plan))
+            return None
+        _, index, accessor, offset, n = op
+        kind, base, plan = (
+            self.windows[index % len(self.windows)] if self.windows else ("rw", 0, None)
+        )
+        addr = base + offset
+        if plan is not None:
+            target = plan
+        elif kind == "kernel":
+            target = _RawAccessor(space)
+        else:
+            target = space
+        if accessor == "load":
+            return target.load(addr, n)
+        if accessor == "store":
+            return target.store(addr, bytes([n]) * n)
+        if accessor == "load_u32":
+            return target.load_u32(addr)
+        return target.store_u32(addr, 0x01020304 * n)
+
+
+class _RawAccessor:
+    """The ``raw_*`` path a kernel plan compiles, as plan-shaped calls."""
+
+    def __init__(self, space: AddressSpace) -> None:
+        self.space = space
+
+    def load(self, addr: int, n: int) -> bytes:
+        return self.space.raw_load(addr, n)
+
+    def store(self, addr: int, data: bytes) -> None:
+        self.space.raw_store(addr, data)
+
+    def load_u32(self, addr: int) -> int:
+        return int.from_bytes(self.space.raw_load(addr, 4), "little")
+
+    def store_u32(self, addr: int, value: int) -> None:
+        self.space.raw_store(addr, (value & 0xFFFFFFFF).to_bytes(4, "little"))
+
+
+def _outcome(side: _DiffSide, op):
+    try:
+        result = ("ok", side.apply(op))
+    except ReproError as exc:
+        result = (type(exc), str(exc))
+    space = side.space
+    return result, space.loads, space.stores, space.faults
+
+
+@pytest.mark.parametrize("backend", ["mpk", "cheri", "sfi"])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ops=_diff_ops)
+def test_scoped_shootdown_matches_plan_off_twin(backend, ops):
+    """Random remaps, retags, key recycling, gate writes and plan traffic:
+    the plans-on space answers every op — bytes, fault type and message,
+    ``loads``/``stores``/``faults`` — exactly like its plan-off twin, and
+    no usable checked plan ever outlives a verdict an update changed."""
+    on = _DiffSide(backend, access_plans=True)
+    off = _DiffSide(backend, access_plans=False)
+    for op in ops:
+        assert _outcome(on, op) == _outcome(off, op), op
+        for kind, _, plan in on.windows:
+            if plan is not None and kind != "kernel" and plan.is_valid():
+                # A usable plan's verdict must still hold right now.
+                assert on.space.plans._probe(plan.base, plan.length, plan.mode)
+    size = on.space.size
+    assert on.space.raw_load(0, size) == off.space.raw_load(0, size)
+
+
 def _e1_memcached_counters(backend: str, isolation: IsolationMode, batch: int):
     """E1's memcached trace (300 requests, a set every tenth) with one
     contained stack smash in the middle; returns the architectural
@@ -473,18 +695,21 @@ def _e1_memcached_counters(backend: str, isolation: IsolationMode, batch: int):
 
 
 #: (tlb_hits, tlb_misses, tlb_flushes, plans.built, plans.hits,
-#: plans.shootdowns, faults, gate_writes, virtual clock), recorded from the
-#: per-page page table this array-backed one replaced.
+#: plans.shootdowns, faults, gate_writes, virtual clock). Hits, misses,
+#: faults, gate writes and the clock date from the per-page page table the
+#: array-backed one replaced; flushes, builds, plan hits and shootdowns
+#: from one range update per direction per domain lifecycle, with kernel
+#: plans that survive range updates and ``pkey_free``.
 _E1_COUNTERS = {
-    ("mpk", "per-connection", 1): (360, 1, 5, 6, 0, 5, 1, 1204, 0.003101799999999996),
-    ("mpk", "per-connection", 16): (367, 1, 5, 6, 0, 5, 2, 140, 0.003025500000000007),
-    ("mpk", "per-request", 1): (360, 1, 1508, 1234, 0, 1508, 1, 1204, 0.005504799999999943),
-    ("cheri", "per-connection", 1): (360, 1, 5, 6, 0, 5, 1, 903, 0.0030817400000000346),
-    ("cheri", "per-connection", 16): (367, 1, 5, 6, 0, 5, 2, 105, 0.0030214000000000074),
-    ("cheri", "per-request", 1): (360, 1, 1508, 1234, 0, 1508, 1, 903, 0.004132240000000051),
-    ("sfi", "per-connection", 1): (360, 1, 5, 6, 0, 5, 1, 903, 0.003009619999999993),
-    ("sfi", "per-connection", 16): (367, 1, 5, 6, 0, 5, 2, 105, 0.003013132000000009),
-    ("sfi", "per-request", 1): (360, 1, 1508, 1234, 0, 1508, 1, 903, 0.003729619999999999),
+    ("mpk", "per-connection", 1): (360, 1, 4, 6, 0, 4, 1, 1204, 0.003101799999999996),
+    ("mpk", "per-connection", 16): (367, 1, 4, 6, 0, 4, 2, 140, 0.003025500000000007),
+    ("mpk", "per-request", 1): (360, 1, 906, 335, 600, 906, 1, 1204, 0.005504799999999943),
+    ("cheri", "per-connection", 1): (360, 1, 4, 6, 0, 4, 1, 903, 0.0030817400000000346),
+    ("cheri", "per-connection", 16): (367, 1, 4, 6, 0, 4, 2, 105, 0.0030214000000000074),
+    ("cheri", "per-request", 1): (360, 1, 906, 335, 600, 906, 1, 903, 0.004132240000000051),
+    ("sfi", "per-connection", 1): (360, 1, 4, 6, 0, 4, 1, 903, 0.003009619999999993),
+    ("sfi", "per-connection", 16): (367, 1, 4, 6, 0, 4, 2, 105, 0.003013132000000009),
+    ("sfi", "per-request", 1): (360, 1, 906, 335, 600, 906, 1, 903, 0.003729619999999999),
 }
 
 

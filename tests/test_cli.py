@@ -168,14 +168,23 @@ class TestCommands:
             build_parser().parse_args(["backends", "--demo", "segments"])
 
     def test_module_entry_point(self):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        import repro
+
+        # The child interpreter must find the package the way this one did,
+        # whether through PYTHONPATH or pytest's ``pythonpath`` setting.
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         completed = subprocess.run(
             [sys.executable, "-m", "repro", "recovery"],
             capture_output=True,
             text=True,
             timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert completed.returncode == 0
         assert "sdrad-rewind" in completed.stdout

@@ -22,6 +22,7 @@ from repro.sdrad.runtime import SdradRuntime
 
 EXECUTES = 50_000
 LIFECYCLES = 2_000
+SOAK_LIFECYCLES = 20_000
 BUDGET = 1024 * 1024  # bytes of retained growth allowed
 RSS_BUDGET = 4 * 1024 * 1024  # bytes of resident growth allowed
 STATM = "/proc/self/statm"
@@ -67,3 +68,19 @@ def test_retained_memory_does_not_grow_with_events():
     assert rss_after - rss_before < RSS_BUDGET, (
         f"resident set grew {rss_after - rss_before} bytes"
     )
+
+
+def test_domain_lifecycles_retain_nothing_per_domain():
+    """Each domain opens its own stack RNG stream; nothing may remember
+    the stream (or anything else) once the domain is destroyed."""
+    runtime = SdradRuntime()
+    tracemalloc.start()
+    try:
+        _drive(runtime, udi=0, executes=0, lifecycles=50)  # warm-up
+        before, _ = tracemalloc.get_traced_memory()
+        _drive(runtime, udi=0, executes=0, lifecycles=SOAK_LIFECYCLES)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert runtime.destroyed_count == 50 + SOAK_LIFECYCLES
+    assert after - before < BUDGET, f"retained {after - before} bytes"

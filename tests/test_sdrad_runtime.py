@@ -5,11 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import (
+    AllocationFailure,
     DomainNotFound,
     DomainStateError,
     OutOfDomains,
     SdradError,
 )
+from repro.memory.address_space import AddressSpace
+from repro.memory.layout import PAGE_SIZE
 from repro.memory.mpk import PKEY_DEFAULT
 from repro.memory.snapshot import capture, differs
 from repro.sdrad.constants import ROOT_UDI, DomainFlags, DomainState
@@ -81,6 +84,33 @@ class TestDomainLifecycle:
         for _ in range(200):
             domain = runtime.domain_init(heap_size=64 * 1024, stack_size=16 * 1024)
             runtime.domain_destroy(domain.udi)
+
+
+    @pytest.mark.parametrize("backend", ["mpk", "cheri", "sfi"])
+    @pytest.mark.parametrize("heap_from", ["bump", "free-list"])
+    def test_failed_init_rolls_back_its_heap(self, backend, heap_from):
+        """A heap that fits followed by a stack that does not must leave no
+        trace: no mapping, no lost region, no page under a recycled key."""
+        runtime = SdradRuntime(space=AddressSpace(size=4 << 20, backend=backend))
+        table = runtime.space.page_table
+        stack_size = 64 * 1024
+        if heap_from == "bump":
+            heap_size = runtime.space.size - runtime._bump - PAGE_SIZE
+        else:
+            heap_size = 64 * 1024
+            freed = runtime.domain_init(heap_size=heap_size, stack_size=PAGE_SIZE)
+            runtime.domain_destroy(freed.udi)
+            stack_size = runtime.space.size - runtime._bump + PAGE_SIZE
+        mapped, regions = table.mapped_bytes(), list(runtime._free_regions)
+        with pytest.raises(AllocationFailure):
+            runtime.domain_init(heap_size=heap_size, stack_size=stack_size)
+        assert table.mapped_bytes() == mapped
+        assert runtime._free_regions == regions
+        next_key = runtime.space.pkeys.alloc()
+        assert table.pages_tagged(next_key) == []
+        runtime.space.pkeys.free(next_key)
+        runtime.domain_init(heap_size=64 * 1024, stack_size=64 * 1024)
+        assert table.mapped_bytes() == mapped + 128 * 1024
 
 
 class TestExecuteCleanPath:

@@ -38,12 +38,6 @@ class TestRngFactory:
         b = RngFactory(3).child("x").stream("s").random()
         assert a == b
 
-    def test_issued_streams_recorded(self):
-        factory = RngFactory(0)
-        factory.stream("one")
-        factory.stream("two")
-        assert set(factory.issued_streams()) == {"one", "two"}
-
     def test_stream_order_does_not_matter(self):
         f1 = RngFactory(9)
         f1.stream("a")
