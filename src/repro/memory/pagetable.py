@@ -49,6 +49,13 @@ def _perm_bits(readable: bool, writable: bool) -> int:
     return PRESENT | (READABLE if readable else 0) | (WRITABLE if writable else 0)
 
 
+#: ``_SATISFYING[need]``: every permission byte that carries all bits of
+#: ``need`` — the delete table for :meth:`PageTable.run_allows`.
+_SATISFYING = [
+    bytes(bits for bits in range(256) if bits & need == need) for need in range(8)
+]
+
+
 class PageTable:
     """Page table over a fixed-size simulated address space."""
 
@@ -182,13 +189,17 @@ class PageTable:
 
     def run_allows(self, first: int, stop: int, gate, *, read: bool, write: bool) -> bool:
         """Whether every page in ``[first, stop)`` passes :meth:`access_fault`
-        for the given modes, read off the run once: each distinct permission
-        byte must carry the needed bits, and the gate is asked once per
-        distinct tag. Raises and counts nothing."""
-        need = _perm_bits(read, write)
-        if any(bits & need != need for bits in set(self._bits[first:stop])):
+        for the given modes, read off the run once: deleting every
+        permission byte that carries the needed bits must leave nothing,
+        and the gate is asked once per distinct tag (once in all when the
+        whole run carries one tag). Raises and counts nothing."""
+        if self._bits[first:stop].translate(None, _SATISFYING[_perm_bits(read, write)]):
             return False
-        tags = set(self._tags[first:stop])
+        tags = self._tags[first:stop]
+        if tags and tags.count(tags[0]) == len(tags):
+            tags = tags[:1]
+        else:
+            tags = set(tags)
         if read and not all(map(gate.allows_read, tags)):
             return False
         return not write or all(map(gate.allows_write, tags))

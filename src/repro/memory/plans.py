@@ -20,12 +20,12 @@ events that could change it:
 ====================  =====================================================
 event                 effect on plans
 ====================  =====================================================
-``WRPKRU``            checked plans are keyed by PKRU value and capture the
-                      per-PKRU TLB verdict dict; a switch makes foreign
-                      plans *dormant* (identity test fails, accessors fall
-                      back to the checked path) and reactivates them when
-                      the same PKRU value returns — mirroring the per-PKRU
-                      TLB verdict caches.
+``WRPKRU``            checked plans are keyed by PKRU value and hold the
+                      per-PKRU TLB verdict dict in their cell; a switch
+                      makes foreign plans *dormant* (identity test fails,
+                      accessors fall back to the checked path) and
+                      reactivates them when the same PKRU value returns —
+                      mirroring the per-PKRU TLB verdict caches.
 map/mprotect/retag    ``PageTable.on_range_update`` →
                       :meth:`AccessPlanCache.shootdown_checked` over the
                       updated pages: checked plans whose run overlaps
@@ -34,10 +34,18 @@ map/mprotect/retag    ``PageTable.on_range_update`` →
 ``pkey_free``         TLB full flush → every checked plan dies (a recycled
                       key may return under a new owner with the same PKRU
                       bits); kernel plans survive.
-``tlb_flush``         :meth:`AccessPlanCache.shootdown` (every plan dies).
+``tlb_flush``         :meth:`AccessPlanCache.shootdown` (every plan dies
+                      and leaves the cache).
 domain destroy        unmaps the domain's regions → range update → the
                       checked plans over them die; a stale plan can never
                       serve a freed domain's heap.
+re-request            a dead checked plan stays cached under its key;
+                      :meth:`AccessPlanCache.checked_plan` re-arms the same
+                      object only after a fresh probe of the run passes
+                      under the current PKRU, so a successor domain on
+                      recycled regions reuses its predecessor's plans
+                      without compiling and a run the update made
+                      inaccessible keeps its plan dead.
 ====================  =====================================================
 
 A dead or dormant plan never raises by itself: every accessor falls back
@@ -94,9 +102,12 @@ class AccessPlan:
     The accessor attributes (``load``, ``store``, ``view``, ...) are
     generated closures, not methods: each captures the run's base, length,
     backing views and validity cell so a call is a single Python frame.
-    ``cell`` is a one-element mutable list — the shootdown switch: the
-    cache flips ``cell[0]`` to ``False`` and every accessor of this plan
-    permanently falls back to the per-access checked/raw path.
+    ``cell`` is a one-element mutable list — the shootdown switch. A kernel
+    plan's cell holds ``True`` until a shootdown sets it to ``False`` for
+    good. A checked plan's cell holds the verdict dict it was validated
+    under, or ``None`` once shot down; the cache re-arms a dead checked plan
+    in place after a passing probe. Read liveness through :attr:`is_valid`:
+    an empty verdict dict is falsy.
     """
 
     __slots__ = (
@@ -124,7 +135,7 @@ class AccessPlan:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "checked" if self.checked else "kernel"
-        state = "live" if self.cell[0] else "dead"
+        state = "live" if self.is_valid() else "dead"
         return (
             f"<AccessPlan {kind}/{self.mode} "
             f"[{self.base:#x}+{self.length:#x}] {state}>"
@@ -136,13 +147,14 @@ def _compile_checked(
 ) -> AccessPlan:
     """Generate a checked (application-path) plan under the current PKRU.
 
-    The closures guard every access with ``cell[0]`` (shootdown switch)
-    and ``space._tlb is tlb`` (the per-PKRU verdict-cache identity — true
-    exactly while the PKRU the plan was compiled under is active), plus a
-    wraparound-safe bounds test (``0 <= o <= o + n <= length`` rejects
-    negative offsets *and* negative lengths, which Python slicing would
-    otherwise absorb silently). Anything else falls back to the checked
-    per-access path, preserving fault semantics bit for bit.
+    The closures guard every access with one identity test,
+    ``space._tlb is cell[0]``: the cell holds the per-PKRU verdict dict the
+    plan was validated under (``None`` once shot down), so the test is true
+    exactly while the plan is live and its PKRU is active. A wraparound-safe
+    bounds test (``0 <= o <= o + n <= length``) rejects negative offsets
+    *and* negative lengths, which Python slicing would otherwise absorb
+    silently. Anything else falls back to the checked per-access path,
+    preserving fault semantics bit for bit.
     """
     plan = AccessPlan()
     plan.base = base
@@ -150,9 +162,8 @@ def _compile_checked(
     plan.mode = mode
     plan.checked = True
     plan.pkru = pkru_value
-    cell = [True]
+    cell = [space._tlb]
     plan.cell = cell
-    tlb = space._tlb
     run = space._view[base : base + length]
     ro_run = run.toreadonly()
     can_read = "r" in mode
@@ -171,7 +182,7 @@ def _compile_checked(
     u64_pack = _U64.pack_into
 
     def is_valid() -> bool:
-        return cell[0] and space._tlb is tlb
+        return space._tlb is cell[0]
 
     plan.is_valid = is_valid
 
@@ -179,7 +190,7 @@ def _compile_checked(
 
         def load(addr: int, n: int) -> bytes:
             o = addr - base
-            if cell[0] and space._tlb is tlb and 0 <= o <= o + n <= length:
+            if space._tlb is cell[0] and 0 <= o <= o + n <= length:
                 space.loads += 1
                 space.tlb_hits += 1
                 return bytes(ro_run[o : o + n])
@@ -187,7 +198,7 @@ def _compile_checked(
 
         def view(addr: int, n: int) -> memoryview:
             o = addr - base
-            if cell[0] and space._tlb is tlb and 0 <= o <= o + n <= length:
+            if space._tlb is cell[0] and 0 <= o <= o + n <= length:
                 space.loads += 1
                 space.tlb_hits += 1
                 return ro_run[o : o + n]
@@ -195,7 +206,7 @@ def _compile_checked(
 
         def load_u8(addr: int) -> int:
             o = addr - base
-            if cell[0] and space._tlb is tlb and 0 <= o < length:
+            if space._tlb is cell[0] and 0 <= o < length:
                 space.loads += 1
                 space.tlb_hits += 1
                 return ro_run[o]
@@ -203,7 +214,7 @@ def _compile_checked(
 
         def load_u32(addr: int) -> int:
             o = addr - base
-            if cell[0] and space._tlb is tlb and 0 <= o <= length - 4:
+            if space._tlb is cell[0] and 0 <= o <= length - 4:
                 space.loads += 1
                 space.tlb_hits += 1
                 return u32_unpack(ro_run, o)[0]
@@ -211,7 +222,7 @@ def _compile_checked(
 
         def load_u64(addr: int) -> int:
             o = addr - base
-            if cell[0] and space._tlb is tlb and 0 <= o <= length - 8:
+            if space._tlb is cell[0] and 0 <= o <= length - 8:
                 space.loads += 1
                 space.tlb_hits += 1
                 return u64_unpack(ro_run, o)[0]
@@ -219,7 +230,7 @@ def _compile_checked(
 
         def unpack_from(st: struct.Struct, addr: int) -> tuple:
             o = addr - base
-            if cell[0] and space._tlb is tlb and 0 <= o <= length - st.size:
+            if space._tlb is cell[0] and 0 <= o <= length - st.size:
                 space.loads += 1
                 space.tlb_hits += 1
                 return st.unpack_from(ro_run, o)
@@ -227,19 +238,14 @@ def _compile_checked(
 
         def load_u32_run(addr: int, count: int) -> tuple:
             o = addr - base
-            if (
-                cell[0]
-                and space._tlb is tlb
-                and count > 0
-                and 0 <= o <= length - 4 * count
-            ):
+            if space._tlb is cell[0] and count > 0 and 0 <= o <= length - 4 * count:
                 space.loads += count
                 space.tlb_hits += count
                 return _run_struct(count).unpack_from(ro_run, o)
             return tuple(space_load_u32(addr + 4 * i) for i in range(count))
 
         def load_many(requests: Iterable[tuple[int, int]]) -> list[bytes]:
-            if not (cell[0] and space._tlb is tlb):
+            if space._tlb is not cell[0]:
                 return space.load_many(requests)
             out: list[bytes] = []
             fast = 0
@@ -281,7 +287,7 @@ def _compile_checked(
         def store(addr: int, data: bytes) -> None:
             n = len(data)
             o = addr - base
-            if cell[0] and space._tlb is tlb and 0 <= o <= o + n <= length:
+            if space._tlb is cell[0] and 0 <= o <= o + n <= length:
                 space.stores += 1
                 space.tlb_hits += 1
                 run[o : o + n] = data
@@ -290,7 +296,7 @@ def _compile_checked(
 
         def store_u32(addr: int, value: int) -> None:
             o = addr - base
-            if cell[0] and space._tlb is tlb and 0 <= o <= length - 4:
+            if space._tlb is cell[0] and 0 <= o <= length - 4:
                 space.stores += 1
                 space.tlb_hits += 1
                 u32_pack(run, o, value & 0xFFFFFFFF)
@@ -299,7 +305,7 @@ def _compile_checked(
 
         def store_u64(addr: int, value: int) -> None:
             o = addr - base
-            if cell[0] and space._tlb is tlb and 0 <= o <= length - 8:
+            if space._tlb is cell[0] and 0 <= o <= length - 8:
                 space.stores += 1
                 space.tlb_hits += 1
                 u64_pack(run, o, value & 0xFFFFFFFFFFFFFFFF)
@@ -308,7 +314,7 @@ def _compile_checked(
 
         def pack_into(st: struct.Struct, addr: int, *values: object) -> None:
             o = addr - base
-            if cell[0] and space._tlb is tlb and 0 <= o <= length - st.size:
+            if space._tlb is cell[0] and 0 <= o <= length - st.size:
                 space.stores += 1
                 space.tlb_hits += 1
                 st.pack_into(run, o, *values)
@@ -316,7 +322,7 @@ def _compile_checked(
             space_store(addr, st.pack(*values))
 
         def store_many(items: Iterable[tuple[int, bytes]]) -> None:
-            if not (cell[0] and space._tlb is tlb):
+            if space._tlb is not cell[0]:
                 space.store_many(items)
                 return
             fast = 0
@@ -500,14 +506,18 @@ class AccessPlanCache:
     :class:`~repro.memory.address_space.AddressSpace` drive invalidation:
     a range update kills the checked plans overlapping it
     (:meth:`shootdown_checked`), ``pkey_free`` kills every checked plan,
-    and ``tlb_flush`` kills every plan (:meth:`shootdown`). A plan is only
-    ever live while it is in the cache, so consumers that cached a plan
-    object re-request it when ``plan.cell[0]`` goes false.
+    and ``tlb_flush`` kills every plan (:meth:`shootdown`). A killed checked
+    plan stays cached under its key, dead, so the next request for the same
+    run re-arms the same object after a passing probe instead of compiling
+    a new one. A plan is only ever live while it is in the cache, so
+    consumers that cached a plan object re-request it when
+    ``plan.is_valid()`` goes false.
     """
 
     #: Backstop against pathological run churn: past this many cached
-    #: plans, everything is shot down rather than evicted piecemeal (an
-    #: evicted-but-live plan could otherwise outlive its invalidation).
+    #: plans (dead checked plans included), everything is shot down rather
+    #: than evicted piecemeal (an evicted-but-live plan could otherwise
+    #: outlive its invalidation).
     _MAX_PLANS = 512
 
     __slots__ = ("_space", "_checked", "_kernel", "built", "hits", "shootdowns")
@@ -532,18 +542,24 @@ class AccessPlanCache:
         Returns ``None`` when any page of the run is not accessible for
         ``mode`` right now: the caller must stay on the per-access checked
         path, which raises the faithful fault (the probe itself never
-        faults and never touches the fault counters).
+        faults and never touches the fault counters). A cached plan that
+        was shot down is re-armed in place once the probe passes again;
+        re-arming counts in :attr:`built` like a compile.
         """
         if mode not in ("r", "w", "rw"):
             raise SdradError(f"unknown plan mode {mode!r}")
         space = self._space
         key = (space.pkru.value, base, length, mode)
         plan = self._checked.get(key)
-        if plan is not None and plan.cell[0]:
+        if plan is not None and plan.cell[0] is space._tlb:
             self.hits += 1
             return plan
         if not self._probe(base, length, mode):
             return None
+        if plan is not None:
+            plan.cell[0] = space._tlb
+            self.built += 1
+            return plan
         if len(self._checked) >= self._MAX_PLANS:
             self.shootdown()
         plan = _compile_checked(space, base, length, mode, key[0])
@@ -589,11 +605,13 @@ class AccessPlanCache:
         )
 
     def shootdown(self) -> None:
-        """Kill every plan, kernel plans included (``tlb_flush``, bound)."""
+        """Kill and drop every plan, kernel plans included (``tlb_flush``,
+        bound)."""
         for plan in self._kernel.values():
             plan.cell[0] = False
         self._kernel.clear()
         self.shootdown_checked()
+        self._checked.clear()
 
     def shootdown_checked(self, lo: int = 0, hi: Optional[int] = None) -> None:
         """Kill the checked plans whose run overlaps bytes ``[lo, hi)``
@@ -601,11 +619,13 @@ class AccessPlanCache:
 
         The range is page-aligned by the caller, so a byte overlap is a
         page overlap: a plan sharing even one page with the update dies.
+        Dead plans stay cached under their key for :meth:`checked_plan`
+        to re-arm.
         """
-        checked = self._checked
         if hi is None:
             hi = self._space.size
         # Keys are (pkru, base, length, mode).
-        for key in [k for k in checked if k[1] < hi and lo < k[1] + k[2]]:
-            checked.pop(key).cell[0] = False
+        for (_, base, length, _), plan in self._checked.items():
+            if base < hi and lo < base + length:
+                plan.cell[0] = None
         self.shootdowns += 1

@@ -23,11 +23,20 @@ Layout of one frame on the downward-growing simulated stack::
 
 A buffer overflow writes *upward* (toward higher addresses), so overrunning
 any local buffer first smashes the canary, exactly as on x86-64.
+
+Canary derivation: each stack has a 64-bit integer seed (the runtime
+derives one per domain from its root seed and the domain's udi with one
+:func:`mix64`, see :func:`stack_seed`). The ``i``-th frame pushed
+(counting from 1) draws ``mix64(seed + i * GAMMA)`` — splitmix64 in
+counter mode — and clears the low byte: 56 random bits per frame above a
+NUL byte that stops string overflows, as real stack protectors do,
+compared at every epilogue. A stream is reproducible from the root seed
+and independent per domain, and drawing a canary costs a few integer
+operations.
 """
 
 from __future__ import annotations
 
-import random
 import struct
 
 from ..errors import SdradError, StackCanaryViolation
@@ -37,6 +46,24 @@ WORD = 8
 
 #: Canary word + saved return address, the prologue/epilogue pair.
 _FRAME_STRUCT = struct.Struct("<QQ")
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+#: splitmix64's increment (the golden-ratio odd constant).
+GAMMA = 0x9E3779B97F4A7C15
+#: A canary keeps the low (first-in-memory) byte NUL.
+_CANARY_MASK = 0xFFFFFFFFFFFFFF00
+
+
+def mix64(z: int) -> int:
+    """splitmix64's finaliser: a bijective 64-bit mix."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def stack_seed(root_seed: int, udi: int) -> int:
+    """The canary seed of domain ``udi``'s stack under ``root_seed``."""
+    return mix64((root_seed * GAMMA + udi) & _MASK64)
 
 
 class StackFrame:
@@ -102,13 +129,7 @@ class StackFrame:
 class CallStack:
     """A per-domain simulated stack with canary-protected frames."""
 
-    def __init__(
-        self,
-        space: AddressSpace,
-        base: int,
-        size: int,
-        rng: random.Random | None = None,
-    ) -> None:
+    def __init__(self, space: AddressSpace, base: int, size: int, seed: int) -> None:
         if size < 4 * WORD:
             raise SdradError(f"stack too small: {size} bytes")
         self.space = space
@@ -117,7 +138,8 @@ class CallStack:
         self.top = base + size
         self._sp = self.top
         self._frames: list[StackFrame] = []
-        self._rng = rng or random.Random(0x57AC)
+        # splitmix64 state: advanced by GAMMA per canary drawn.
+        self._canary_state = seed & _MASK64
         #: Set by a lazy discard: the stack bytes are stale and are
         #: zero-filled on the next frame push instead of at rewind time.
         self.scrub_pending = False
@@ -167,9 +189,8 @@ class CallStack:
             self.space.raw_fill(self.base, self.size, 0)
             self.scrub_pending = False
         frame = StackFrame(self, name, return_slot, canary_slot)
-        # Real stack protectors use a per-process random canary with a NUL
-        # byte to stop string overflows; we keep the NUL-byte convention.
-        canary = (self._rng.getrandbits(56) << 8) & 0xFFFFFFFFFFFFFF00
+        self._canary_state = state = (self._canary_state + GAMMA) & _MASK64
+        canary = mix64(state) & _CANARY_MASK
         frame._expected_canary = canary
         # The canary slot sits directly below the return slot, so both words
         # go down in one store (same bytes, same layout, half the calls).

@@ -10,7 +10,6 @@ state, the core of rewind-and-discard.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from ..errors import DomainStateError
@@ -71,7 +70,8 @@ class Domain:
         stack_size: int,
         flags: DomainFlags = DomainFlags.DEFAULT,
         parent_udi: int | None = None,
-        stack_rng: random.Random | None = None,
+        *,
+        stack_seed: int,
         lazy_scrub: bool = False,
     ) -> None:
         self.udi = udi
@@ -88,11 +88,10 @@ class Domain:
         self.heap_size = heap_size
         self.stack_base = stack_base
         self.stack_size = stack_size
-        self._stack_rng = stack_rng or random.Random(0x5DAD ^ udi)
         self.heap = FreeListAllocator(
             space, heap_base, heap_size, name=f"domain-{udi}-heap"
         )
-        self.stack = CallStack(space, stack_base, stack_size, rng=self._stack_rng)
+        self.stack = CallStack(space, stack_base, stack_size, stack_seed)
         self.stats = DomainStats()
         #: Virtual timestamp before which a quarantine policy asked callers
         #: not to re-enter this domain (0.0 = never quarantined).

@@ -45,6 +45,7 @@ from ..memory.layout import (
     page_align_up,
 )
 from ..memory.mpk import PKEY_DEFAULT
+from ..memory.stack import stack_seed
 from ..sim.clock import VirtualClock
 from ..sim.cost import DEFAULT_COST_MODEL, CostModel
 from ..sim.rng import RngFactory
@@ -360,7 +361,7 @@ class SdradRuntime:
             stack_size=DEFAULT_DOMAIN_STACK,
             flags=DomainFlags.DEFAULT,
             parent_udi=None,
-            stack_rng=self.rng.stream("stack/root"),
+            stack_seed=stack_seed(self.rng.root_seed, ROOT_UDI),
             lazy_scrub=self.scrub_mode == "lazy",
         )
         self._domains[ROOT_UDI] = root
@@ -394,8 +395,11 @@ class SdradRuntime:
         protection keys are taken.
         """
         if udi is None:
+            # Skip udis an explicit caller already took.
             udi = next(self._udi_counter)
-        if udi in self._domains:
+            while udi in self._domains:
+                udi = next(self._udi_counter)
+        elif udi in self._domains:
             raise DomainStateError(f"domain udi={udi} already exists")
         if parent_udi not in self._domains:
             raise DomainNotFound(parent_udi)
@@ -431,7 +435,7 @@ class SdradRuntime:
             stack_size=stack_size,
             flags=flags,
             parent_udi=parent_udi,
-            stack_rng=self.rng.stream(f"stack/{udi}"),
+            stack_seed=stack_seed(self.rng.root_seed, udi),
             lazy_scrub=self.scrub_mode == "lazy",
         )
         self._domains[udi] = domain

@@ -173,11 +173,13 @@ class TestPkeyFreeShootdown:
         space.pkeys.free(pkey)
         assert space.plans.shootdowns == shootdowns + 1
         assert not plan.is_valid()
-        # Pages are untouched, so the fallback still succeeds — and a
-        # fresh plan can be compiled for the same run.
+        # Pages are untouched, so the fallback still succeeds — and the
+        # next request re-arms the same plan after a passing probe.
         assert plan.load(8, 7) == b"payload"
-        rebuilt = space.plans.checked_plan(0, PAGE_SIZE, "rw")
-        assert rebuilt is not None and rebuilt is not plan
+        built = space.plans.built
+        assert space.plans.checked_plan(0, PAGE_SIZE, "rw") is plan
+        assert plan.is_valid()
+        assert space.plans.built == built + 1
 
     def test_explicit_tlb_flush_kills_plans(self):
         space = _mapped_space()
@@ -203,7 +205,6 @@ class TestPkruSwitchDormancy:
 
         space.pkru.write(PkruRegister.DENY_ALL_EXCEPT_DEFAULT)
         assert not plan.is_valid()
-        assert plan.cell[0]  # dormant, not shot down
         # Under the denying PKRU the fallback checked path faults — the
         # plan must not leak the rights it was compiled under.
         with pytest.raises(ProtectionKeyViolation):
@@ -211,9 +212,13 @@ class TestPkruSwitchDormancy:
         with pytest.raises(ProtectionKeyViolation):
             plan.store(16, b"smuggled")
 
+        built, hits = space.plans.built, space.plans.hits
         space.pkru.write(granted)
         assert plan.is_valid()  # same PKRU, same verdict dict: reactivated
         assert plan.load(16, 11) == b"domain-data"
+        # Dormant, not shot down: the cache serves it as a hit, no re-arm.
+        assert space.plans.checked_plan(0, PAGE_SIZE, "rw") is plan
+        assert (space.plans.built, space.plans.hits) == (built, hits + 1)
 
     def test_cache_compiles_one_plan_per_pkru(self):
         space = _mapped_space()
@@ -306,16 +311,44 @@ class TestScopedShootdown:
         assert space.plans.shootdowns == shootdowns + 1
         assert plan.is_valid() is live
         assert kernel.is_valid()
-        assert (space.plans.checked_plan(self.BASE, self.LENGTH, "rw") is plan) is live
+        # A killed plan comes back, as the same object, only through
+        # checked_plan after a passing probe; a live one is a plain hit.
+        built = space.plans.built
+        assert space.plans.checked_plan(self.BASE, self.LENGTH, "rw") is plan
+        assert plan.is_valid()
+        assert space.plans.built == built + (0 if live else 1)
+        # An update that makes the run read-only kills it for good: no
+        # plan for the run, and the dead one falls back to the fault.
+        space.page_table.protect_range(
+            first_page * PAGE_SIZE, pages * PAGE_SIZE, readable=True, writable=False
+        )
+        assert plan.is_valid() is live
+        again = space.plans.checked_plan(self.BASE, self.LENGTH, "rw")
+        assert again is (plan if live else None)
+        assert plan.is_valid() is live
+        if not live:
+            with pytest.raises(PermissionFault):
+                plan.store(max(self.BASE, first_page * PAGE_SIZE), b"ro")
 
     def test_update_kills_dormant_plans_of_other_pkru_values(self):
         space = _mapped_space(pages=8)
         space.pkru.grant(space.pkeys.alloc())
+        granted = space.pkru.value
         plan = space.plans.checked_plan(self.BASE, self.LENGTH, "r")
         space.pkru.write(PkruRegister.DENY_ALL_EXCEPT_DEFAULT)
-        assert plan.cell[0] and not plan.is_valid()  # dormant
+        assert not plan.is_valid()  # dormant
         space.page_table.unmap_range(5 * PAGE_SIZE, PAGE_SIZE)
-        assert not plan.cell[0]
+        space.pkru.write(granted)
+        assert not plan.is_valid()  # killed while dormant: no reactivation
+        # Page 5 is unmapped: the probe fails and the plan stays dead.
+        assert space.plans.checked_plan(self.BASE, self.LENGTH, "r") is None
+        assert not plan.is_valid()
+        with pytest.raises(SegmentationFault):
+            plan.load(5 * PAGE_SIZE, 4)
+        # Remapped, the run probes clean and the same plan is re-armed.
+        space.page_table.map_range(5 * PAGE_SIZE, PAGE_SIZE)
+        assert space.plans.checked_plan(self.BASE, self.LENGTH, "r") is plan
+        assert plan.is_valid()
 
 
 class TestDomainDestroyShootdown:

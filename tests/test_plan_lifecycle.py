@@ -1,0 +1,308 @@
+"""Checked plans across per-request domain lifecycles, and cache bounds.
+
+A domain created on recycled regions re-arms its predecessor's dead
+checked plans instead of compiling new ones. That is only sound if every
+re-arm follows a passing probe: the differential test drives random
+lifecycles — repeated and varying heap sizes, heap and stack traffic,
+retags, unmaps and downgrades of recycled or live regions — against an
+``access_plans=False`` twin and checks that no plan the cache hands out
+fails its probe. The bound tests drive the plan cache and the entry-ticket
+cache past their limits.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.errors import ReproError
+from repro.memory.address_space import AddressSpace
+from repro.memory.layout import PAGE_SIZE
+from repro.memory.mpk import PkruRegister
+from repro.memory.plans import AccessPlanCache
+from repro.sdrad.constants import DomainFlags
+from repro.sdrad.runtime import SdradRuntime
+
+
+class _ProbingPlanCache(AccessPlanCache):
+    """A plan cache that probes every checked plan it hands out."""
+
+    __slots__ = ("handed_out",)
+
+    def __init__(self, space: AddressSpace) -> None:
+        super().__init__(space)
+        self.handed_out: list = []
+
+    def checked_plan(self, base, length, mode="r"):
+        plan = super().checked_plan(base, length, mode)
+        if plan is not None:
+            assert self._probe(base, length, mode), (base, length, mode)
+            self.handed_out.append(plan)
+        return plan
+
+
+_STACK = 4 * PAGE_SIZE
+#: Mostly one size, so successors reuse their predecessors' regions.
+_heap_size = st.sampled_from([4 * PAGE_SIZE] * 2 + [8 * PAGE_SIZE, 16 * PAGE_SIZE])
+_pick = st.integers(0, 3)
+_heap_op = st.tuples(
+    st.just("heap"), _pick, st.integers(-PAGE_SIZE, 24 * PAGE_SIZE), st.integers(1, 64)
+)
+_stack_op = st.tuples(st.just("stack"), _pick, st.integers(1, 40))
+_remap_op = st.tuples(
+    st.just("remap"),
+    st.sampled_from(["retag", "unmap", "protect"]),
+    st.sampled_from(["recycled", "heap", "stack"]),
+    _pick,
+    _pick,
+    st.booleans(),
+    st.booleans(),
+)
+#: Traffic and remaps weighted above init/destroy, so that a remap often
+#: lands between a plan's compile and its next request.
+_life_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("init"), _heap_size),
+        st.tuples(st.just("destroy"), _pick),
+        _heap_op,
+        _heap_op,
+        _stack_op,
+        _stack_op,
+        _remap_op,
+        _remap_op,
+    ),
+    min_size=12,
+    max_size=40,
+)
+
+
+def _heap_body(offset: int, n: int):
+    def body(handle):
+        buf = handle.malloc(32)
+        handle.store(buf + offset, bytes([n]) * n)
+        return handle.load(buf + offset, n)
+
+    return body
+
+
+def _stack_body(n: int):
+    def body(handle):
+        frame = handle.push_frame("req")
+        buf = frame.alloca(16)
+        frame.write_buffer(buf, bytes([n]) * n)  # over 16 bytes smashes
+        data = frame.read_buffer(buf, 16)
+        handle.pop_frame(frame)
+        return data
+
+    return body
+
+
+class _LifeSide:
+    """One runtime of the plans on/off differential."""
+
+    def __init__(self, backend: str, access_plans: bool) -> None:
+        space = AddressSpace(size=8 << 20, backend=backend, access_plans=access_plans)
+        if access_plans:
+            space.plans = _ProbingPlanCache(space)
+        self.runtime = SdradRuntime(space=space, root_heap_size=16 * PAGE_SIZE)
+        self.space = space
+        self.udis: list[int] = []
+
+    def _domain(self, pick: int):
+        return self.runtime.domain(self.udis[pick % len(self.udis)])
+
+    def apply(self, op):
+        runtime, name = self.runtime, op[0]
+        if name == "init":
+            domain = runtime.domain_init(
+                flags=DomainFlags.RETURN_TO_PARENT, heap_size=op[1], stack_size=_STACK
+            )
+            self.udis.append(domain.udi)
+            return domain.udi, domain.heap_base, domain.stack_base
+        if not self.udis and name != "remap":
+            return None
+        if name == "destroy":
+            udi = self.udis[op[1] % len(self.udis)]
+            runtime.domain_destroy(udi)
+            self.udis.remove(udi)
+            return udi
+        if name == "heap":
+            domain = self._domain(op[1])
+            return runtime.execute(domain.udi, _heap_body(op[2], op[3]))
+        if name == "stack":
+            return runtime.execute(self._domain(op[1]).udi, _stack_body(op[2]))
+        _, kind, where, pick, tag_pick, readable, writable = op
+        if where == "recycled":
+            # A region a destroyed domain left for the next init to reuse.
+            regions = runtime._free_regions
+            if not regions:
+                return None
+            region = regions[pick % len(regions)]
+            base, size = region.base, region.size
+        elif not self.udis:
+            return None
+        elif where == "heap":
+            domain = self._domain(pick)
+            base, size = domain.heap_base, domain.heap_size
+        else:
+            domain = self._domain(pick)
+            base, size = domain.stack_base, domain.stack_size
+        table = self.space.page_table
+        if kind == "retag":
+            tags = [0] + [runtime.domain(udi).pkey for udi in self.udis]
+            return table.tag_range(base, size, tags[tag_pick % len(tags)])
+        if kind == "unmap":
+            return table.unmap_range(base, size)
+        return table.protect_range(base, size, readable=readable, writable=writable)
+
+
+def _life_outcome(side: _LifeSide, op):
+    try:
+        result = ("ok", side.apply(op))
+    except ReproError as exc:
+        result = (type(exc), str(exc))
+    space = side.space
+    return result, space.loads, space.stores, space.faults
+
+
+@pytest.mark.parametrize("backend", ["mpk", "cheri", "sfi"])
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(ops=_life_ops)
+@example(  # a downgrade of the live heap: its dead plan must stay dead
+    ops=[
+        ("init", 4 * PAGE_SIZE),
+        ("heap", 0, 0, 8),
+        ("remap", "protect", "heap", 0, 0, True, False),
+        ("heap", 0, 0, 8),
+    ]
+)
+@example(  # a successor re-arms its predecessor's plans on recycled regions
+    ops=[
+        ("init", 4 * PAGE_SIZE),
+        ("heap", 0, 0, 8),
+        ("stack", 0, 8),
+        ("destroy", 0),
+        ("remap", "unmap", "recycled", 0, 0, False, False),
+        ("init", 4 * PAGE_SIZE),
+        ("heap", 0, 8, 8),
+        ("stack", 0, 40),
+    ]
+)
+def test_rearmed_plans_match_plan_off_twin(backend, ops):
+    """Per-request lifecycles with remaps in between: the plans-on runtime
+    gives the same results, fault types and messages, counters and final
+    bytes as its plan-off twin, and every checked plan the cache hands
+    out — compiled or re-armed — passes its probe."""
+    on = _LifeSide(backend, access_plans=True)
+    off = _LifeSide(backend, access_plans=False)
+    for op in ops:
+        assert _life_outcome(on, op) == _life_outcome(off, op), op
+        cache = on.space.plans
+        for plan in cache.handed_out:
+            if plan.is_valid():
+                # A usable plan's verdict must still hold right now.
+                assert cache._probe(plan.base, plan.length, plan.mode)
+    size = on.space.size
+    assert on.space.raw_load(0, size) == off.space.raw_load(0, size)
+
+
+def test_successor_domain_rearms_its_predecessors_plans():
+    """A fresh domain on the same regions under the same key compiles
+    nothing: its heap and stack plans are the predecessor's, re-armed."""
+    runtime = SdradRuntime()
+    plans = []
+
+    def body(handle):
+        handle.store(handle.malloc(16), b"x" * 16)
+        frame = handle.push_frame("req")
+        frame.write_buffer(frame.alloca(16), b"y" * 16)
+        handle.pop_frame(frame)
+        plans.append((handle._plan, runtime.domain(handle.udi).stack._rw_plan))
+
+    for _ in range(3):
+        domain = runtime.domain_init(flags=DomainFlags.RETURN_TO_PARENT)
+        assert runtime.execute(domain.udi, body).ok
+        runtime.domain_destroy(domain.udi)
+    assert plans[0] == plans[1] == plans[2]
+    assert all(plan is not None for plan in plans[0])
+    assert not any(plan.is_valid() for plan in plans[0])  # destroyed again
+
+
+class TestCacheBounds:
+    """ROADMAP item 4: every cache has a bound and a test that reaches it."""
+
+    def test_plan_cache_stays_bounded_and_drops_only_dead_plans(self):
+        space = AddressSpace(size=64 * PAGE_SIZE)
+        space.page_table.map_range(0, 64 * PAGE_SIZE)
+        space.pkru.grant(space.pkeys.alloc())
+        granted = space.pkru.value
+        cache = space.plans
+        bound = cache._MAX_PLANS
+        made_checked, made_kernel = [], []
+        for i in range(3 * bound // 2):
+            # Distinct (base, length) per step: no key repeats.
+            base, length = (i % 16) * PAGE_SIZE, (i // 16 + 1) * 64
+            plan = cache.checked_plan(base, length, "rw")
+            assert plan is not None
+            made_checked.append(plan)
+            made_kernel.append(cache.kernel_plan(base, length))
+            if i % 3 == 0:
+                # Kill the page's plans; they stay cached, dead.
+                space.page_table.protect_range(
+                    base, PAGE_SIZE, readable=True, writable=True
+                )
+            if i % 5 == 0:
+                # Dormant under a foreign PKRU, then back.
+                space.pkru.write(PkruRegister.DENY_ALL_EXCEPT_DEFAULT)
+                space.pkru.write(granted)
+            assert len(cache._checked) <= bound
+            assert len(cache._kernel) <= bound
+        cached_checked = set(map(id, cache._checked.values()))
+        cached_kernel = set(map(id, cache._kernel.values()))
+        dropped_checked = [p for p in made_checked if id(p) not in cached_checked]
+        dropped_kernel = [p for p in made_kernel if id(p) not in cached_kernel]
+        assert dropped_checked and dropped_kernel  # the bound was reached
+        for plan in dropped_checked + dropped_kernel:
+            assert not plan.is_valid()
+        for plan in dropped_checked:
+            assert plan.cell[0] is None  # shot down, not merely dormant
+            # Never revived: the run gets a fresh plan object.
+            again = cache.checked_plan(plan.base, plan.length, plan.mode)
+            assert again is not plan and not plan.is_valid()
+
+    def test_entry_ticket_cache_stays_bounded_on_cheri(self):
+        domains = 4097
+        space = AddressSpace(size=(2 * domains + 64) * PAGE_SIZE, backend="cheri")
+        runtime = SdradRuntime(space=space, root_heap_size=PAGE_SIZE)
+        root_gate = space.gate.value
+
+        def body(handle):
+            buf = handle.malloc(8)
+            handle.store(buf, handle.udi.to_bytes(8, "little"))
+            return int.from_bytes(handle.load(buf, 8), "little")
+
+        udis = []
+        for _ in range(domains):
+            domain = runtime.domain_init(
+                flags=DomainFlags.RETURN_TO_PARENT,
+                heap_size=PAGE_SIZE,
+                stack_size=PAGE_SIZE,
+            )
+            udis.append(domain.udi)
+            assert runtime.execute(domain.udi, body).value == domain.udi
+            assert len(runtime._entry_tickets) <= 4096
+        assert runtime.reentry_misses == domains
+        # The 4,097th entry cleared the cache: evicted domains re-derive
+        # their entry, and isolation still holds after the clear.
+        assert len(runtime._entry_tickets) == 1
+        first, last = udis[0], udis[-1]
+        assert runtime.execute(first, body).value == first
+        assert runtime.execute(last, body).value == last
+        assert runtime.reentry_hits == 1
+        intruder = runtime.execute(
+            first, lambda h: h.store(runtime.domain(last).heap_base, b"x")
+        )
+        assert not intruder.ok
+        assert runtime.contexts.depth == 0
+        assert runtime.space.gate.value == root_gate

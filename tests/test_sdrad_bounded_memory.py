@@ -71,8 +71,8 @@ def test_retained_memory_does_not_grow_with_events():
 
 
 def test_domain_lifecycles_retain_nothing_per_domain():
-    """Each domain opens its own stack RNG stream; nothing may remember
-    the stream (or anything else) once the domain is destroyed."""
+    """Each domain gets its own canary seed and stack; nothing may
+    remember them (or anything else) once the domain is destroyed."""
     runtime = SdradRuntime()
     tracemalloc.start()
     try:

@@ -75,6 +75,24 @@ class TestDomainLifecycle:
         with pytest.raises(DomainStateError):
             runtime.domain_init(udi=77)
 
+    def test_auto_udi_skips_explicitly_taken_udis(self, runtime):
+        explicit = runtime.domain_init(udi=2)
+        first = runtime.domain_init()
+        second = runtime.domain_init()
+        assert (first.udi, second.udi) == (1, 3)
+        assert runtime.domain_init().udi == 4
+        # A destroyed explicit udi is not handed out again by the counter.
+        runtime.domain_destroy(explicit.udi)
+        assert runtime.domain_init().udi == 5
+
+    def test_auto_udis_without_explicit_callers_are_sequential(self, runtime):
+        udis = []
+        for _ in range(3):
+            domain = runtime.domain_init()
+            udis.append(domain.udi)
+            runtime.domain_destroy(domain.udi)
+        assert udis == [1, 2, 3]
+
     def test_unknown_parent_rejected(self, runtime):
         with pytest.raises(DomainNotFound):
             runtime.domain_init(parent_udi=123)
