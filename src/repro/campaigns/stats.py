@@ -297,15 +297,3 @@ def solve_normal_equations(
     inv = mat_inverse(gram)
     beta = mat_vec(inv, moment)
     return beta, inv
-
-
-def mean_and_variance(values: Sequence[float]) -> "tuple[float, float]":
-    """Sample mean and (n-1) variance; (0, 0) for degenerate inputs."""
-    n = len(values)
-    if n == 0:
-        return 0.0, 0.0
-    mean = sum(values) / n
-    if n == 1:
-        return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, var

@@ -222,7 +222,7 @@ class SandboxViolation(FfiError):
 
 
 class SimulationError(ReproError):
-    """Internal inconsistency in the discrete-event engine."""
+    """Internal inconsistency in simulated time (e.g. the clock running backwards)."""
 
 
 class ServiceUnavailable(ReproError):

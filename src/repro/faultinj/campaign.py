@@ -42,11 +42,14 @@ class ArrivalProcess:
 
 
 class PoissonArrivals(ArrivalProcess):
-    """Exponential inter-arrival times at ``rate`` faults/second."""
+    """Exponential inter-arrival times at ``rate`` events/second.
+
+    Also the fleet driver's open-loop request arrivals.
+    """
 
     def __init__(self, rate: float, rng: random.Random) -> None:
-        if rate < 0:
-            raise ValueError(f"fault rate must be non-negative, got {rate}")
+        if not 0 <= rate < math.inf:
+            raise ValueError(f"rate must be non-negative and finite, got {rate}")
         self.rate = rate
         self._rng = rng
 
@@ -90,8 +93,10 @@ class BurstArrivals(ArrivalProcess):
         gap: float,
         rng: random.Random,
     ) -> None:
-        if burst_rate < 0:
-            raise ValueError(f"burst rate must be non-negative, got {burst_rate}")
+        if not 0 <= burst_rate < math.inf:
+            raise ValueError(
+                f"burst rate must be non-negative and finite, got {burst_rate}"
+            )
         if burst_size <= 0:
             raise ValueError(f"burst size must be positive, got {burst_size}")
         if gap < 0:

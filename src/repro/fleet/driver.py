@@ -3,9 +3,10 @@
 This is the experiment driver behind ``python -m repro fleet`` and the
 ``fleet_run`` section of the PR7 bench. It wires the full stack together:
 
-* **workload** — :class:`~repro.workloads.arrivals.OpenLoop` Poisson
-  arrivals over a Zipf-skewed key population
-  (:class:`~repro.workloads.zipf.KeyValueWorkload`, default 10^6 keys),
+* **workload** — open-loop Poisson arrivals
+  (:class:`~repro.faultinj.campaign.PoissonArrivals`) over a Zipf-skewed
+  key population (:class:`~repro.workloads.zipf.KeyValueWorkload`,
+  default 10^6 keys),
   with a configurable get/set/multiget op mix;
 * **serving** — the consistent-hash :class:`~repro.fleet.balancer.Fleet`
   with health-checked failover and optional arrival-driven autoscaling;
@@ -30,16 +31,17 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..faultinj.campaign import PoissonArrivals
 from ..obs.hub import Observability
 from ..obs.ledger import SustainabilityLedger
 from ..obs.metrics import FLEET_LATENCY_BUCKETS, BucketHistogram
 from ..sim.clock import VirtualClock
 from ..sim.cost import DEFAULT_COST_MODEL, CostModel
 from ..sim.rng import RngFactory
-from ..workloads.arrivals import OpenLoop
 from ..workloads.zipf import KeyValueWorkload, Keyspace
 from .autoscaler import Autoscaler, AutoscalerConfig
 from .balancer import Fleet
@@ -91,9 +93,9 @@ class FleetRunConfig:
             raise ValueError(f"need at least one shard, got {self.shards}")
         if self.keyspace < 1:
             raise ValueError(f"keyspace must be positive, got {self.keyspace}")
-        if self.rate <= 0 or self.horizon <= 0:
+        if not (0 < self.rate < math.inf and 0 < self.horizon < math.inf):
             raise ValueError(
-                f"rate and horizon must be positive, got "
+                f"rate and horizon must be positive and finite, got "
                 f"rate={self.rate} horizon={self.horizon}"
             )
         if self.multiget_fraction < 0 or self.set_fraction < 0:
@@ -217,7 +219,7 @@ def run_fleet(config: "FleetRunConfig" = None) -> FleetRunReport:  # type: ignor
     keyspace = Keyspace(cfg.keyspace)
     workload = KeyValueWorkload(keyspace, cfg.skew, rngs.stream("fleet.keys"))
     op_rng = rngs.stream("fleet.opmix")
-    arrivals = OpenLoop(cfg.rate, rngs.stream("fleet.arrivals"))
+    arrivals = PoissonArrivals(cfg.rate, rngs.stream("fleet.arrivals"))
     latency = obs.registry.histogram("fleet_request_latency_seconds")
 
     if cfg.preload:

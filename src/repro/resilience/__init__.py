@@ -11,7 +11,6 @@ from .availability import (
 )
 from .budget import BudgetEvent, ErrorBudget
 from .markov import (
-    AnalyticComparison,
     MarkovChain,
     availability_from_rates,
     expected_yearly_downtime,
@@ -29,7 +28,6 @@ from .strategy import RecoveryStrategyModel, StrategySpec
 __all__ = [
     "BudgetEvent",
     "ErrorBudget",
-    "AnalyticComparison",
     "MarkovChain",
     "availability_from_rates",
     "expected_yearly_downtime",

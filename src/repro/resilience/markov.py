@@ -1,6 +1,6 @@
 """Analytic availability models (CTMC), cross-validating the simulation.
 
-The discrete-event results of E3 should not be taken on faith: classical
+The simulated results of E3 should not be taken on faith: classical
 dependability theory predicts the same numbers in closed form, and this
 module computes them so tests can check simulation against theory.
 
@@ -14,7 +14,6 @@ module computes them so tests can check simulation against theory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -118,19 +117,6 @@ def two_replica_availability(
     failure_event_rate = 2 * lam * distribution["2up"]
     failover_unavailability = min(1.0, failure_event_rate * failover_time)
     return max(0.0, base_availability - failover_unavailability)
-
-
-@dataclass(frozen=True)
-class AnalyticComparison:
-    """Analytic vs simulated availability for one operating point."""
-
-    strategy: str
-    analytic: float
-    simulated: float
-
-    @property
-    def absolute_error(self) -> float:
-        return abs(self.analytic - self.simulated)
 
 
 def expected_yearly_downtime(fault_rate_per_year: float, recovery_time: float) -> float:

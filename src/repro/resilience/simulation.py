@@ -1,10 +1,11 @@
-"""Long-horizon service availability simulation (discrete-event).
+"""Long-horizon service availability simulation.
 
 E3/E5 simulate a service for up to a year of virtual time under a fault
-arrival process and a recovery strategy. Faults are discrete events; request
-traffic is integrated analytically (``rate × uptime``) because a year of
-per-request events is neither tractable nor necessary — downtime intervals
-are what decide availability.
+arrival process and a recovery strategy. One pass over the sorted fault
+times builds the downtime intervals; request traffic is integrated
+analytically (``rate × uptime``) because a year of per-request events is
+neither tractable nor necessary — downtime intervals are what decide
+availability. Faults at equal times are handled in schedule order.
 
 Semantics:
 
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..sim.clock import YEARS
-from ..sim.engine import Engine
 from .availability import availability_from_downtime, nines
 from .strategy import StrategySpec
 
@@ -49,7 +49,11 @@ class ServiceOutcome:
 
 
 class ServiceAvailabilitySimulation:
-    """Drives one strategy through a fault schedule on the event engine."""
+    """Drives one strategy through a fault schedule.
+
+    :meth:`run` is a pure function of the spec, schedule, horizon and
+    request rate: calling it again gives the same outcome.
+    """
 
     def __init__(
         self,
@@ -66,33 +70,44 @@ class ServiceAvailabilitySimulation:
         self.fault_times = sorted(t for t in fault_times if 0 <= t < horizon)
         self.horizon = horizon
         self.request_rate = request_rate
-        #: ``(down_at, up_at)`` per restart, ``up_at`` clipped to the horizon.
+        #: ``(down_at, up_at)`` per restart of the last :meth:`run`,
+        #: ``up_at`` clipped to the horizon.
         self.down_intervals: list[tuple[float, float]] = []
-        self._down_until = -1.0
-        self._recovered = 0
-        self._absorbed = 0
-        self._requests_lost = 0
-        self._micro_downtime = 0.0
 
     def run(self) -> ServiceOutcome:
-        engine = Engine()
-        for t in self.fault_times:
-            engine.schedule_at(t, lambda t=t: self._on_fault(t))
-        engine.run(until=self.horizon)
+        spec = self.spec
+        dt = spec.downtime_per_fault
+        intervals: list[tuple[float, float]] = []
+        down_until = -1.0
+        recovered = absorbed = requests_lost = 0
+        micro_downtime = 0.0
+        for now in self.fault_times:
+            if now < down_until:
+                absorbed += 1
+                continue
+            recovered += 1
+            requests_lost += spec.requests_lost_per_fault
+            # In-process recovery is so short that modelling it as a down/up
+            # interval would drown the list; account it directly instead.
+            if dt < 1e-3:
+                micro_downtime += dt
+                continue
+            # A restart still running at the horizon is cut off there.
+            down_until = min(now + dt, self.horizon)
+            intervals.append((now, down_until))
+        self.down_intervals = intervals
 
-        downtime = (
-            sum(up - down for down, up in self.down_intervals) + self._micro_downtime
-        )
+        downtime = sum(up - down for down, up in intervals) + micro_downtime
         availability = availability_from_downtime(downtime, self.horizon)
         offered = self.request_rate * self.horizon
-        dropped = self.request_rate * downtime + self._requests_lost
+        dropped = self.request_rate * downtime + requests_lost
         dropped = min(dropped, offered)
         return ServiceOutcome(
-            strategy=self.spec.name,
+            strategy=spec.name,
             horizon=self.horizon,
             faults_injected=len(self.fault_times),
-            faults_recovered=self._recovered,
-            faults_absorbed=self._absorbed,
+            faults_recovered=recovered,
+            faults_absorbed=absorbed,
             downtime=downtime,
             availability=availability,
             achieved_nines=nines(availability),
@@ -100,24 +115,6 @@ class ServiceAvailabilitySimulation:
             requests_served=offered - dropped,
             requests_dropped=dropped,
         )
-
-    # ------------------------------------------------------------------
-
-    def _on_fault(self, now: float) -> None:
-        if now < self._down_until:
-            self._absorbed += 1
-            return
-        self._recovered += 1
-        self._requests_lost += self.spec.requests_lost_per_fault
-        dt = self.spec.downtime_per_fault
-        # In-process recovery is so short that modelling it as a down/up
-        # interval would drown the list; account it directly instead.
-        if dt < 1e-3:
-            self._micro_downtime += dt
-            return
-        # A restart still running at the horizon is cut off there.
-        self._down_until = min(now + dt, self.horizon)
-        self.down_intervals.append((now, self._down_until))
 
 
 def compare_strategies(

@@ -24,7 +24,6 @@ from .policy import (
     AbortPolicy,
     PolicyDecision,
     ProcessCrashed,
-    RecoveryOutcome,
     RecoveryPolicy,
     RetryPolicy,
     RewindPolicy,
@@ -54,7 +53,6 @@ __all__ = [
     "AbortPolicy",
     "PolicyDecision",
     "ProcessCrashed",
-    "RecoveryOutcome",
     "RecoveryPolicy",
     "RetryPolicy",
     "RewindPolicy",

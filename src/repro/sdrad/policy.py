@@ -17,7 +17,6 @@ as baselines so experiments can compare like for like:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..errors import ReproError
 from .detect import FaultReport
@@ -176,16 +175,3 @@ def make_policy(name: str, **kwargs: float) -> RecoveryPolicy:
 
 def default_policy() -> RecoveryPolicy:
     return RewindPolicy()
-
-
-@dataclass
-class RecoveryOutcome:
-    """What actually happened for one faulted call (for traces/metrics)."""
-
-    report: FaultReport
-    policy: str
-    rewound: bool
-    retried: int
-    aborted: bool
-    recovery_time: float
-    final_report: Optional[FaultReport] = None

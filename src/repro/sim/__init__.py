@@ -1,4 +1,4 @@
-"""Discrete-event simulation substrate.
+"""Simulation substrate: virtual clock, cost model, metrics, seeded RNG.
 
 Everything the reproduction measures runs against this package's virtual
 clock and cost model; see ``DESIGN.md`` §2 for why wall-clock measurement is
@@ -18,7 +18,6 @@ from .clock import (
     VirtualClock,
 )
 from .cost import DEFAULT_COST_MODEL, GIB, CostModel
-from .engine import Engine, Process
 from .metrics import Counter, Gauge, Histogram, Summary
 from .rng import RngFactory, ZipfSampler, zipf_weights
 
@@ -36,8 +35,6 @@ __all__ = [
     "DEFAULT_COST_MODEL",
     "GIB",
     "CostModel",
-    "Engine",
-    "Process",
     "Counter",
     "Gauge",
     "Histogram",

@@ -1,4 +1,4 @@
-"""Virtual time for the discrete-event simulation substrate.
+"""Virtual time for the simulation substrate.
 
 The paper's evaluation spans eleven orders of magnitude of latency — from a
 ~30 ns ``WRPKRU`` instruction to a ~2 minute Memcached restart to a full year
@@ -29,9 +29,10 @@ YEARS = 365.0 * DAYS
 class VirtualClock:
     """A monotonically non-decreasing simulated clock.
 
-    The clock is deliberately dumb: it has no scheduling knowledge. The
-    event engine owns *when* to advance it; components that model costs
-    call :meth:`advance` directly when they execute synchronously.
+    The clock is deliberately dumb: it has no scheduling knowledge.
+    Drivers jump it to arrival times with :meth:`advance_to`; components
+    that model costs call :meth:`advance` directly when they execute
+    synchronously.
     """
 
     __slots__ = ("_now",)
@@ -58,7 +59,7 @@ class VirtualClock:
         return self._now
 
     def advance_to(self, timestamp: float) -> float:
-        """Jump directly to ``timestamp`` (used by the event engine)."""
+        """Jump directly to ``timestamp`` (a driver moving to the next arrival)."""
         if timestamp < self._now:
             raise SimulationError(
                 f"cannot rewind clock from {self._now} to {timestamp}"

@@ -1,6 +1,5 @@
-"""Workload generation: key popularity, arrivals, clients, traces."""
+"""Workload generation: key popularity, clients, traces."""
 
-from .arrivals import ClosedLoop, OpenLoop
 from .clients import (
     HttpClient,
     MaliciousHttpClient,
@@ -12,8 +11,6 @@ from .traces import TraceEntry, WorkloadTrace, generate_trace
 from .zipf import Keyspace, KeyValueWorkload, ValueSizer
 
 __all__ = [
-    "ClosedLoop",
-    "OpenLoop",
     "HttpClient",
     "MaliciousHttpClient",
     "MaliciousMemcachedClient",

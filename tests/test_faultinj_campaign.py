@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -37,6 +38,12 @@ class TestPoissonArrivals:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             PoissonArrivals(-1.0, random.Random(0))
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        # NaN never reaches the horizon and inf draws zero gaps forever.
+        with pytest.raises(ValueError):
+            PoissonArrivals(rate, random.Random(0))
 
 
 class TestPeriodicArrivals:
@@ -84,6 +91,9 @@ class TestBurstArrivals:
             BurstArrivals(1, 0, 0, rng)
         with pytest.raises(ValueError):
             BurstArrivals(1, 1, -1, rng)
+        for rate in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                BurstArrivals(rate, 1, 0, rng)
 
 
 class TestCampaign:

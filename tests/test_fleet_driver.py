@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.fleet import AutoscalerConfig, FleetRunConfig, HealthConfig, run_fleet
@@ -139,6 +141,12 @@ class TestConfigValidation:
             FleetRunConfig(multiget_size=0)
         with pytest.raises(ValueError):
             FleetRunConfig(kill_at=0.1, outage=0.0)
+        # A NaN/inf rate or horizon would make the arrival loop never end.
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                FleetRunConfig(rate=bad)
+            with pytest.raises(ValueError):
+                FleetRunConfig(horizon=bad)
 
     def test_report_dict_round_trips_json(self):
         import json

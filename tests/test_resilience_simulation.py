@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.faultinj.campaign import PeriodicArrivals, PoissonArrivals
 from repro.resilience.simulation import (
     ServiceAvailabilitySimulation,
+    ServiceOutcome,
     compare_strategies,
 )
 from repro.resilience.strategy import RecoveryStrategyModel
@@ -154,3 +157,105 @@ class TestTraceIndependence:
             (100.0, 100.0 + spec.downtime_per_fault),
             (990.0, 1000.0),
         ]
+
+
+def e3_schedules() -> dict[str, list[float]]:
+    """E3's 3-per-year periodic schedule and its seeded Poisson schedule."""
+    rng = RngFactory(5).stream("e3/poisson")
+    return {
+        "periodic": year_times(3),
+        "poisson": list(PoissonArrivals(6 / YEARS, rng).times(YEARS)),
+    }
+
+
+#: Outcomes recorded with the former discrete-event engine (one scheduled
+#: callback per fault); the sorted loop must reproduce them field for field.
+PINNED_OUTCOMES = {
+    "periodic": [
+        ServiceOutcome(
+            "sdrad-rewind", 31536000.0, 3, 3, 0,
+            1.05e-05, 0.999999999999667, 12.477613304431475,
+            31536000000.0, 31535999996.9895, 3.0105,
+        ),
+        ServiceOutcome(
+            "process-restart", 31536000.0, 3, 3, 0,
+            343.7333333315328, 0.9999891002875022, 4.962584957313444,
+            31536000000.0, 31535656266.666668, 343733.3333315328,
+        ),
+        ServiceOutcome(
+            "container-restart", 31536000.0, 3, 3, 0,
+            350.933333334513, 0.9999888719769998, 4.95358198538456,
+            31536000000.0, 31535649066.666664, 350933.333334513,
+        ),
+        ServiceOutcome(
+            "replicated-2x", 31536000.0, 3, 3, 0,
+            6.0, 0.9999998097412481, 6.72065535663914,
+            31536000000.0, 31535994000.0, 6000.0,
+        ),
+    ],
+    "poisson": [
+        ServiceOutcome(
+            "sdrad-rewind", 31536000.0, 6, 6, 0,
+            2.1e-05, 0.9999999999993341, 12.176583308767494,
+            31536000000.0, 31535999993.979, 6.021,
+        ),
+        ServiceOutcome(
+            "process-restart", 31536000.0, 6, 6, 0,
+            687.4666666621342, 0.9999782005750044, 4.661554961649463,
+            31536000000.0, 31535312533.33334, 687466.6666621342,
+        ),
+        ServiceOutcome(
+            "container-restart", 31536000.0, 6, 6, 0,
+            701.8666666699573, 0.9999777439539995, 4.652551989718413,
+            31536000000.0, 31535298133.33333, 701866.6666699573,
+        ),
+        ServiceOutcome(
+            "replicated-2x", 31536000.0, 6, 6, 0,
+            12.0, 0.9999996194824962, 6.419625360848446,
+            31536000000.0, 31535988000.0, 12000.0,
+        ),
+    ],
+}
+
+
+def run_all(times: list[float]) -> list[ServiceOutcome]:
+    return compare_strategies(MODEL.all_for(10 * GIB), times, request_rate=1000.0)
+
+
+@pytest.mark.parametrize("schedule", sorted(PINNED_OUTCOMES))
+class TestPinnedOutcomes:
+    def test_outcomes_equal_recorded_values(self, schedule):
+        assert run_all(e3_schedules()[schedule]) == PINNED_OUTCOMES[schedule]
+
+    def test_unsorted_schedule_equals_sorted_run(self, schedule):
+        times = e3_schedules()[schedule]
+        assert run_all(times[::-1]) == run_all(sorted(times))
+
+    def test_duplicated_timestamp_equals_sorted_run(self, schedule):
+        times = e3_schedules()[schedule]
+        duplicated = [times[1]] + times[::-1]
+        outcomes = run_all(duplicated)
+        assert outcomes == run_all(sorted(duplicated))
+        rewind, *restarts = outcomes
+        # Rewind recovers both faults; a restart absorbs the second, which
+        # leaves its downtime and dropped requests exactly as pinned.
+        assert rewind.faults_recovered == len(duplicated)
+        for got, pinned in zip(restarts, PINNED_OUTCOMES[schedule][1:]):
+            assert got == replace(
+                pinned, faults_injected=len(duplicated), faults_absorbed=1
+            )
+
+
+class TestRepeatableRun:
+    @pytest.mark.parametrize(
+        "spec", [MODEL.sdrad_rewind(), MODEL.process_restart(10 * GIB)],
+        ids=["sdrad-rewind", "process-restart"],
+    )
+    def test_second_run_gives_same_outcome_and_intervals(self, spec):
+        sim = ServiceAvailabilitySimulation(
+            spec, year_times(3) + [year_times(3)[0] + 1.0], request_rate=100.0
+        )
+        first = sim.run()
+        first_intervals = list(sim.down_intervals)
+        assert sim.run() == first
+        assert sim.down_intervals == first_intervals

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from repro.sim.rng import RngFactory
-from repro.workloads.arrivals import ClosedLoop, OpenLoop
 from repro.workloads.clients import (
     HttpClient,
     MaliciousHttpClient,
@@ -63,35 +62,6 @@ class TestValueSizer:
             ValueSizer(random.Random(0), median=0)
         with pytest.raises(ValueError):
             ValueSizer(random.Random(0), median=10, minimum=20, maximum=30)
-
-
-class TestArrivals:
-    def test_open_loop_rate(self):
-        arrivals = OpenLoop(10.0, random.Random(4))
-        times = list(arrivals.times(100.0))
-        assert len(times) == pytest.approx(1000, rel=0.2)
-        assert times == sorted(times)
-
-    def test_open_loop_validation(self):
-        with pytest.raises(ValueError):
-            OpenLoop(0.0, random.Random(0))
-
-    def test_closed_loop_offered_rate(self):
-        loop = ClosedLoop(10, think_time=0.9, rng=random.Random(5))
-        assert loop.offered_rate(0.1) == pytest.approx(10.0)
-
-    def test_closed_loop_zero_think(self):
-        loop = ClosedLoop(4, think_time=0.0, rng=random.Random(6))
-        assert loop.next_think() == 0.0
-        assert loop.offered_rate(0.5) == pytest.approx(8.0)
-
-    def test_closed_loop_validation(self):
-        with pytest.raises(ValueError):
-            ClosedLoop(0, 1.0, random.Random(0))
-        with pytest.raises(ValueError):
-            ClosedLoop(1, -1.0, random.Random(0))
-        with pytest.raises(ValueError):
-            ClosedLoop(1, 0.0, random.Random(0)).offered_rate(0.0)
 
 
 class TestClients:
