@@ -2,9 +2,9 @@
 """cProfile the end-to-end hot paths and print the top hotspots.
 
 Profiles the same loops ``scripts/bench.py`` measures — the Memcached
-retrofit end-to-end (per-connection isolation, set/get mix through the
-unsafe parser) and the bare domain enter/exit cycle — and prints the
-top-N functions by *cumulative* time. This is where every perf PR should
+retrofit end-to-end (a set/get mix through the unsafe parser, with one
+domain per connection or a fresh domain per request) and the bare domain
+enter/exit cycle — and prints the top-N functions by *cumulative* time. This is where every perf PR should
 start: the wall-clock bottleneck moves as fast paths land (PR 1 moved it
 from permission checks into domain entry/exit and the parsers), and the
 profile is the evidence of where it sits now.
@@ -13,6 +13,7 @@ Usage::
 
     PYTHONPATH=src python scripts/profile.py [--requests 20000] [--top 20]
         [--bench kvstore_e2e|domain_reentry|both] [--batched]
+        [--isolation per-connection|per-request]
 """
 
 from __future__ import annotations
@@ -45,9 +46,11 @@ def _memcached_requests() -> list[bytes]:
     return requests
 
 
-def profile_kvstore_e2e(n_requests: int, batched: bool) -> cProfile.Profile:
+def profile_kvstore_e2e(
+    n_requests: int, batched: bool, isolation: IsolationMode
+) -> cProfile.Profile:
     runtime = SdradRuntime()
-    server = MemcachedServer(runtime, isolation=IsolationMode.PER_CONNECTION)
+    server = MemcachedServer(runtime, isolation=isolation)
     server.connect("profile-client")
     requests = _memcached_requests()
 
@@ -101,12 +104,24 @@ def main() -> int:
         action="store_true",
         help="profile the pipelined (handle_batch) request path",
     )
+    parser.add_argument(
+        "--isolation",
+        choices=("per-connection", "per-request"),
+        default="per-connection",
+        help="memcached isolation: one domain per connection, or a fresh "
+        "domain per request (domain init/destroy on the request path)",
+    )
     args = parser.parse_args()
 
     if args.bench in ("kvstore_e2e", "both"):
-        label = "memcached/kvstore e2e" + (" (batched)" if args.batched else "")
+        isolation = IsolationMode(args.isolation)
+        label = f"memcached/kvstore e2e, {isolation.value}" + (
+            " (batched)" if args.batched else ""
+        )
         report(
-            profile_kvstore_e2e(args.requests, args.batched), label, args.top
+            profile_kvstore_e2e(args.requests, args.batched, isolation),
+            label,
+            args.top,
         )
     if args.bench in ("domain_reentry", "both"):
         report(

@@ -439,9 +439,10 @@ class AddressSpace:
 
     def _tlb_invalidate_pages(self, first_page: int, last_page: int) -> None:
         """Page-table hook: shoot down pages in every cached PKRU view."""
-        span = last_page - first_page + 1
-        for cache in self._tlb_by_pkru.values():
-            if span > len(cache):
+        # Empty views (most of them: ``pkey_free`` flushes every view) have
+        # nothing to shoot down; ``filter`` skips them without a visit.
+        for cache in filter(None, self._tlb_by_pkru.values()):
+            if last_page - first_page + 1 > len(cache):
                 for key in [k for k in cache if first_page <= k >> 1 <= last_page]:
                     del cache[key]
             else:
@@ -451,10 +452,9 @@ class AddressSpace:
         self.tlb_flushes += 1
         # A mapping/permission/key change kills only the checked plans
         # over the updated pages; kernel plans never read the page table.
-        if self.plans is not None:
-            self.plans.shootdown_checked(
-                first_page * PAGE_SIZE, (last_page + 1) * PAGE_SIZE
-            )
+        plans = self.plans
+        if plans is not None:
+            plans.shootdown_checked(first_page * PAGE_SIZE, (last_page + 1) * PAGE_SIZE)
 
     def _tlb_on_pkey_free(self, pkey: int) -> None:
         """``pkey_free`` hook: a recycled key may re-appear under a new

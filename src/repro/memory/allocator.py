@@ -55,6 +55,12 @@ def _align(value: int) -> int:
     return (value + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
 
 
+def check_arena_size(size: int) -> None:
+    """Raise :class:`SdradError` unless ``size`` bytes hold one block."""
+    if size < HEADER_SIZE + GUARD_SIZE + ALIGNMENT:
+        raise SdradError(f"arena too small for one block: {size} bytes")
+
+
 @dataclass
 class HeapStats:
     """Point-in-time allocator statistics."""
@@ -81,30 +87,16 @@ class FreeListAllocator:
     def __init__(
         self, space: AddressSpace, base: int, size: int, name: str = "heap"
     ) -> None:
-        overhead = HEADER_SIZE + GUARD_SIZE
-        if size < overhead + ALIGNMENT:
-            raise SdradError(f"arena too small for one block: {size} bytes")
+        check_arena_size(size)
         self.space = space
         self.base = base
         self.size = size
-        self.name = name
         # Python-side mirror of block layout for O(1) lookups; simulated
         # memory remains the source of truth for integrity checks.
         self._blocks: dict[int, tuple[int, bool]] = {}  # addr -> (capacity, in_use)
         # Block addresses kept sorted (bisect-maintained) so first-fit and
         # coalescing avoid re-sorting the block map on every call.
         self._addrs: list[int] = []
-        self.total_allocs = 0
-        self.total_frees = 0
-        self._allocated_bytes = 0
-        self._peak_allocated = 0
-        # Lazy scrub (reset(scrub=True, lazy=True)): arena bytes are stale
-        # until reallocated; malloc zero-fills each block it hands out.
-        self._scrub_pending = False
-        self.lazy_scrubbed_bytes = 0
-        # Compiled kernel window over the arena for boundary-tag I/O;
-        # rebuilt on demand after a full plan shootdown.
-        self._plan = None
         # Deferred-free fast bin (dlmalloc's fastbin idea, depth 1): the
         # most recently freed block is parked fully verified but with its
         # ALLOC header still in place; an exact-capacity malloc reclaims
@@ -112,7 +104,7 @@ class FreeListAllocator:
         # coalesce. Any other operation retires it through the normal
         # free path first, so observable heap state never diverges.
         self._hot: "tuple[int, int] | None" = None  # (block addr, capacity)
-        self._init_arena()
+        self.reset_full(name)
 
     # ------------------------------------------------------------------
     # Public API
@@ -132,8 +124,7 @@ class FreeListAllocator:
                 # as the slow path would.
                 addr = hot[0]
                 self._hot = None
-                self._write_header(addr, ALLOC_MAGIC, capacity, nbytes)
-                self._write_guard(addr, capacity)
+                self._write_block(addr, ALLOC_MAGIC, capacity, nbytes)
                 self.total_allocs += 1
                 self._allocated_bytes += capacity
                 self._peak_allocated = max(
@@ -153,8 +144,7 @@ class FreeListAllocator:
             # is used and its true capacity must be recorded (otherwise the
             # arena walk desynchronises at the leftover bytes).
             capacity = self._split_block(addr, block_capacity, capacity)
-            self._write_header(addr, ALLOC_MAGIC, capacity, nbytes)
-            self._write_guard(addr, capacity)
+            self._write_block(addr, ALLOC_MAGIC, capacity, nbytes)
             self._blocks[addr] = (capacity, True)
             self.total_allocs += 1
             self._allocated_bytes += capacity
@@ -246,6 +236,28 @@ class FreeListAllocator:
         if seen != len(self._blocks):
             raise HeapCorruption(self.base, "block count mismatch")
 
+    def reset_full(self, name: str) -> None:
+        """Return to the freshly constructed state under a new ``name``.
+
+        :meth:`reset` discards the allocations but keeps the allocator's
+        identity (lifetime counters, peak, a pending lazy scrub): that is a
+        rewind. This also renews the identity, so a destroyed domain's
+        allocator can serve the next domain on the same arena exactly as a
+        new one would: same bytes written, same plan lookups, same counters.
+        """
+        self.name = name
+        self.total_allocs = 0
+        self.total_frees = 0
+        self._peak_allocated = 0
+        # Lazy scrub (reset(scrub=True, lazy=True)): arena bytes are stale
+        # until reallocated; malloc zero-fills each block it hands out.
+        self._scrub_pending = False
+        self.lazy_scrubbed_bytes = 0
+        # Compiled kernel window over the arena for boundary-tag I/O;
+        # looked up again on first use, and rebuilt after a full shootdown.
+        self._plan = None
+        self.reset()
+
     def reset(self, *, scrub: bool = False, lazy: bool = False) -> int:
         """Discard every allocation; returns number of pages scrubbed.
 
@@ -268,9 +280,13 @@ class FreeListAllocator:
                 self.space.raw_fill(self.base, self.size, 0)
                 self._scrub_pending = False
                 pages = (self.size + 4095) // 4096
+        # The whole arena becomes one free block.
+        capacity = self.size - HEADER_SIZE - GUARD_SIZE
+        self._write_block(self.base, FREE_MAGIC, capacity, 0)
         self._blocks.clear()
+        self._blocks[self.base] = (capacity, False)
+        self._addrs = [self.base]
         self._allocated_bytes = 0
-        self._init_arena()
         return pages
 
     def export_state(self) -> tuple[dict[int, tuple[int, bool]], int]:
@@ -326,13 +342,6 @@ class FreeListAllocator:
         self._blocks[addr] = (capacity, False)
         self._coalesce(addr)
 
-    def _init_arena(self) -> None:
-        capacity = self.size - HEADER_SIZE - GUARD_SIZE
-        self._write_header(self.base, FREE_MAGIC, capacity, 0)
-        self._write_guard(self.base, capacity)
-        self._blocks[self.base] = (capacity, False)
-        self._addrs = [self.base]
-
     def _split_block(self, addr: int, block_capacity: int, wanted: int) -> int:
         """Split a free block if the remainder can hold another block.
 
@@ -345,8 +354,7 @@ class FreeListAllocator:
             return block_capacity  # use the whole block
         new_addr = addr + HEADER_SIZE + wanted + GUARD_SIZE
         new_capacity = remainder - HEADER_SIZE - GUARD_SIZE
-        self._write_header(new_addr, FREE_MAGIC, new_capacity, 0)
-        self._write_guard(new_addr, new_capacity)
+        self._write_block(new_addr, FREE_MAGIC, new_capacity, 0)
         self._blocks[new_addr] = (new_capacity, False)
         insort(self._addrs, new_addr)
         self._blocks[addr] = (wanted, False)
@@ -366,8 +374,7 @@ class FreeListAllocator:
                 del self._blocks[nxt]
                 del addrs[index + 1]
                 self._blocks[addr] = (capacity, False)
-                self._write_header(addr, FREE_MAGIC, capacity, 0)
-                self._write_guard(addr, capacity)
+                self._write_block(addr, FREE_MAGIC, capacity, 0)
         if index > 0:
             prev = addrs[index - 1]
             prev_capacity, prev_in_use = self._blocks.get(prev, (0, True))
@@ -379,8 +386,7 @@ class FreeListAllocator:
                 del self._blocks[addr]
                 del addrs[index]
                 self._blocks[prev] = (merged, False)
-                self._write_header(prev, FREE_MAGIC, merged, 0)
-                self._write_guard(prev, merged)
+                self._write_block(prev, FREE_MAGIC, merged, 0)
 
     def _arena_plan(self):
         """Live kernel plan over the arena, or ``None`` with plans off.
@@ -411,12 +417,22 @@ class FreeListAllocator:
                 addr, _HEADER_STRUCT.pack(magic, capacity, requested, checksum)
             )
 
-    def _write_guard(self, addr: int, capacity: int) -> None:
+    def _write_block(
+        self, addr: int, magic: int, capacity: int, requested: int
+    ) -> None:
+        """Write a block's header and its guard words (one plan lookup)."""
+        checksum = (magic ^ capacity ^ requested) & 0xFFFFFFFF
+        guard = addr + HEADER_SIZE + capacity
         plan = self._arena_plan()
         if plan is not None:
-            plan.store(addr + HEADER_SIZE + capacity, _GUARD_BYTES)
+            plan.pack_into(_HEADER_STRUCT, addr, magic, capacity, requested, checksum)
+            plan.store(guard, _GUARD_BYTES)
         else:
-            self.space.raw_store(addr + HEADER_SIZE + capacity, _GUARD_BYTES)
+            space = self.space
+            space.raw_store(
+                addr, _HEADER_STRUCT.pack(magic, capacity, requested, checksum)
+            )
+            space.raw_store(guard, _GUARD_BYTES)
 
     def _read_header(self, addr: int) -> tuple[int, int, int, int]:
         plan = self._arena_plan()

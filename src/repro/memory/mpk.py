@@ -106,12 +106,17 @@ class PkruRegister:
         if self.on_write is not None:
             self.on_write(self._value)
 
+    # Access checks and plan probes ask these per page run, so the key
+    # range test is inlined; ``_validate_pkey`` only raises.
+
     def allows_read(self, pkey: int) -> bool:
-        _validate_pkey(pkey)
+        if not 0 <= pkey < NUM_PKEYS:
+            _validate_pkey(pkey)
         return not self._value & (AD_BIT << (2 * pkey))
 
     def allows_write(self, pkey: int) -> bool:
-        _validate_pkey(pkey)
+        if not 0 <= pkey < NUM_PKEYS:
+            _validate_pkey(pkey)
         if self._value & (AD_BIT << (2 * pkey)):
             return False
         return not self._value & (WD_BIT << (2 * pkey))

@@ -54,6 +54,10 @@ def _perm_bits(readable: bool, writable: bool) -> int:
 _SATISFYING = [
     bytes(bits for bits in range(256) if bits & need == need) for need in range(8)
 ]
+#: Range-update fills kept for reuse: at most this many (permission byte,
+#: tag, page count) shapes, each at most ``_FILL_PAGES`` pages long.
+_MAX_FILLS = 8
+_FILL_PAGES = 4096
 
 
 class PageTable:
@@ -77,6 +81,10 @@ class PageTable:
         #: Hook called with ``(first_page, last_page)`` after any mapping,
         #: permission, or key change — the simulated MMU's TLB shootdown.
         self.on_range_update = None
+        # (permission byte, tag, pages) -> (permission run, tag run): the
+        # fill sources of recent range updates. A per-request domain maps
+        # and unmaps the same run every lifecycle, so both reuse theirs.
+        self._fills: dict[tuple[int, int, int], tuple[bytes, list]] = {}
 
     # ------------------------------------------------------------------
     # Mapping / protection syscall analogues
@@ -84,6 +92,9 @@ class PageTable:
     # Each update applies to the leading pages that pass its per-page check,
     # raises naming the first page that fails, and shoots down the whole
     # range either way: a partial failure has already mutated the prefix.
+    # ``map_range`` and ``unmap_range`` run on every domain init and destroy,
+    # so they test their arguments inline and call the checkers (which
+    # raise the precise error) only when a test fails.
 
     def map_range(
         self,
@@ -95,31 +106,55 @@ class PageTable:
         pkey: int = PKEY_DEFAULT,  # sdradlint: ignore[R6] tag 0 is every backend's root tag
     ) -> None:
         """``mmap`` analogue: mark pages present with given perms and key."""
-        self._check_key(pkey)
-        first, stop = self._check_range(address, length)
+        if (
+            pkey < 0
+            or (self.num_keys is not None and pkey >= self.num_keys)
+            or length <= 0
+            or (address | length) % PAGE_SIZE
+            or address < 0
+            or address + length > self.space_size
+        ):
+            self._check_key(pkey)
+            self._check_range(address, length)
+        first = address // PAGE_SIZE
+        stop = first + length // PAGE_SIZE
         try:
             run = self._bits[first:stop]
             end = stop - len(run.lstrip(b"\0"))  # first already-mapped page
-            self._bits[first:end] = bytes((_perm_bits(readable, writable),)) * (end - first)
-            self._tags[first:end] = [pkey] * (end - first)
+            self._bits[first:end], self._tags[first:end] = self._fill(
+                _perm_bits(readable, writable), pkey, end - first
+            )
             if end < stop:
                 raise SdradError(
                     f"page {end} already mapped (double map at {address:#x})"
                 )
         finally:
-            self._notify(first, stop)
+            if self.on_range_update is not None:
+                self.on_range_update(first, stop - 1)
 
     def unmap_range(self, address: int, length: int) -> None:
         """``munmap`` analogue."""
-        first, stop = self._check_range(address, length)
+        if (
+            length <= 0
+            or (address | length) % PAGE_SIZE
+            or address < 0
+            or address + length > self.space_size
+        ):
+            self._check_range(address, length)
+        first = address // PAGE_SIZE
+        stop = first + length // PAGE_SIZE
         try:
-            end = self._mapped_prefix_end(first, stop)
-            self._bits[first:end] = bytes(end - first)
-            self._tags[first:end] = [PKEY_DEFAULT] * (end - first)  # sdradlint: ignore[R6] tag 0 is every backend's root tag
+            end = self._bits.find(0, first, stop)  # first unmapped page
+            if end < 0:
+                end = stop
+            self._bits[first:end], self._tags[first:end] = self._fill(
+                0, PKEY_DEFAULT, end - first  # sdradlint: ignore[R6] tag 0 is every backend's root tag
+            )
             if end < stop:
                 raise SdradError(f"page {end} not mapped (double unmap)")
         finally:
-            self._notify(first, stop)
+            if self.on_range_update is not None:
+                self.on_range_update(first, stop - 1)
 
     def protect_range(
         self, address: int, length: int, *, readable: bool, writable: bool
@@ -132,7 +167,8 @@ class PageTable:
             if end < stop:
                 raise SegmentationFault(end * PAGE_SIZE, access="mprotect")
         finally:
-            self._notify(first, stop)
+            if self.on_range_update is not None:
+                self.on_range_update(first, stop - 1)
 
     def tag_range(self, address: int, length: int, pkey: int) -> None:
         """``pkey_mprotect`` analogue: retag pages with a protection key."""
@@ -144,7 +180,8 @@ class PageTable:
             if end < stop:
                 raise SegmentationFault(end * PAGE_SIZE, access="pkey_mprotect")
         finally:
-            self._notify(first, stop)
+            if self.on_range_update is not None:
+                self.on_range_update(first, stop - 1)
 
     # ------------------------------------------------------------------
     # Lookup
@@ -187,22 +224,30 @@ class PageTable:
             return violation(address, tag, access)
         return None
 
-    def run_allows(self, first: int, stop: int, gate, *, read: bool, write: bool) -> bool:
+    def run_allows(self, first: int, stop: int, gate, read: bool, write: bool) -> bool:
         """Whether every page in ``[first, stop)`` passes :meth:`access_fault`
         for the given modes, read off the run once: deleting every
         permission byte that carries the needed bits must leave nothing,
         and the gate is asked once per distinct tag (once in all when the
-        whole run carries one tag). Raises and counts nothing."""
-        if self._bits[first:stop].translate(None, _SATISFYING[_perm_bits(read, write)]):
+        whole run carries one tag). Raises and counts nothing.
+
+        Every gate grants write only together with read (MPK's WD bit only
+        narrows a key AD leaves open; a grant set records write per
+        readable tag), so a write query alone decides a read-write run."""
+        need = PRESENT | (READABLE if read else 0) | (WRITABLE if write else 0)
+        if self._bits[first:stop].translate(None, _SATISFYING[need]):
             return False
         tags = self._tags[first:stop]
-        if tags and tags.count(tags[0]) == len(tags):
-            tags = tags[:1]
-        else:
-            tags = set(tags)
-        if read and not all(map(gate.allows_read, tags)):
-            return False
-        return not write or all(map(gate.allows_write, tags))
+        if not tags:
+            return True
+        tag = tags[0]
+        if tags.count(tag) == len(tags):
+            if write:
+                return gate.allows_write(tag)
+            return not read or gate.allows_read(tag)
+        if write:
+            return all(map(gate.allows_write, set(tags)))
+        return not read or all(map(gate.allows_read, set(tags)))
 
     # ------------------------------------------------------------------
     # Checks
@@ -216,7 +261,7 @@ class PageTable:
         """Validate a page-aligned in-space range; return its page span."""
         if length <= 0:
             raise SdradError(f"range length must be positive, got {length}")
-        if not is_page_aligned(address) or not is_page_aligned(length):
+        if (address | length) % PAGE_SIZE:
             raise SdradError(
                 f"range [{address:#x}, +{length:#x}) is not page aligned"
             )
@@ -229,6 +274,15 @@ class PageTable:
         hole = self._bits.find(0, first, stop)
         return stop if hole < 0 else hole
 
-    def _notify(self, first: int, stop: int) -> None:
-        if self.on_range_update is not None:
-            self.on_range_update(first, stop - 1)
+    def _fill(self, bits: int, tag: int, count: int) -> tuple[bytes, list]:
+        """A run of ``count`` permission bytes ``bits`` and one of ``count``
+        tags ``tag``, reused across updates of the same shape."""
+        key = (bits, tag, count)
+        fill = self._fills.get(key)
+        if fill is None:
+            fill = (bytes((bits,)) * count, [tag] * count)
+            if count <= _FILL_PAGES:
+                if len(self._fills) >= _MAX_FILLS:
+                    self._fills.clear()
+                self._fills[key] = fill
+        return fill

@@ -81,6 +81,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 
+#: A checked plan's mode -> the (read, write) access its probe validates.
+_MODE_ACCESS = {"r": (True, False), "w": (False, True), "rw": (True, True)}
+
 #: Cached bulk-decode structs for :meth:`AccessPlan.load_u32_run`
 #: (one precompiled ``"<NI"`` per element count).
 _RUN_STRUCTS: dict[int, struct.Struct] = {}
@@ -520,11 +523,16 @@ class AccessPlanCache:
     #: outlive its invalidation).
     _MAX_PLANS = 512
 
-    __slots__ = ("_space", "_checked", "_kernel", "built", "hits", "shootdowns")
+    __slots__ = (
+        "_space", "_checked", "_live", "_kernel", "built", "hits", "shootdowns"
+    )
 
     def __init__(self, space: "AddressSpace") -> None:
         self._space = space
         self._checked: dict[tuple[int, int, int, str], AccessPlan] = {}
+        # The live subset of ``_checked`` (cell holds a verdict dict): a
+        # shootdown scans only these, since a dead plan has nothing to kill.
+        self._live: dict[tuple[int, int, int, str], AccessPlan] = {}
         self._kernel: dict[tuple[int, int], AccessPlan] = {}
         self.built = 0
         self.hits = 0
@@ -546,7 +554,7 @@ class AccessPlanCache:
         was shot down is re-armed in place once the probe passes again;
         re-arming counts in :attr:`built` like a compile.
         """
-        if mode not in ("r", "w", "rw"):
+        if mode not in _MODE_ACCESS:
             raise SdradError(f"unknown plan mode {mode!r}")
         space = self._space
         key = (space.pkru.value, base, length, mode)
@@ -558,23 +566,23 @@ class AccessPlanCache:
             return None
         if plan is not None:
             plan.cell[0] = space._tlb
-            self.built += 1
-            return plan
-        if len(self._checked) >= self._MAX_PLANS:
-            self.shootdown()
-        plan = _compile_checked(space, base, length, mode, key[0])
-        self._checked[key] = plan
+        else:
+            if len(self._checked) >= self._MAX_PLANS:
+                self.shootdown()
+            plan = _compile_checked(space, base, length, mode, key[0])
+            self._checked[key] = plan
+        self._live[key] = plan
         self.built += 1
         return plan
 
     def kernel_plan(self, base: int, length: int) -> Optional[AccessPlan]:
         """Trusted-runtime plan (the ``raw_*`` path, compiled)."""
-        space = self._space
         key = (base, length)
         plan = self._kernel.get(key)
         if plan is not None and plan.cell[0]:
             self.hits += 1
             return plan
+        space = self._space
         if base < 0 or length <= 0 or base + length > space.size:
             return None
         if len(self._kernel) >= self._MAX_PLANS:
@@ -594,14 +602,12 @@ class AccessPlanCache:
         run once by the page table. No raising and no fault counting (a
         failed probe means "no plan", not "a fault happened")."""
         space = self._space
-        if base < 0 or length <= 0 or base + length > space.size:
+        table = space.page_table
+        if base < 0 or length <= 0 or base + length > table.space_size:
             return False
-        return space.page_table.run_allows(
-            base // PAGE_SIZE,
-            (base + length - 1) // PAGE_SIZE + 1,
-            space.pkru,
-            read="r" in mode,
-            write="w" in mode,
+        read, write = _MODE_ACCESS[mode]
+        return table.run_allows(
+            base // PAGE_SIZE, (base + length - 1) // PAGE_SIZE + 1, space.pkru, read, write
         )
 
     def shootdown(self) -> None:
@@ -622,10 +628,14 @@ class AccessPlanCache:
         Dead plans stay cached under their key for :meth:`checked_plan`
         to re-arm.
         """
+        self.shootdowns += 1
+        live = self._live
+        if not live:
+            return
         if hi is None:
             hi = self._space.size
         # Keys are (pkru, base, length, mode).
-        for (_, base, length, _), plan in self._checked.items():
-            if base < hi and lo < base + length:
+        for key, plan in list(live.items()):
+            if key[1] < hi and lo < key[1] + key[2]:
                 plan.cell[0] = None
-        self.shootdowns += 1
+                del live[key]

@@ -61,6 +61,12 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def check_stack_size(size: int) -> None:
+    """Raise :class:`SdradError` unless ``size`` bytes hold one frame."""
+    if size < 4 * WORD:
+        raise SdradError(f"stack too small: {size} bytes")
+
+
 def stack_seed(root_seed: int, udi: int) -> int:
     """The canary seed of domain ``udi``'s stack under ``root_seed``."""
     return mix64((root_seed * GAMMA + udi) & _MASK64)
@@ -130,24 +136,33 @@ class CallStack:
     """A per-domain simulated stack with canary-protected frames."""
 
     def __init__(self, space: AddressSpace, base: int, size: int, seed: int) -> None:
-        if size < 4 * WORD:
-            raise SdradError(f"stack too small: {size} bytes")
+        check_stack_size(size)
         self.space = space
         self.base = base
         self.size = size
         self.top = base + size
-        self._sp = self.top
         self._frames: list[StackFrame] = []
+        self.reset_full(seed)
+
+    def reset_full(self, seed: int) -> None:
+        """Return to the freshly constructed state under canary ``seed``.
+
+        :meth:`unwind_all` abandons the frames (a rewind); this also
+        restarts the canary stream and forgets a pending lazy scrub and the
+        cached plans, so a destroyed domain's stack can serve the next
+        domain on the same region exactly as a new one would.
+        """
         # splitmix64 state: advanced by GAMMA per canary drawn.
         self._canary_state = seed & _MASK64
         #: Set by a lazy discard: the stack bytes are stale and are
         #: zero-filled on the next frame push instead of at rewind time.
         self.scrub_pending = False
-        # Compiled windows over the stack region, rebuilt after shootdowns:
-        # a kernel plan for prologue/epilogue canary words, a checked plan
-        # (current PKRU) for application buffer I/O.
+        # Compiled windows over the stack region, looked up again on first
+        # use: a kernel plan for prologue/epilogue canary words, a checked
+        # plan (current PKRU) for application buffer I/O.
         self._plan = None
         self._rw_plan = None
+        self.unwind_all()
 
     def _kernel_plan(self):
         plan = self._plan

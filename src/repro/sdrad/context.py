@@ -13,14 +13,14 @@ exactly matching the C library's nested-domain semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import SdradError
 
 
-@dataclass(frozen=True)
-class ExecutionContext:
-    """State saved at one domain entry."""
+class ExecutionContext(NamedTuple):
+    """State saved at one domain entry (immutable; one per entry, so a
+    tuple rather than a frozen dataclass, whose constructor costs ~5x)."""
 
     udi: int
     saved_pkru: int
@@ -32,28 +32,25 @@ class ContextStack:
     """The per-thread stack of live domain entries."""
 
     def __init__(self) -> None:
-        self._stack: list[ExecutionContext] = []
+        #: The live entries, outermost first (read-only outside this class;
+        #: the runtime tests it for emptiness before any linear scan).
+        self.entries: list[ExecutionContext] = []
 
     @property
     def depth(self) -> int:
-        return len(self._stack)
+        return len(self.entries)
 
     @property
     def current(self) -> ExecutionContext | None:
-        return self._stack[-1] if self._stack else None
+        return self.entries[-1] if self.entries else None
 
     def current_udi(self, root_udi: int) -> int:
         """UDI of the domain currently executing (root if none entered)."""
-        return self._stack[-1].udi if self._stack else root_udi
+        return self.entries[-1].udi if self.entries else root_udi
 
     def push(self, udi: int, saved_pkru: int, entered_at: float) -> ExecutionContext:
-        context = ExecutionContext(
-            udi=udi,
-            saved_pkru=saved_pkru,
-            entered_at=entered_at,
-            depth=len(self._stack),
-        )
-        self._stack.append(context)
+        context = ExecutionContext(udi, saved_pkru, entered_at, len(self.entries))
+        self.entries.append(context)
         return context
 
     def pop(self, context: ExecutionContext) -> ExecutionContext:
@@ -63,15 +60,15 @@ class ContextStack:
         domain's live entry — a runtime bug the C library guards with
         assertions, and so do we.
         """
-        if not self._stack:
+        if not self.entries:
             raise SdradError("context stack underflow")
-        if self._stack[-1] is not context:
+        if self.entries[-1] is not context:
             raise SdradError(
                 f"out-of-order domain exit: popping udi={context.udi} "
-                f"but innermost is udi={self._stack[-1].udi}"
+                f"but innermost is udi={self.entries[-1].udi}"
             )
-        return self._stack.pop()
+        return self.entries.pop()
 
     def contains_udi(self, udi: int) -> bool:
         """Is ``udi`` somewhere on the live entry stack (re-entrancy check)?"""
-        return any(c.udi == udi for c in self._stack)
+        return any(c.udi == udi for c in self.entries)

@@ -22,6 +22,19 @@ _NONISOLATED_HEAP = int(DomainFlags.NONISOLATED_HEAP)
 _CHECK_HEAP_ON_EXIT = int(DomainFlags.CHECK_HEAP_ON_EXIT)
 _SCRUB_ON_DISCARD = int(DomainFlags.SCRUB_ON_DISCARD)
 _RETURN_TO_PARENT = int(DomainFlags.RETURN_TO_PARENT)
+_ALL_FLAGS = sum(int(flag) for flag in DomainFlags)
+
+#: ``Domain.flags``' derived booleans for every combination of flag bits,
+#: indexed by the plain-int flags value (derived once, not per domain).
+_POLICY = [
+    (
+        bool(bits & _NONISOLATED_HEAP),
+        bool(bits & _CHECK_HEAP_ON_EXIT),
+        bool(bits & _SCRUB_ON_DISCARD),
+        bool(bits & _RETURN_TO_PARENT),
+    )
+    for bits in range(_ALL_FLAGS + 1)
+]
 
 
 @dataclass
@@ -64,14 +77,11 @@ class Domain:
         udi: int,
         pkey: int,
         space: AddressSpace,
-        heap_base: int,
-        heap_size: int,
-        stack_base: int,
-        stack_size: int,
+        heap: FreeListAllocator,
+        stack: CallStack,
         flags: DomainFlags = DomainFlags.DEFAULT,
         parent_udi: int | None = None,
         *,
-        stack_seed: int,
         lazy_scrub: bool = False,
     ) -> None:
         self.udi = udi
@@ -84,14 +94,16 @@ class Domain:
         #: regardless of domain size. The eager mode remains for E2b.
         self.lazy_scrub = lazy_scrub
         self.state = DomainState.INITIALIZED
-        self.heap_base = heap_base
-        self.heap_size = heap_size
-        self.stack_base = stack_base
-        self.stack_size = stack_size
-        self.heap = FreeListAllocator(
-            space, heap_base, heap_size, name=f"domain-{udi}-heap"
-        )
-        self.stack = CallStack(space, stack_base, stack_size, stack_seed)
+        #: The domain's memory: an allocator over its heap region and a
+        #: canaried stack over its stack region, both freshly constructed
+        #: or reset to that state (``reset_full``) by the runtime. A
+        #: destroyed domain lets go of both (:meth:`mark_destroyed`).
+        self.heap: FreeListAllocator | None = heap
+        self.stack: CallStack | None = stack
+        self.heap_base = heap.base
+        self.heap_size = heap.size
+        self.stack_base = stack.base
+        self.stack_size = stack.size
         self.stats = DomainStats()
         #: Virtual timestamp before which a quarantine policy asked callers
         #: not to re-enter this domain (0.0 = never quarantined).
@@ -114,11 +126,12 @@ class Domain:
         # this setter (the runtime's ``set_domain_flags`` does, and also
         # invalidates entry tickets).
         self._flags = value
-        bits = int(value)
-        self.nonisolated_heap = bool(bits & _NONISOLATED_HEAP)
-        self.check_heap_on_exit = bool(bits & _CHECK_HEAP_ON_EXIT)
-        self.scrub_on_discard = bool(bits & _SCRUB_ON_DISCARD)
-        self.return_to_parent = bool(bits & _RETURN_TO_PARENT)
+        (
+            self.nonisolated_heap,
+            self.check_heap_on_exit,
+            self.scrub_on_discard,
+            self.return_to_parent,
+        ) = _POLICY[int(value) & _ALL_FLAGS]
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -141,8 +154,18 @@ class Domain:
     def mark_faulted(self) -> None:
         self.state = DomainState.FAULTED
 
-    def mark_destroyed(self) -> None:
+    def mark_destroyed(self) -> tuple[FreeListAllocator, CallStack]:
+        """Retire the domain; returns its heap allocator and stack.
+
+        The domain keeps its regions' bases and sizes and its final stats,
+        but no longer holds the allocator or the stack: the runtime may
+        reset both for a successor on the same regions, and a destroyed
+        domain must give no path into that successor's memory.
+        """
+        memory = self.heap, self.stack
+        self.heap = self.stack = None
         self.state = DomainState.DESTROYED
+        return memory
 
     # ------------------------------------------------------------------
     # Discard (the "D" in SDRaD)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs.hub import Observability
@@ -37,6 +37,7 @@ from ..errors import (
     UnsupportedByBackend,
 )
 from ..memory.address_space import AddressSpace
+from ..memory.allocator import FreeListAllocator, check_arena_size
 from ..memory.backends import resolve_backend
 from ..memory.layout import (
     DEFAULT_DOMAIN_HEAP,
@@ -45,7 +46,7 @@ from ..memory.layout import (
     page_align_up,
 )
 from ..memory.mpk import PKEY_DEFAULT
-from ..memory.stack import stack_seed
+from ..memory.stack import CallStack, check_stack_size, stack_seed
 from ..sim.clock import VirtualClock
 from ..sim.cost import DEFAULT_COST_MODEL, CostModel
 from ..sim.rng import RngFactory
@@ -180,19 +181,17 @@ class DomainHandle:
         self._runtime.charge(seconds)
 
 
-@dataclass
-class _Region:
-    base: int
-    size: int
-
-
 #: ``RewindPolicy`` is stateless, so every ``execute(policy=None)`` call can
 #: share one instance instead of allocating a fresh policy per request.
 _DEFAULT_REWIND_POLICY = RewindPolicy()
 
+#: Most destroyed domains' heap allocators and stacks kept for reuse, one
+#: per distinct (heap base, heap size, stack base, stack size). Steady
+#: per-request serving keeps one; the oldest entry goes first.
+_MEMORY_POOL_BOUND = 8
 
-@dataclass
-class _EntryTicket:
+
+class _EntryTicket(NamedTuple):
     """Prepared state for re-entering a domain from the same caller.
 
     The slow entry path derives the domain PKRU through several WRPKRUs and
@@ -303,7 +302,14 @@ class SdradRuntime:
         # instead of silently running into the *same domain's* stack (which
         # shares its protection key and would otherwise absorb it).
         self.guard_pages = guard_pages
-        self._free_regions: list[_Region] = []
+        # Unmapped regions destroyed domains left behind, as (base, size).
+        self._free_regions: list[tuple[int, int]] = []
+        # Destroyed domains' (allocator, stack) pairs by the regions they
+        # cover: an init that reserves the same regions resets the pair in
+        # place instead of building a new one (see ``_domain_memory``).
+        self._memory_pool: dict[
+            tuple[int, int, int, int], tuple[FreeListAllocator, CallStack]
+        ] = {}
         # Domain re-entry fast path: prepared entry tickets keyed by
         # (caller PKRU, udi). ``reentry_cache=False`` restores the always-
         # derive behaviour bit for bit (the bench baseline).
@@ -351,17 +357,21 @@ class SdradRuntime:
     def _create_root_domain(self, heap_size: int) -> Domain:
         heap_base = self._map_region(heap_size, PKEY_DEFAULT)
         stack_base = self._map_region(DEFAULT_DOMAIN_STACK, PKEY_DEFAULT)
+        heap, stack = self._domain_memory(
+            ROOT_UDI,
+            heap_base,
+            page_align_up(heap_size),
+            stack_base,
+            DEFAULT_DOMAIN_STACK,
+        )
         root = Domain(
             udi=ROOT_UDI,
             pkey=PKEY_DEFAULT,
             space=self.space,
-            heap_base=heap_base,
-            heap_size=page_align_up(heap_size),
-            stack_base=stack_base,
-            stack_size=DEFAULT_DOMAIN_STACK,
+            heap=heap,
+            stack=stack,
             flags=DomainFlags.DEFAULT,
             parent_udi=None,
-            stack_seed=stack_seed(self.rng.root_seed, ROOT_UDI),
             lazy_scrub=self.scrub_mode == "lazy",
         )
         self._domains[ROOT_UDI] = root
@@ -392,8 +402,14 @@ class SdradRuntime:
 
         Charges the pkey syscalls and heap-arena initialisation to the
         clock; raises :class:`~repro.errors.OutOfDomains` when all 16
-        protection keys are taken.
+        protection keys are taken. Sizes the heap allocator or the stack
+        would refuse are rejected before anything is taken: no udi, key,
+        region or virtual time.
         """
+        heap_size = page_align_up(heap_size)
+        stack_size = page_align_up(stack_size)
+        check_arena_size(heap_size)
+        check_stack_size(stack_size)
         if udi is None:
             # Skip udis an explicit caller already took.
             udi = next(self._udi_counter)
@@ -408,34 +424,41 @@ class SdradRuntime:
             pkey = self.keys.assign_initial_key()
         else:
             pkey = self.space.pkeys.alloc()
-        heap_size = page_align_up(heap_size)
-        stack_size = page_align_up(stack_size)
         # Reserve both regions before mapping either, so a stack that does
         # not fit rolls the heap's reservation back instead of leaking it.
-        bump, free_regions = self._bump, self._free_regions[:]
+        bump = self._bump
+        heap_base, heap_slot = self._reserve_region(heap_size)
         try:
-            heap = _Region(self._reserve_region(heap_size), heap_size)
-            stack = _Region(self._reserve_region(stack_size), stack_size)
+            stack_base, _ = self._reserve_region(stack_size)
         except AllocationFailure:
-            self._bump, self._free_regions = bump, free_regions
+            if heap_slot < 0:
+                self._bump = bump
+            else:
+                self._free_regions.insert(heap_slot, (heap_base, heap_size))
             if self.keys is None:
                 self.space.pkeys.free(pkey)
             raise
-        self._update_regions(self.space.page_table.map_range, heap, stack, pkey=pkey)
+        # One range update when heap and stack are adjacent (no guard page).
+        table = self.space.page_table
+        if heap_base + heap_size == stack_base:
+            table.map_range(heap_base, heap_size + stack_size, pkey=pkey)
+        else:
+            table.map_range(heap_base, heap_size, pkey=pkey)
+            table.map_range(stack_base, stack_size, pkey=pkey)
         # Substrate setup syscalls (pkey_alloc + two pkey_mprotect on MPK,
         # capability derivation on CHERI, mask install on SFI) + heap arena.
         self.charge(self._setup_cost + self.cost.domain_heap_init)
+        heap, stack = self._domain_memory(
+            udi, heap_base, heap_size, stack_base, stack_size
+        )
         domain = Domain(
             udi=udi,
             pkey=pkey,
             space=self.space,
-            heap_base=heap.base,
-            heap_size=heap_size,
-            stack_base=stack.base,
-            stack_size=stack_size,
+            heap=heap,
+            stack=stack,
             flags=flags,
             parent_udi=parent_udi,
-            stack_seed=stack_seed(self.rng.root_seed, udi),
             lazy_scrub=self.scrub_mode == "lazy",
         )
         self._domains[udi] = domain
@@ -443,17 +466,57 @@ class SdradRuntime:
             self.obs.registry.counter("sdrad_domains_created_total").increment()
         return domain
 
+    def _domain_memory(
+        self,
+        udi: int,
+        heap_base: int,
+        heap_size: int,
+        stack_base: int,
+        stack_size: int,
+    ) -> tuple[FreeListAllocator, CallStack]:
+        """Heap allocator and stack for domain ``udi`` on these regions.
+
+        A destroyed domain's pair parked for exactly these regions is reset
+        in place (``reset_full``: the allocator and stack reset that rewind
+        uses, plus a fresh name, canary seed and counters); otherwise a new
+        pair is built. Either way the domain sees the same bytes, plan
+        lookups and counters.
+        """
+        name = f"domain-{udi}-heap"
+        seed = stack_seed(self.rng.root_seed, udi)
+        memory = self._memory_pool.pop(
+            (heap_base, heap_size, stack_base, stack_size), None
+        )
+        if memory is None:
+            return (
+                FreeListAllocator(self.space, heap_base, heap_size, name=name),
+                CallStack(self.space, stack_base, stack_size, seed),
+            )
+        heap, stack = memory
+        heap.reset_full(name)
+        stack.reset_full(seed)
+        return memory
+
     def domain_destroy(self, udi: int) -> None:
         """Tear a domain down and recycle its key and regions."""
-        domain = self.domain(udi)
+        domain = self._domains.get(udi)
+        if domain is None:
+            raise DomainNotFound(udi)
         if udi == ROOT_UDI:
             raise SdradError("cannot destroy the root domain")
-        if self.contexts.contains_udi(udi):
+        if self.contexts.entries and self.contexts.contains_udi(udi):
             raise DomainStateError(f"domain {udi} is currently entered")
-        heap = _Region(domain.heap_base, domain.heap_size)
-        stack = _Region(domain.stack_base, domain.stack_size)
-        self._update_regions(self.space.page_table.unmap_range, heap, stack)
-        self._free_regions += (heap, stack)
+        heap_base, heap_size = domain.heap_base, domain.heap_size
+        stack_base, stack_size = domain.stack_base, domain.stack_size
+        # Unmapped, so a stale pointer into the domain faults; the regions
+        # go back to the free list for the next reservation.
+        table = self.space.page_table
+        if heap_base + heap_size == stack_base:
+            table.unmap_range(heap_base, heap_size + stack_size)
+        else:
+            table.unmap_range(heap_base, heap_size)
+            table.unmap_range(stack_base, stack_size)
+        self._free_regions += ((heap_base, heap_size), (stack_base, stack_size))
         # A destroyed udi may be recreated (tests and the facade do), and
         # under key virtualisation the physical key returns to the manager's
         # pool without a ``pkey_free`` ever firing — so the destroy itself
@@ -463,7 +526,10 @@ class SdradRuntime:
             self.keys.release_domain(domain)
         else:
             self.space.pkeys.free(domain.pkey)
-        domain.mark_destroyed()
+        pool = self._memory_pool
+        if len(pool) >= _MEMORY_POOL_BOUND:
+            del pool[next(iter(pool))]
+        pool[heap_base, heap_size, stack_base, stack_size] = domain.mark_destroyed()
         del self._domains[udi]
         self.destroyed_stats.absorb(domain.stats)
         self.destroyed_count += 1
@@ -492,7 +558,10 @@ class SdradRuntime:
         if domain is not None:
             stale = [k for k, t in tickets.items() if t.domain is domain]
         elif udi is not None:
-            stale = [k for k in tickets if k[1] == udi]
+            stale = []
+            for key in tickets:
+                if key[1] == udi:
+                    stale.append(key)
         else:
             stale = list(tickets)
         for key in stale:
@@ -512,7 +581,7 @@ class SdradRuntime:
         cannot see this runtime's ticket cache).
         """
         domain = self.domain(udi)
-        if self.contexts.contains_udi(udi):
+        if self.contexts.entries and self.contexts.contains_udi(udi):
             raise DomainStateError(
                 f"cannot change flags of domain {udi} while it is entered"
             )
@@ -543,10 +612,12 @@ class SdradRuntime:
         read-only, zero-copy access for the duration of one entry, and a
         compromised worker still cannot tamper with it.
         """
-        domain = self.domain(udi)
+        domain = self._domains.get(udi)
+        if domain is None:
+            raise DomainNotFound(udi)
         if domain.state is DomainState.DESTROYED:
             raise DomainStateError(f"domain {udi} is destroyed")
-        if self.contexts.contains_udi(udi):
+        if self.contexts.entries and self.contexts.contains_udi(udi):
             raise DomainStateError(f"domain {udi} re-entered while active")
         if policy is None:
             policy = self.default_policy
@@ -591,20 +662,22 @@ class SdradRuntime:
             and not granted_domains
             and not domain.nonisolated_heap
         ):
-            ticket = self._entry_tickets.get((saved_gate, udi))
+            tickets = self._entry_tickets
+            key = (saved_gate, udi)
+            ticket = tickets.get(key)
             if ticket is None:
                 writes_before = gate.writes
                 self._apply_domain_gate(domain)
                 ticket = _EntryTicket(
-                    pkru=gate.value,
-                    modelled_writes=gate.writes - writes_before,
-                    handle=DomainHandle(self, domain),
-                    domain=domain,
-                    check_heap=domain.check_heap_on_exit,
+                    gate.value,
+                    gate.writes - writes_before,
+                    DomainHandle(self, domain),
+                    domain,
+                    domain.check_heap_on_exit,
                 )
-                if len(self._entry_tickets) >= 4096:
-                    self._entry_tickets.clear()
-                self._entry_tickets[(saved_gate, udi)] = ticket
+                if len(tickets) >= 4096:
+                    tickets.clear()
+                tickets[key] = ticket
                 self.reentry_misses += 1
             else:
                 gate.write_prepared(ticket.pkru, ticket.modelled_writes)
@@ -883,17 +956,20 @@ class SdradRuntime:
 
     def _map_region(self, size: int, pkey: int) -> int:
         size = page_align_up(size)
-        base = self._reserve_region(size)
+        base, _ = self._reserve_region(size)
         self.space.page_table.map_range(base, size, pkey=pkey)
         return base
 
-    def _reserve_region(self, size: int) -> int:
+    def _reserve_region(self, size: int) -> tuple[int, int]:
         """Base for ``size`` page-aligned bytes, not yet mapped: an
-        exact-size freed region first, then the bump pointer."""
-        for i, region in enumerate(self._free_regions):
-            if region.size == size:
-                del self._free_regions[i]
-                return region.base
+        exact-size freed region first, then the bump pointer. Also returns
+        the free-list slot the region came from (-1: the bump pointer), so
+        a caller can put it back."""
+        free_regions = self._free_regions
+        for slot, (base, region_size) in enumerate(free_regions):
+            if region_size == size:
+                del free_regions[slot]
+                return base, slot
         base = self._bump
         guard = PAGE_SIZE if self.guard_pages else 0
         if base + size + guard > self.space.size:
@@ -902,14 +978,5 @@ class SdradRuntime:
                 f"({self._bump}/{self.space.size} used)"
             )
         self._bump += size + guard  # the guard page stays unmapped
-        return base
+        return base, -1
 
-    @staticmethod
-    def _update_regions(update, heap: _Region, stack: _Region, **kw) -> None:
-        """Apply a page-table range update to a domain's heap and stack:
-        one call when they are adjacent (no guard page), else two."""
-        if heap.base + heap.size == stack.base:
-            update(heap.base, heap.size + stack.size, **kw)
-        else:
-            update(heap.base, heap.size, **kw)
-            update(stack.base, stack.size, **kw)

@@ -18,11 +18,17 @@ fault identity for the batched paths that stay honest even with plans off.
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import astuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.memcached_server import IsolationMode, MemcachedServer
+from repro.apps.nginx_server import NginxServer
+from repro.apps.openssl_service import TlsServer
+from repro.apps.tls import make_appdata, make_client_hello, make_heartbeat_request
 from repro.errors import (
     MemoryError_,
     ReproError,
@@ -33,7 +39,7 @@ from repro.errors import (
 from repro.memory.address_space import AddressSpace
 from repro.memory.layout import PAGE_SIZE
 from repro.memory.mpk import PkruRegister
-from repro.sdrad.constants import DomainFlags
+from repro.sdrad.constants import DomainFlags, DomainState
 from repro.sdrad.runtime import SdradRuntime
 
 
@@ -370,8 +376,9 @@ class TestDomainDestroyShootdown:
         assert captured["plan"] is not None
         return captured["plan"], captured["buf"]
 
-    def test_destroy_kills_the_heap_plan(self):
-        runtime = SdradRuntime()
+    @pytest.mark.parametrize("backend", ["mpk", "cheri", "sfi"])
+    def test_destroy_kills_the_heap_plan(self, backend):
+        runtime = SdradRuntime(backend=backend)
         domain = runtime.domain_init(flags=DomainFlags.RETURN_TO_PARENT)
         plan, buf = self._capture_heap_plan(runtime, domain)
         runtime.domain_destroy(domain.udi)
@@ -381,9 +388,18 @@ class TestDomainDestroyShootdown:
             plan.load(buf, 64)
         with pytest.raises(MemoryError_):
             plan.store(buf, b"use-after-destroy")
+        # So does the checked path, into the heap and the stack alike.
+        space = runtime.space
+        stack_top = domain.stack_base + domain.stack_size - 8
+        for stale in (buf, domain.stack_base, stack_top):
+            with pytest.raises(SegmentationFault):
+                space.load(stale, 8)
+            with pytest.raises(SegmentationFault):
+                space.store(stale, b"stale!!!")
 
-    def test_stale_plan_cannot_read_a_successor_domain(self):
-        runtime = SdradRuntime()
+    @pytest.mark.parametrize("backend", ["mpk", "cheri", "sfi"])
+    def test_stale_plan_cannot_read_a_successor_domain(self, backend):
+        runtime = SdradRuntime(backend=backend)
         first = runtime.domain_init(udi=5, flags=DomainFlags.RETURN_TO_PARENT)
         plan, buf = self._capture_heap_plan(runtime, first)
         runtime.domain_destroy(5)
@@ -403,6 +419,16 @@ class TestDomainDestroyShootdown:
         assert not plan.cell[0]
         with pytest.raises(MemoryError_):
             plan.load(buf, 64)
+        # The successor runs on the recycled regions; the destroyed domain
+        # keeps its final state and stats, and holds no allocator or stack
+        # through which it could reach the successor's memory.
+        assert (first.heap_base, first.stack_base) == (
+            successor.heap_base,
+            successor.stack_base,
+        )
+        assert first.state is DomainState.DESTROYED
+        assert (first.stats.entries, first.stats.clean_exits) == (1, 1)
+        assert first.heap is None and first.stack is None
 
 
 class TestAblationBitIdentical:
@@ -755,6 +781,111 @@ def test_e1_counters_pinned(config):
     backend, isolation, batch = config
     got = _e1_memcached_counters(backend, IsolationMode(isolation), batch)
     assert got == _E1_COUNTERS[config]
+
+
+def _nginx_trace() -> list[bytes]:
+    """120 HTTP requests: GETs, honest POSTs, three request lines that
+    overflow their stack buffer and three lying Content-Lengths."""
+    trace = []
+    for i in range(120):
+        if i % 40 == 17:
+            trace.append(b"GET /" + b"A" * 1050 + b" HTTP/1.1\r\nHost: x\r\n\r\n")
+        elif i % 40 == 33:
+            trace.append(
+                b"POST /upload HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\n"
+                + b"B" * 300
+            )
+        elif i % 5 == 0:
+            body = b"payload-%03d" % i
+            trace.append(
+                b"POST /upload HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
+                % (len(body), body)
+            )
+        else:
+            path = (b"/", b"/health", b"/static/app.js", b"/static/site.css")[i % 4]
+            trace.append(
+                b"GET %s HTTP/1.1\r\nHost: repro.example\r\n"
+                b"User-Agent: repro-client\r\n\r\n" % path
+            )
+    return trace
+
+
+def _tls_trace() -> list[tuple[str, bytes]]:
+    """Two sessions' handshakes, then 60 records: application data, honest
+    heartbeats, over-reads within the heap (``declared=4000``, which
+    return stale bytes earlier domains left there) and over-reads past
+    heap and stack (``declared=60000``, contained and rewound)."""
+    trace = [("a", make_client_hello()), ("b", make_client_hello())]
+    for i in range(60):
+        client = "ab"[i % 2]
+        if i % 10 == 3:
+            trace.append((client, make_heartbeat_request(b"x", declared=4000)))
+        elif i % 10 == 7:
+            trace.append((client, make_heartbeat_request(b"x", declared=60000)))
+        elif i % 3 == 0:
+            trace.append((client, make_heartbeat_request(b"ping-%d" % i)))
+        else:
+            trace.append((client, make_appdata(b"record-%03d" % i * 8)))
+    return trace
+
+
+def _per_request_server_counters(app: str, backend: str):
+    """Serve a fixed trace with a fresh domain per request; returns the
+    response digest, the virtual clock, the TLB/fault and plan/gate
+    counters, the folded stats of the destroyed domains and the re-entry
+    counters."""
+    runtime = SdradRuntime(backend=backend)
+    digest = hashlib.blake2b(digest_size=8)
+    if app == "nginx":
+        server = NginxServer(runtime, isolation=IsolationMode.PER_REQUEST)
+        server.connect("client")
+        for raw in _nginx_trace():
+            digest.update(server.handle("client", raw))
+    else:
+        server = TlsServer(
+            runtime,
+            isolation=IsolationMode.PER_REQUEST,
+            domain_heap_size=16 * 1024,
+            domain_stack_size=16 * 1024,
+        )
+        server.connect("a")
+        server.connect("b")
+        for client, raw in _tls_trace():
+            digest.update(server.handle_record(client, raw))
+    space = runtime.space
+    plans = space.plans
+    return (
+        digest.hexdigest(),
+        runtime.clock.now,
+        (space.tlb_hits, space.tlb_misses, space.tlb_flushes, space.faults),
+        (plans.built, plans.hits, plans.shootdowns, space.gate.writes),
+        astuple(runtime.destroyed_stats),
+        runtime.destroyed_count,
+        (runtime.reentry_hits, runtime.reentry_misses, runtime.reentry_invalidations),
+    )
+
+
+#: Recorded before domains recycled their predecessors' heap allocator and
+#: stack: a recycled heap must answer the in-heap over-read with the same
+#: stale bytes a freshly built one did.
+_SERVER_COUNTERS = {
+    ("nginx", "mpk"): ('28fafa16c7ff8c17', 0.0070196999999999786, (405, 3, 362, 3), (150, 238, 362, 480), (120, 114, 6, 6, 0, 0, 0, {'page-fault': 3, 'heap-integrity': 3}), 120, (0, 120, 120)),
+    ("nginx", "cheri"): ('28fafa16c7ff8c17', 0.006472500000000011, (405, 3, 362, 3), (150, 238, 362, 360), (120, 114, 6, 6, 0, 0, 0, {'page-fault': 3, 'heap-integrity': 3}), 120, (0, 120, 120)),
+    ("nginx", "sfi"): ('28fafa16c7ff8c17', 0.006312509999999979, (405, 3, 362, 3), (150, 238, 362, 360), (120, 114, 6, 6, 0, 0, 0, {'page-fault': 3, 'heap-integrity': 3}), 120, (0, 120, 120)),
+    ("tls", "mpk"): ('2b6f63bd18487a2a', 0.002592059999999994, (178, 48, 182, 6), (62, 119, 182, 240), (60, 54, 6, 6, 0, 2880, 0, {'page-fault': 6}), 60, (0, 60, 60)),
+    ("tls", "cheri"): ('2b6f63bd18487a2a', 0.0023184600000000317, (178, 48, 182, 6), (62, 119, 182, 180), (60, 54, 6, 6, 0, 2880, 0, {'page-fault': 6}), 60, (0, 60, 60)),
+    ("tls", "sfi"): ('2b6f63bd18487a2a', 0.002238416000000019, (178, 48, 182, 6), (62, 119, 182, 180), (60, 54, 6, 6, 0, 2880, 0, {'page-fault': 6}), 60, (0, 60, 60)),
+}
+
+
+@pytest.mark.parametrize(
+    "config", sorted(_SERVER_COUNTERS), ids=lambda c: "/".join(c)
+)
+def test_per_request_servers_pinned(config):
+    """Nginx and TLS with a fresh domain per request: responses (stale
+    over-read bytes included), virtual time and every counter are exact
+    functions of the trace, however the lifecycle is implemented."""
+    assert _per_request_server_counters(*config) == _SERVER_COUNTERS[config]
 
 
 class TestBatchedCoalescing:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.errors import SdradError, SegmentationFault
 from repro.memory.address_space import AddressSpace
 from repro.memory.layout import PAGE_SIZE
-from repro.memory.pagetable import PageTable
+from repro.memory.pagetable import _FILL_PAGES, _MAX_FILLS, PageTable
 
 
 @pytest.fixture
@@ -67,6 +67,24 @@ class TestMapping:
     def test_out_of_space_range_faults(self, table: PageTable):
         with pytest.raises(SegmentationFault):
             table.map_range(15 * PAGE_SIZE, 2 * PAGE_SIZE)
+
+    def test_fill_cache_stays_bounded(self):
+        """Range updates reuse their fill runs per (permission, tag, pages)
+        shape; more shapes than the bound never grow the cache past it,
+        and a run longer than the cached length is built, not kept."""
+        table = PageTable((_FILL_PAGES + 32) * PAGE_SIZE)
+        sizes = []
+        for pages in range(1, _MAX_FILLS + 6):
+            table.map_range(0, pages * PAGE_SIZE, pkey=pages % 16)
+            sizes.append(len(table._fills))
+            assert table.entry_for((pages - 1) * PAGE_SIZE).pkey == pages % 16
+            table.unmap_range(0, pages * PAGE_SIZE)
+            sizes.append(len(table._fills))
+            assert table.mapped_bytes() == 0
+        assert max(sizes) == _MAX_FILLS  # reached, never exceeded
+        table.map_range(0, (_FILL_PAGES + 1) * PAGE_SIZE, pkey=3)
+        assert table.mapped_bytes() == (_FILL_PAGES + 1) * PAGE_SIZE
+        assert all(count <= _FILL_PAGES for _, _, count in table._fills)
 
     def test_mapped_bytes(self, table: PageTable):
         table.map_range(0, 3 * PAGE_SIZE)

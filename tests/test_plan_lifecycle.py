@@ -16,13 +16,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.apps.memcached_server import IsolationMode, MemcachedServer
 from repro.errors import ReproError
 from repro.memory.address_space import AddressSpace
 from repro.memory.layout import PAGE_SIZE
 from repro.memory.mpk import PkruRegister
 from repro.memory.plans import AccessPlanCache
 from repro.sdrad.constants import DomainFlags
-from repro.sdrad.runtime import SdradRuntime
+from repro.sdrad.runtime import _MEMORY_POOL_BOUND, SdradRuntime
 
 
 class _ProbingPlanCache(AccessPlanCache):
@@ -138,8 +139,7 @@ class _LifeSide:
             regions = runtime._free_regions
             if not regions:
                 return None
-            region = regions[pick % len(regions)]
-            base, size = region.base, region.size
+            base, size = regions[pick % len(regions)]
         elif not self.udis:
             return None
         elif where == "heap":
@@ -270,6 +270,39 @@ class TestCacheBounds:
             # Never revived: the run gets a fresh plan object.
             again = cache.checked_plan(plan.base, plan.length, plan.mode)
             assert again is not plan and not plan.is_valid()
+
+    def test_memory_pool_stays_bounded(self):
+        """Destroyed domains park their allocator and stack per region
+        shape; more shapes than the bound keep only the newest, and a
+        successor on a parked shape takes the pair out again."""
+        runtime = SdradRuntime()
+        bound = _MEMORY_POOL_BOUND
+        # Heap and stack of one size per domain, so a successor of that
+        # size gets back both regions of the same predecessor.
+        sizes = [(i + 1) * PAGE_SIZE for i in range(bound + 3)]
+        domains = [runtime.domain_init(heap_size=n, stack_size=n) for n in sizes]
+        for domain in domains:
+            runtime.domain_destroy(domain.udi)
+            assert len(runtime._memory_pool) <= bound
+        assert len(runtime._memory_pool) == bound  # the bound was reached
+        parked = {heap.size for heap, _ in runtime._memory_pool.values()}
+        assert parked == set(sizes[3:])
+        pair = runtime._memory_pool[
+            domains[-1].heap_base, sizes[-1], domains[-1].stack_base, sizes[-1]
+        ]
+        successor = runtime.domain_init(heap_size=sizes[-1], stack_size=sizes[-1])
+        assert successor.heap is pair[0] and successor.stack is pair[1]
+        assert len(runtime._memory_pool) == bound - 1
+        assert successor.heap.name == f"domain-{successor.udi}-heap"
+
+    def test_per_request_serving_keeps_one_pooled_pair(self):
+        runtime = SdradRuntime()
+        server = MemcachedServer(runtime, isolation=IsolationMode.PER_REQUEST)
+        server.connect("c")
+        for i in range(50):
+            server.handle("c", b"set k%d 0 0 5\r\nvalue\r\n" % (i % 7))
+            assert server.handle("c", b"get k%d\r\n" % (i % 7)).startswith(b"VALUE")
+            assert len(runtime._memory_pool) == 1
 
     def test_entry_ticket_cache_stays_bounded_on_cheri(self):
         domains = 4097

@@ -17,12 +17,14 @@ import mmap
 import os
 import tracemalloc
 
+from repro.apps.memcached_server import IsolationMode, MemcachedServer
 from repro.sdrad.constants import DomainFlags
 from repro.sdrad.runtime import SdradRuntime
 
 EXECUTES = 50_000
 LIFECYCLES = 2_000
 SOAK_LIFECYCLES = 20_000
+PER_REQUEST_REQUESTS = 20_000
 BUDGET = 1024 * 1024  # bytes of retained growth allowed
 RSS_BUDGET = 4 * 1024 * 1024  # bytes of resident growth allowed
 STATM = "/proc/self/statm"
@@ -84,3 +86,35 @@ def test_domain_lifecycles_retain_nothing_per_domain():
         tracemalloc.stop()
     assert runtime.destroyed_count == 50 + SOAK_LIFECYCLES
     assert after - before < BUDGET, f"retained {after - before} bytes"
+
+
+def _serve(server: MemcachedServer, requests: int) -> None:
+    """Sets and gets over 64 keys, so the store itself stops growing."""
+    for i in range(requests // 2):
+        key = b"key-%02d" % (i % 64)
+        server.handle("c", b"set %s 0 0 8\r\nvalue-%02d\r\n" % (key, i % 100))
+        server.handle("c", b"get %s\r\n" % key)
+
+
+def test_per_request_serving_retains_nothing_per_request():
+    """A fresh domain per request recycles its predecessor's heap and
+    stack; neither that pool nor anything else may grow with requests."""
+    runtime = SdradRuntime()
+    server = MemcachedServer(runtime, isolation=IsolationMode.PER_REQUEST)
+    server.connect("c")
+    tracemalloc.start()
+    try:
+        _serve(server, 1_000)  # warm-up: store, plans, pool
+        before, _ = tracemalloc.get_traced_memory()
+        rss_before = _settled_rss()
+        _serve(server, PER_REQUEST_REQUESTS)
+        after, _ = tracemalloc.get_traced_memory()
+        rss_after = _settled_rss()
+    finally:
+        tracemalloc.stop()
+    assert runtime.destroyed_count == 1_000 + PER_REQUEST_REQUESTS
+    assert len(runtime._memory_pool) == 1
+    assert after - before < BUDGET, f"retained {after - before} bytes"
+    assert rss_after - rss_before < RSS_BUDGET, (
+        f"resident set grew {rss_after - rss_before} bytes"
+    )

@@ -130,6 +130,37 @@ class TestDomainLifecycle:
         runtime.domain_init(heap_size=64 * 1024, stack_size=64 * 1024)
         assert table.mapped_bytes() == mapped + 128 * 1024
 
+    @pytest.mark.parametrize("backend", ["mpk", "cheri", "sfi"])
+    @pytest.mark.parametrize(
+        "sizes",
+        [{"heap_size": 0}, {"heap_size": -2 * PAGE_SIZE}, {"stack_size": 0}],
+        ids=["heap-0", "heap-negative", "stack-0"],
+    )
+    def test_rejected_sizes_take_nothing(self, backend, sizes):
+        """A size the heap allocator or the stack refuses fails before the
+        init takes anything: no key, mapping, region, virtual time or udi."""
+        runtime = SdradRuntime(backend=backend)
+        space = runtime.space
+        freed = runtime.domain_init()
+        runtime.domain_init()
+        runtime.domain_destroy(freed.udi)  # leaves regions on the free list
+
+        def state():
+            return (
+                space.pkeys.allocated,
+                space.page_table.mapped_bytes(),
+                runtime._bump,
+                list(runtime._free_regions),
+                runtime.clock.now,
+            )
+
+        before = state()
+        for _ in range(2):
+            with pytest.raises(SdradError):
+                runtime.domain_init(**sizes)
+        assert state() == before
+        assert runtime.domain_init().udi == 3
+
 
 class TestExecuteCleanPath:
     def test_returns_value(self, runtime, domain):
