@@ -7,7 +7,10 @@ PR 3 style, instead of being trusted).  Resolution of a call-site name:
 
 1. a function defined in the **same module** with that bare name
    (last definition wins, matching :class:`~.model.ModuleModel`);
-2. otherwise a **globally unique** bare name across the project;
+2. otherwise a **globally unique** bare name across the project —
+   never a closure: a function nested in another function resolves only
+   inside its own module, though its name still makes a global name
+   ambiguous;
 3. otherwise unresolved (``None``).
 
 Method calls resolve by bare attribute name under the same policy — the
@@ -43,7 +46,9 @@ class CallGraph:
                 key = f"{path}::{fn.qualname}"
                 self.nodes[key] = fn
                 module_names[fn.name] = key
-                if fn.name in self._global_index:
+                parent = fn.qualname.rpartition(".")[0]
+                closure = parent.rpartition(".")[2] not in ("", fn.class_name)
+                if closure or fn.name in self._global_index:
                     self._global_index[fn.name] = None  # ambiguous
                 else:
                     self._global_index[fn.name] = key

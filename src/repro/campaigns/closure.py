@@ -49,8 +49,6 @@ def build_policy(name: str, config: CampaignConfig) -> RecoveryPolicy:
             max_retries=config.retry_budget,
             base_backoff=config.retry_backoff,
         )
-    if name == "quarantine":
-        return make_policy("quarantine", window=config.quarantine_window)
     return make_policy(name)
 
 

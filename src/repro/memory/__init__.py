@@ -6,7 +6,7 @@ the same primitives SDRaD uses on Linux/x86-64 — ``mmap``/``mprotect``/
 stacks — with enforcement performed on the simulated load/store path.
 """
 
-from .address_space import AddressSpace, CheckMode
+from .address_space import AddressSpace
 from .allocator import FreeListAllocator, HeapStats
 from .backends import (
     BackendLimits,
@@ -35,7 +35,6 @@ from .stack import CallStack, StackFrame
 
 __all__ = [
     "AddressSpace",
-    "CheckMode",
     "BackendLimits",
     "GrantSetGate",
     "IsolationBackend",

@@ -46,23 +46,13 @@ exactly what experiments E4 and the integration tests assert.
 from __future__ import annotations
 
 import mmap
-from typing import Iterable, Literal
+from typing import Iterable
 
-from ..errors import (
-    MemoryError_,
-    SdradError,
-    SegmentationFault,
-)
+from ..errors import SdradError, SegmentationFault
 from .backends import resolve_backend
 from .layout import DEFAULT_SPACE_SIZE, PAGE_SIZE, pages_spanned
 from .pagetable import PageTable
 from .plans import AccessPlanCache
-
-#: Access-check fidelity (ablation hook D1 in DESIGN.md):
-#: ``strict``  — walk every page an access spans (hardware-faithful);
-#: ``first``   — check only the first page (TLB-hit fast path approximation);
-#: ``off``     — no checks (models a build without MPK, the E1 baseline).
-CheckMode = Literal["strict", "first", "off"]
 
 #: Largest fill block cached by :meth:`AddressSpace.raw_fill` (1 MiB): fills
 #: of any size reuse views of these blocks instead of materialising a
@@ -87,13 +77,10 @@ class AddressSpace:
     def __init__(
         self,
         size: int = DEFAULT_SPACE_SIZE,
-        check_mode: CheckMode = "strict",
         tlb_enabled: bool = True,
         access_plans: bool = True,
         backend: object = "mpk",
     ) -> None:
-        if check_mode not in ("strict", "first", "off"):
-            raise SdradError(f"unknown check mode {check_mode!r}")
         #: The isolation substrate. The gate, the tag allocator, the
         #: page-table tag ceiling and the violation a denied access raises
         #: all come from it; everything else in this class is generic.
@@ -108,7 +95,6 @@ class AddressSpace:
         self.pkeys = self.backend.create_allocator()
         self.tags = self.pkeys
         self._violation = self.backend.violation
-        self.check_mode: CheckMode = check_mode
         # An anonymous private mapping: the kernel zero-fills each page on
         # first touch, so resident memory follows the pages written, not
         # the size of the space (DESIGN.md §2).
@@ -121,7 +107,7 @@ class AddressSpace:
         # --- software TLB (permission cache) --------------------------
         # Verdict caches keyed by PKRU value; each cache maps
         # ``page_index * 2 + (1 if write else 0)`` -> True (allow only).
-        self.tlb_enabled = tlb_enabled and check_mode != "off"
+        self.tlb_enabled = tlb_enabled
         self.tlb_hits = 0
         self.tlb_misses = 0
         self.tlb_flushes = 0
@@ -135,12 +121,8 @@ class AddressSpace:
             self.page_table.on_range_update = self._tlb_invalidate_pages
         # --- compiled access plans (repro.memory.plans) ---------------
         # Plans piggyback on the TLB shootdown hooks above for their
-        # invalidation signal, so they exist only when the TLB does (and
-        # only under strict checking — the D1 check-mode ablations measure
-        # per-access cost and must not be confounded by a bypass).
-        self.access_plans = (
-            bool(access_plans) and self.tlb_enabled and check_mode == "strict"
-        )
+        # invalidation signal, so they exist only when the TLB does.
+        self.access_plans = bool(access_plans) and self.tlb_enabled
         self.plans: AccessPlanCache | None = (
             AccessPlanCache(self) if self.access_plans else None
         )
@@ -200,160 +182,15 @@ class AddressSpace:
         return self._view[address : address + length].toreadonly()
 
     def load_many(self, requests: Iterable[tuple[int, int]]) -> list[bytes]:
-        """Checked batched read: one call for many ``(address, length)``.
-
-        Semantically identical to ``[load(a, n) for a, n in requests]`` but
-        amortises the per-call overhead across the batch, and coalesces
-        *adjacent* requests (each starting where the previous ended) into
-        one contiguous run checked as a unit — the same pages, so the same
-        verdicts; :meth:`_check_run` replays a faulting run per request so
-        fault identity is preserved. This is the shape of the kvstore/slab
-        hot loops (header followed by its body) even with plans disabled.
-        """
-        view = self._view
-        out: list[bytes] = []
-        run_start = 0
-        run_end = -1  # sentinel: no run open
-        members: list[tuple[int, int]] = []
-        count = 0
-        for address, length in requests:
-            count += 1
-            if 0 < length and address == run_end:
-                members.append((address, length))
-                run_end += length
-                continue
-            if run_end >= 0:
-                self._check_run(run_start, run_end - run_start, members)
-                for member_address, member_length in members:
-                    out.append(
-                        bytes(view[member_address : member_address + member_length])
-                    )
-            if length <= 0:
-                # Degenerate requests keep exact per-request semantics
-                # (bounds check, empty result) and never join a run.
-                self._check_access(address, length, write=False)
-                out.append(b"")
-                run_end = -1
-                members = []
-            else:
-                run_start = address
-                run_end = address + length
-                members = [(address, length)]
-        if run_end >= 0:
-            self._check_run(run_start, run_end - run_start, members)
-            for member_address, member_length in members:
-                out.append(
-                    bytes(view[member_address : member_address + member_length])
-                )
-        self.loads += count
-        return out
-
-    def store_many(self, items: Iterable[tuple[int, bytes]]) -> None:
-        """Checked batched write: one call for many ``(address, data)``.
-
-        Adjacent writes coalesce into contiguous runs like
-        :meth:`load_many`; a fault inside a run replays that run's members
-        individually so the partially-applied prefix and the raised fault
-        are identical to the uncoalesced path.
-        """
-        run_start = 0
-        run_end = -1
-        members: list[tuple[int, bytes]] = []
-        count = 0
-        for address, data in items:
-            length = len(data)
-            count += 1
-            if 0 < length and address == run_end:
-                members.append((address, data))
-                run_end += length
-                continue
-            if run_end >= 0:
-                self._store_run(run_start, run_end - run_start, members)
-            if length <= 0:
-                self._check_access(address, length, write=True)
-                run_end = -1
-                members = []
-            else:
-                run_start = address
-                run_end = address + length
-                members = [(address, data)]
-        if run_end >= 0:
-            self._store_run(run_start, run_end - run_start, members)
-        self.stores += count
-
-    def _check_run(self, address: int, length: int, members) -> None:
-        """Check one coalesced run of adjacent batched reads.
-
-        The run spans exactly the pages its members span, so one fused
-        check computes the same verdicts. If the fused check faults, the
-        members are re-checked one by one (after undoing the fused check's
-        fault count) so the raised fault and the fault counter match the
-        uncoalesced path byte for byte.
-        """
-        if (
-            0 < length <= PAGE_SIZE - address % PAGE_SIZE
-            and address // PAGE_SIZE * 2 in self._tlb
-        ):
-            self.tlb_hits += 1
-            return
-        if len(members) == 1:
-            self._check_access(address, length, write=False)
-            return
-        faults_before = self.faults
-        try:
-            self._check_access(address, length, write=False)
-        except MemoryError_:
-            self.faults = faults_before
-            for member_address, member_length in members:
-                self._check_access(member_address, member_length, write=False)
-            raise  # pragma: no cover - per-member re-check raises first
-
-    def _store_run(self, address: int, length: int, members) -> None:
-        """Check one coalesced run of adjacent batched writes, then apply.
-
-        On a fused-check fault the members are replayed individually —
-        checking *and writing* each passing member before the faulting one
-        raises — so the partially-applied prefix matches sequential
-        semantics exactly.
-        """
-        memory = self._memory
-        if (
-            0 < length <= PAGE_SIZE - address % PAGE_SIZE
-            and address // PAGE_SIZE * 2 + 1 in self._tlb
-        ):
-            self.tlb_hits += 1
-        elif len(members) == 1:
-            self._check_access(address, length, write=True)
-        else:
-            faults_before = self.faults
-            try:
-                self._check_access(address, length, write=True)
-            except MemoryError_:
-                self.faults = faults_before
-                for member_address, data in members:
-                    self._check_access(member_address, len(data), write=True)
-                    memory[member_address : member_address + len(data)] = data
-                raise  # pragma: no cover - per-member re-check raises first
-        for member_address, data in members:
-            memory[member_address : member_address + len(data)] = data
-
-    def load_u8(self, address: int) -> int:
-        return self.load(address, 1)[0]
-
-    def store_u8(self, address: int, value: int) -> None:
-        self.store(address, bytes([value & 0xFF]))
+        """Checked batched read: ``[load(a, n) for a, n in requests]``."""
+        load = self.load
+        return [load(address, length) for address, length in requests]
 
     def load_u32(self, address: int) -> int:
         return int.from_bytes(self.load(address, 4), "little")
 
     def store_u32(self, address: int, value: int) -> None:
         self.store(address, (value & 0xFFFFFFFF).to_bytes(4, "little"))
-
-    def load_u64(self, address: int) -> int:
-        return int.from_bytes(self.load(address, 8), "little")
-
-    def store_u64(self, address: int, value: int) -> None:
-        self.store(address, (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
 
     # ------------------------------------------------------------------
     # Raw access (trusted runtime / kernel path)
@@ -479,11 +316,6 @@ class AddressSpace:
         self._check_bounds(address, length)
         if length == 0:
             return
-        mode = self.check_mode
-        if mode == "off":
-            return
-        if mode == "first":
-            length = 1  # only the first page is checked (D1 ablation)
         bit = 1 if write else 0
         tlb = self._tlb
         enabled = self.tlb_enabled

@@ -79,7 +79,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .address_space import AddressSpace
 
 _U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
 
 #: A checked plan's mode -> the (read, write) access its probe validates.
 _MODE_ACCESS = {"r": (True, False), "w": (False, True), "rw": (True, True)}
@@ -105,6 +104,10 @@ class AccessPlan:
     The accessor attributes (``load``, ``store``, ``view``, ...) are
     generated closures, not methods: each captures the run's base, length,
     backing views and validity cell so a call is a single Python frame.
+    Each flavour compiles only what its callers use: checked plans have
+    ``load``/``view``/``store``, ``load_u32``/``store_u32``,
+    ``load_u32_run`` and ``load_many``; kernel plans have ``load``/``store``,
+    ``load_u32``/``store_u32`` and ``unpack_from``/``pack_into``.
     ``cell`` is a one-element mutable list — the shootdown switch. A kernel
     plan's cell holds ``True`` until a shootdown sets it to ``False`` for
     good. A checked plan's cell holds the verdict dict it was validated
@@ -124,16 +127,12 @@ class AccessPlan:
         "load",
         "view",
         "store",
-        "load_u8",
         "load_u32",
-        "load_u64",
         "store_u32",
-        "store_u64",
         "unpack_from",
         "pack_into",
         "load_u32_run",
         "load_many",
-        "store_many",
     )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -176,13 +175,9 @@ def _compile_checked(
     space_store = space.store
     space_load_view = space.load_view
     space_load_u32 = space.load_u32
-    space_load_u64 = space.load_u64
     space_store_u32 = space.store_u32
-    space_store_u64 = space.store_u64
     u32_unpack = _U32.unpack_from
-    u64_unpack = _U64.unpack_from
     u32_pack = _U32.pack_into
-    u64_pack = _U64.pack_into
 
     def is_valid() -> bool:
         return space._tlb is cell[0]
@@ -207,14 +202,6 @@ def _compile_checked(
                 return ro_run[o : o + n]
             return space_load_view(addr, n)
 
-        def load_u8(addr: int) -> int:
-            o = addr - base
-            if space._tlb is cell[0] and 0 <= o < length:
-                space.loads += 1
-                space.tlb_hits += 1
-                return ro_run[o]
-            return space_load(addr, 1)[0]
-
         def load_u32(addr: int) -> int:
             o = addr - base
             if space._tlb is cell[0] and 0 <= o <= length - 4:
@@ -222,22 +209,6 @@ def _compile_checked(
                 space.tlb_hits += 1
                 return u32_unpack(ro_run, o)[0]
             return space_load_u32(addr)
-
-        def load_u64(addr: int) -> int:
-            o = addr - base
-            if space._tlb is cell[0] and 0 <= o <= length - 8:
-                space.loads += 1
-                space.tlb_hits += 1
-                return u64_unpack(ro_run, o)[0]
-            return space_load_u64(addr)
-
-        def unpack_from(st: struct.Struct, addr: int) -> tuple:
-            o = addr - base
-            if space._tlb is cell[0] and 0 <= o <= length - st.size:
-                space.loads += 1
-                space.tlb_hits += 1
-                return st.unpack_from(ro_run, o)
-            return st.unpack(space_load(addr, st.size))
 
         def load_u32_run(addr: int, count: int) -> tuple:
             o = addr - base
@@ -265,10 +236,7 @@ def _compile_checked(
 
         plan.load = load
         plan.view = view
-        plan.load_u8 = load_u8
         plan.load_u32 = load_u32
-        plan.load_u64 = load_u64
-        plan.unpack_from = unpack_from
         plan.load_u32_run = load_u32_run
         plan.load_many = load_many
     else:
@@ -276,10 +244,7 @@ def _compile_checked(
         # the plan never grants rights its probe did not validate.
         plan.load = space_load
         plan.view = space_load_view
-        plan.load_u8 = space.load_u8
         plan.load_u32 = space_load_u32
-        plan.load_u64 = space_load_u64
-        plan.unpack_from = lambda st, addr: st.unpack(space_load(addr, st.size))
         plan.load_u32_run = lambda addr, count: tuple(
             space_load_u32(addr + 4 * i) for i in range(count)
         )
@@ -306,53 +271,11 @@ def _compile_checked(
                 return
             space_store_u32(addr, value)
 
-        def store_u64(addr: int, value: int) -> None:
-            o = addr - base
-            if space._tlb is cell[0] and 0 <= o <= length - 8:
-                space.stores += 1
-                space.tlb_hits += 1
-                u64_pack(run, o, value & 0xFFFFFFFFFFFFFFFF)
-                return
-            space_store_u64(addr, value)
-
-        def pack_into(st: struct.Struct, addr: int, *values: object) -> None:
-            o = addr - base
-            if space._tlb is cell[0] and 0 <= o <= length - st.size:
-                space.stores += 1
-                space.tlb_hits += 1
-                st.pack_into(run, o, *values)
-                return
-            space_store(addr, st.pack(*values))
-
-        def store_many(items: Iterable[tuple[int, bytes]]) -> None:
-            if space._tlb is not cell[0]:
-                space.store_many(items)
-                return
-            fast = 0
-            for addr, data in items:
-                n = len(data)
-                o = addr - base
-                if 0 <= o <= o + n <= length:
-                    run[o : o + n] = data
-                    fast += 1
-                else:
-                    space_store(addr, data)
-            space.stores += fast
-            space.tlb_hits += fast
-
         plan.store = store
         plan.store_u32 = store_u32
-        plan.store_u64 = store_u64
-        plan.pack_into = pack_into
-        plan.store_many = store_many
     else:
         plan.store = space_store
         plan.store_u32 = space_store_u32
-        plan.store_u64 = space_store_u64
-        plan.pack_into = lambda st, addr, *values: space_store(
-            addr, st.pack(*values)
-        )
-        plan.store_many = space.store_many
 
     return plan
 
@@ -379,12 +302,9 @@ def _compile_kernel(space: "AddressSpace", base: int, length: int) -> AccessPlan
     ro_run = run.toreadonly()
 
     raw_load = space.raw_load
-    raw_view = space.raw_view
     raw_store = space.raw_store
     u32_unpack = _U32.unpack_from
-    u64_unpack = _U64.unpack_from
     u32_pack = _U32.pack_into
-    u64_pack = _U64.pack_into
 
     def is_valid() -> bool:
         return cell[0]
@@ -395,55 +315,17 @@ def _compile_kernel(space: "AddressSpace", base: int, length: int) -> AccessPlan
             return bytes(ro_run[o : o + n])
         return raw_load(addr, n)
 
-    def view(addr: int, n: int) -> memoryview:
-        o = addr - base
-        if cell[0] and 0 <= o <= o + n <= length:
-            return ro_run[o : o + n]
-        return raw_view(addr, n)
-
-    def load_u8(addr: int) -> int:
-        o = addr - base
-        if cell[0] and 0 <= o < length:
-            return ro_run[o]
-        return raw_load(addr, 1)[0]
-
     def load_u32(addr: int) -> int:
         o = addr - base
         if cell[0] and 0 <= o <= length - 4:
             return u32_unpack(ro_run, o)[0]
         return _U32.unpack(raw_load(addr, 4))[0]
 
-    def load_u64(addr: int) -> int:
-        o = addr - base
-        if cell[0] and 0 <= o <= length - 8:
-            return u64_unpack(ro_run, o)[0]
-        return _U64.unpack(raw_load(addr, 8))[0]
-
     def unpack_from(st: struct.Struct, addr: int) -> tuple:
         o = addr - base
         if cell[0] and 0 <= o <= length - st.size:
             return st.unpack_from(ro_run, o)
         return st.unpack(raw_load(addr, st.size))
-
-    def load_u32_run(addr: int, count: int) -> tuple:
-        o = addr - base
-        if cell[0] and count > 0 and 0 <= o <= length - 4 * count:
-            return _run_struct(count).unpack_from(ro_run, o)
-        if count <= 0:
-            return ()
-        return _run_struct(count).unpack(raw_load(addr, 4 * count))
-
-    def load_many(requests: Iterable[tuple[int, int]]) -> list[bytes]:
-        if not cell[0]:
-            return space.raw_load_many(requests)
-        out: list[bytes] = []
-        for addr, n in requests:
-            o = addr - base
-            if 0 <= o <= o + n <= length:
-                out.append(bytes(ro_run[o : o + n]))
-            else:
-                out.append(raw_load(addr, n))
-        return out
 
     def store(addr: int, data: bytes) -> None:
         n = len(data)
@@ -460,13 +342,6 @@ def _compile_kernel(space: "AddressSpace", base: int, length: int) -> AccessPlan
             return
         raw_store(addr, (value & 0xFFFFFFFF).to_bytes(4, "little"))
 
-    def store_u64(addr: int, value: int) -> None:
-        o = addr - base
-        if cell[0] and 0 <= o <= length - 8:
-            u64_pack(run, o, value & 0xFFFFFFFFFFFFFFFF)
-            return
-        raw_store(addr, (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
-
     def pack_into(st: struct.Struct, addr: int, *values: object) -> None:
         o = addr - base
         if cell[0] and 0 <= o <= length - st.size:
@@ -474,29 +349,13 @@ def _compile_kernel(space: "AddressSpace", base: int, length: int) -> AccessPlan
             return
         raw_store(addr, st.pack(*values))
 
-    def store_many(items: Iterable[tuple[int, bytes]]) -> None:
-        for addr, data in items:
-            n = len(data)
-            o = addr - base
-            if cell[0] and 0 <= o <= o + n <= length:
-                run[o : o + n] = data
-            else:
-                raw_store(addr, data)
-
     plan.is_valid = is_valid
     plan.load = load
-    plan.view = view
-    plan.load_u8 = load_u8
     plan.load_u32 = load_u32
-    plan.load_u64 = load_u64
     plan.unpack_from = unpack_from
-    plan.load_u32_run = load_u32_run
-    plan.load_many = load_many
     plan.store = store
     plan.store_u32 = store_u32
-    plan.store_u64 = store_u64
     plan.pack_into = pack_into
-    plan.store_many = store_many
     return plan
 
 

@@ -105,9 +105,6 @@ class Domain:
         self.stack_base = stack.base
         self.stack_size = stack.size
         self.stats = DomainStats()
-        #: Virtual timestamp before which a quarantine policy asked callers
-        #: not to re-enter this domain (0.0 = never quarantined).
-        self.quarantined_until = 0.0
 
     # ------------------------------------------------------------------
     # Flags (policy bits), with derived booleans cached

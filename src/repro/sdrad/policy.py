@@ -43,10 +43,6 @@ class PolicyDecision:
     #: Virtual seconds to wait (charged to the clock) before a retry —
     #: exponential backoff for transient faults. Ignored unless ``retry``.
     backoff: float = 0.0
-    #: Virtual seconds the domain should refuse re-entry after the fault
-    #: (recorded on the domain as ``quarantined_until``; enforcement is the
-    #: caller's concern, mirroring the fleet watchdog's quarantine).
-    quarantine: float = 0.0
 
 
 class RecoveryPolicy:
@@ -134,24 +130,19 @@ class BackoffRetryPolicy(RecoveryPolicy):
         return PolicyDecision(rewind=True)
 
 
-class QuarantinePolicy(RecoveryPolicy):
-    """Rewind, then quarantine the domain for a fixed window.
+class QuarantinePolicy(RewindPolicy):
+    """The campaign's "quarantine" choice: at the runtime it decides
+    exactly like :class:`RewindPolicy`.
 
-    Models the fleet watchdog's per-shard quarantine at domain granularity:
-    a faulted domain still rewinds (the process survives) but is marked
-    unavailable for ``window`` virtual seconds, shedding a repeat-offender
-    trigger instead of absorbing a rewind per hit.
+    The runtime keeps no per-domain quarantine. The one quarantine
+    mechanism is the serving side's
+    :class:`~repro.sdrad.watchdog.FaultWatchdog`, which refuses a
+    repeatedly faulting principal; the campaign closure models the
+    embargo from ``CampaignConfig.quarantine_window``. The class keeps its
+    own name because fleet runs report ``default_policy.name``.
     """
 
     name = "quarantine"
-
-    def __init__(self, window: float = 0.05) -> None:
-        if window <= 0:
-            raise ValueError(f"window must be > 0, got {window}")
-        self.window = window
-
-    def decide(self, report: FaultReport, attempt: int) -> PolicyDecision:
-        return PolicyDecision(rewind=True, quarantine=self.window)
 
 
 #: Policy names the campaign decision layer chooses between. ``restart``

@@ -144,21 +144,6 @@ class DomainHandle:
             return plan.load(addr, nbytes)
         return self._runtime.space.load(addr, nbytes)
 
-    def store_many(self, items) -> None:
-        """Batched checked writes — one call for many ``(addr, data)``."""
-        plan = self._heap_plan()
-        if plan is not None:
-            plan.store_many(items)
-        else:
-            self._runtime.space.store_many(items)
-
-    def load_many(self, requests) -> list[bytes]:
-        """Batched checked reads — one call for many ``(addr, nbytes)``."""
-        plan = self._heap_plan()
-        if plan is not None:
-            return plan.load_many(requests)
-        return self._runtime.space.load_many(requests)
-
     def load_view(self, addr: int, nbytes: int) -> memoryview:
         """Checked zero-copy read (see :meth:`AddressSpace.load_view`)."""
         plan = self._heap_plan()
@@ -736,16 +721,6 @@ class SdradRuntime:
                 recovery_time += self._rewind(
                     domain, cause=report.mechanism.value
                 )
-                if decision.quarantine > 0.0:
-                    # Quarantine is advisory: the domain records when it may
-                    # be re-entered and callers (campaign closure, serving
-                    # layers) decide whether to honour it — enforcement here
-                    # would turn every later entry into a hard error.
-                    domain.quarantined_until = self.clock.now + decision.quarantine
-                    if obs is not None:
-                        obs.registry.counter(
-                            "sdrad_quarantines_total"
-                        ).increment()
                 if decision.retry:
                     domain.stats.retries += 1
                     if decision.backoff > 0.0:

@@ -12,8 +12,9 @@ live, and a differential test holds random op sequences to the plan-off
 twin. Kernel plans mirror ``raw_*`` and die only on a TLB flush. The
 ablation tests pin the pure fast-path contract —
 ``AddressSpace(access_plans=False)`` must be bit-identical in responses,
-virtual time and architectural counters — and the coalescing tests pin
-fault identity for the batched paths that stay honest even with plans off.
+virtual time and architectural counters — and the batched-read tests pin
+``load_many`` to the sequential loop of checked loads, faults and
+counters included.
 """
 
 from __future__ import annotations
@@ -61,13 +62,11 @@ class TestPlanFastPath:
         assert plan.load(64, 11) == b"hello world"
         plan.store_u32(128, 0xDEADBEEF)
         assert plan.load_u32(128) == 0xDEADBEEF
-        plan.store_u64(136, 2**53 + 7)
-        assert plan.load_u64(136) == 2**53 + 7
         # Every fast-path access counts as one load/store and one TLB hit
         # (the plan *is* a cached verdict).
-        assert space.loads == loads + 3
-        assert space.stores == stores + 3
-        assert space.tlb_hits == hits + 6
+        assert space.loads == loads + 2
+        assert space.stores == stores + 2
+        assert space.tlb_hits == hits + 4
         assert space.faults == 0
 
     def test_plan_is_cached_per_pkru_and_run(self):
@@ -889,27 +888,13 @@ def test_per_request_servers_pinned(config):
 
 
 class TestBatchedCoalescing:
-    """Adjacent batched requests coalesce into runs checked once — with
-    fault identity and partial-application preserved exactly."""
+    """A batched read is the sequential loop of checked loads: same
+    results, same fault, same counters."""
 
     def _space(self, access_plans: bool = False) -> AddressSpace:
         space = AddressSpace(size=PAGE_SIZE * 16, access_plans=access_plans)
         space.page_table.map_range(0, 4 * PAGE_SIZE, pkey=0)
         return space
-
-    def test_adjacent_requests_check_once(self):
-        space = self._space()
-        space.store(0, bytes(range(64)))
-        space.load(0, 1)  # warm the read verdict for page 0
-        hits = space.tlb_hits
-        out = space.load_many([(0, 8), (8, 8), (16, 16), (32, 32)])
-        assert out == [
-            bytes(range(8)),
-            bytes(range(8, 16)),
-            bytes(range(16, 32)),
-            bytes(range(32, 64)),
-        ]
-        assert space.tlb_hits == hits + 1  # one fused verdict for the run
 
     def test_non_adjacent_and_degenerate_requests_keep_semantics(self):
         space = self._space()
@@ -938,30 +923,10 @@ class TestBatchedCoalescing:
         assert str(batch_exc.value) == str(seq_exc)
         assert type(batch_exc.value) is type(seq_exc)
         assert batched.faults == sequential.faults
-
-    def test_store_fault_preserves_partial_prefix(self):
-        batched = self._space()
-        sequential = self._space()
-        items = [
-            (4 * PAGE_SIZE - 8, b"a" * 4),
-            (4 * PAGE_SIZE - 4, b"b" * 4),
-            (4 * PAGE_SIZE, b"c" * 4),
-        ]
-        with pytest.raises(MemoryError_) as batch_exc:
-            batched.store_many(items)
-        seq_exc = None
-        for address, data in items:
-            try:
-                sequential.store(address, data)
-            except MemoryError_ as exc:
-                seq_exc = exc
-                break
-        # Same fault, same fault count, same partially-applied prefix.
-        assert str(batch_exc.value) == str(seq_exc)
-        assert batched.faults == sequential.faults
-        assert batched.raw_load(4 * PAGE_SIZE - 8, 8) == sequential.raw_load(
-            4 * PAGE_SIZE - 8, 8
-        )
+        # The loads before the fault count, as in the loop.
+        assert batched.loads == sequential.loads
+        assert batched.tlb_hits == sequential.tlb_hits
+        assert batched.tlb_misses == sequential.tlb_misses
 
     def test_plan_batched_ops_match_space_semantics(self):
         space = self._space(access_plans=True)
@@ -971,6 +936,3 @@ class TestBatchedCoalescing:
         # identical to the space-level batched path.
         requests = [(0, 8), (8, 8), (2 * PAGE_SIZE, 4)]
         assert plan.load_many(requests) == space.load_many(requests)
-        plan.store_many([(0, b"zz"), (2 * PAGE_SIZE, b"yy")])
-        assert space.load(0, 2) == b"zz"
-        assert space.load(2 * PAGE_SIZE, 2) == b"yy"

@@ -71,6 +71,29 @@ class TestNameResolution:
         assert graph.resolve("c.py", "dup") is None
         assert graph.edges["c.py::caller"] == ()
 
+    def test_closure_resolves_only_in_its_own_module(self):
+        graph = _graph(
+            {
+                "a.py": (
+                    "def factory():\n"
+                    "    def inner_only():\n        pass\n"
+                    "    inner_only()\n"
+                    "    return inner_only\n"
+                ),
+                "b.py": "def caller():\n    inner_only()\n",
+                "c.py": "class C:\n    def unique_method(self):\n        pass\n",
+                "d.py": "def factory():\n    def shared():\n        pass\n",
+                "e.py": "def shared():\n    pass\n",
+            }
+        )
+        assert graph.resolve("a.py", "inner_only") == "a.py::factory.inner_only"
+        assert graph.resolve("b.py", "inner_only") is None
+        assert graph.edges["b.py::caller"] == ()
+        # Methods are not closures: they still resolve across modules.
+        assert graph.resolve("b.py", "unique_method") == "c.py::C.unique_method"
+        # A closure still makes a shared name ambiguous.
+        assert graph.resolve("b.py", "shared") is None
+
     def test_undefined_name_is_unresolved(self):
         graph = _graph({"a.py": "def caller():\n    mystery()\n"})
         assert graph.resolve("a.py", "mystery") is None

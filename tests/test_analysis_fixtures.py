@@ -87,6 +87,18 @@ class TestSuppressions:
         assert len(result.suppressed) == 2
 
 
+class TestClosureResolution:
+    def test_foreign_closure_name_does_not_resolve(self):
+        # ``HEADER.unpack_plan_header(data)`` in a sandbox entry shares its
+        # bare name with a raw-path closure in another module; the call
+        # must not resolve to it, or R7 reports a crossing the entry never
+        # makes.
+        result = lint_paths([str(FIXTURES / "closure_pair")])
+        assert not result.errors
+        assert result.files == 2
+        assert [f.render() for f in result.findings] == []
+
+
 class TestRepoIsClean:
     def test_no_findings_in_src_repro(self):
         result = lint_paths([str(REPO_SRC)])

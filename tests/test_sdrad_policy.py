@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SegmentationFault
+from repro.memory import available_backends
+from repro.sdrad.constants import DomainFlags
 from repro.sdrad.detect import classify
 from repro.sdrad.policy import (
     AbortPolicy,
@@ -12,7 +14,9 @@ from repro.sdrad.policy import (
     RetryPolicy,
     RewindPolicy,
     default_policy,
+    make_policy,
 )
+from repro.sdrad.runtime import SdradRuntime
 
 
 @pytest.fixture
@@ -27,6 +31,30 @@ class TestRewindPolicy:
 
     def test_is_default(self):
         assert isinstance(default_policy(), RewindPolicy)
+
+
+class TestQuarantinePolicy:
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_fault_runs_exactly_like_rewind(self, backend):
+        def run(policy):
+            runtime = SdradRuntime(backend=backend)
+            victim = runtime.domain_init(flags=DomainFlags.RETURN_TO_PARENT)
+            attacker = runtime.domain_init(flags=DomainFlags.RETURN_TO_PARENT)
+            secret = runtime.execute(victim.udi, lambda h: h.malloc(16)).value
+            results = [
+                runtime.execute(
+                    attacker.udi,
+                    lambda h: h.space.store(secret, b"overwrite"),
+                    policy=policy,
+                ),
+                runtime.execute(attacker.udi, lambda h: "alive", policy=policy),
+            ]
+            return results, runtime.clock.now, attacker.stats
+
+        quarantine = run(make_policy("quarantine"))
+        assert not quarantine[0][0].ok
+        assert quarantine == run(RewindPolicy())
+        assert make_policy("quarantine").name == "quarantine"
 
 
 class TestAbortPolicy:
