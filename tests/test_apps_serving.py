@@ -1,0 +1,253 @@
+"""The Memcached and NGINX serving paths pinned against recorded outputs.
+
+Each case serves one fixed script through a server (or an NGINX cluster)
+in one isolation mode, on one backend, with observability off or on. The
+script mixes benign traffic, stack and heap exploits, malformed lines,
+multi-key gets, and batches that pipeline, fall back and are empty, and a
+watchdog trips, refuses, expires and trips again. The recorded digests
+cover every response (crashes included), the virtual clock, the metrics
+dataclass, ``telemetry.snapshot`` and, with obs on, the Prometheus text
+and the span JSONL. A refactor of the serving core must leave all of them
+byte-identical.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from dataclasses import asdict
+
+import pytest
+
+from repro.apps.cluster import NginxCluster
+from repro.apps.memcached_server import IsolationMode, MemcachedServer
+from repro.apps.nginx_server import NginxServer
+from repro.obs import Observability
+from repro.obs.exporters import prometheus_text, spans_to_jsonl
+from repro.sdrad.policy import ProcessCrashed
+from repro.sdrad.runtime import SdradRuntime
+from repro.sdrad.telemetry import snapshot
+from repro.sdrad.watchdog import FaultWatchdog, WatchdogConfig
+
+MC_STACK = b"get " + b"K" * 270 + b"\r\n"
+MC_HEAP = b"set pwn 0 0 4\r\n" + b"Z" * 400 + b"\r\n"
+MC_BENIGN = [
+    b"set foo 7 0 5\r\nhello\r\n",
+    b"set bar 1 0 3\r\nabc\r\n",
+    b"get foo\r\n",
+    b"get foo bar nope\r\n",
+    b"set n 0 0 1\r\n5\r\n",
+    b"incr n 10\r\n",
+    b"decr n 3\r\n",
+    b"add foo 0 0 1\r\nx\r\n",
+    b"replace bar 0 0 2\r\nyz\r\n",
+    b"delete bar\r\n",
+    b"delete bar\r\n",
+    b"stats\r\n",
+]
+MC_MALFORMED = [b"bogus\r\n", b"no crlf", b"get\r\n", b"set k x 0 5\r\nhello\r\n"]
+
+NGINX_STACK = b"GET /" + b"A" * 1050 + b" HTTP/1.1\r\nHost: x\r\n\r\n"
+NGINX_HEAP = (
+    b"POST /upload HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\n" + b"B" * 300
+)
+NGINX_BENIGN = [
+    b"GET / HTTP/1.1\r\nHost: repro.example\r\n\r\n",
+    b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n",
+    b"GET /static/app.js HTTP/1.1\r\nHost: x\r\nUser-Agent: c\r\n\r\n",
+    b"POST /upload HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello",
+    b"GET /missing HTTP/1.1\r\nHost: x\r\n\r\n",
+]
+NGINX_MALFORMED = [b"garbage\r\n\r\n", b"GET /\r\n\r\n", b"no terminator"]
+
+#: app -> (benign, malformed, stack exploit, heap exploit)
+TRAFFIC = {
+    "memcached": (MC_BENIGN, MC_MALFORMED, MC_STACK, MC_HEAP),
+    "nginx": (NGINX_BENIGN, NGINX_MALFORMED, NGINX_STACK, NGINX_HEAP),
+}
+
+
+def _script(app: str) -> list:
+    """``(client, raw)`` for one request, ``(client, [raws])`` for a batch,
+    or ``("wait", seconds)`` to let virtual time pass."""
+    benign, malformed, stack, heap = TRAFFIC[app]
+    steps = [("alice", raw) for raw in benign + malformed]
+    steps += [
+        ("alice", list(benign)),  # pipelines
+        ("alice", []),  # empty
+        ("mallory", stack),
+        ("mallory", heap),
+        ("bob", [benign[0], stack, benign[2], malformed[0]]),  # falls back
+        ("mallory", stack),  # the third fault trips the watchdog
+        ("mallory", benign[2]),  # refused
+        ("mallory", [benign[0], benign[2]]),  # refused per request
+        ("bob", list(benign)),  # pipelines again after a fallback
+        ("wait", 0.002),  # the quarantine expires
+        ("mallory", benign[2]),
+        ("mallory", [heap, benign[2]]),
+        ("mallory", heap),
+        ("mallory", stack),  # trips again: an escalated quarantine
+        ("mallory", stack),  # refused
+        ("alice", benign[3]),
+    ]
+    return steps
+
+
+def _digest(*parts) -> str:
+    digest = hashlib.blake2b(digest_size=8)
+    for part in parts:
+        digest.update(part if isinstance(part, bytes) else repr(part).encode())
+    return digest.hexdigest()
+
+
+def _serve(step_handle, step_batch, clock, app: str) -> list:
+    responses = []
+    for client, payload in _script(app):
+        if client == "wait":
+            clock.advance(payload)
+            continue
+        try:
+            if isinstance(payload, list):
+                responses.extend(step_batch(client, payload))
+            else:
+                responses.append(step_handle(client, payload))
+        except ProcessCrashed as exc:
+            responses.append(b"crash: " + str(exc).encode())
+    return responses
+
+
+def _server_outputs(app: str, isolation: str, backend: str, obs_on: bool):
+    obs = Observability() if obs_on else None
+    runtime = SdradRuntime(backend=backend, obs=obs)
+    watchdog = FaultWatchdog(
+        runtime.clock,
+        WatchdogConfig(threshold=3, window=1.0, quarantine_period=0.001),
+        obs=obs,
+    )
+    cls = MemcachedServer if app == "memcached" else NginxServer
+    server = cls(runtime, isolation=IsolationMode(isolation), watchdog=watchdog)
+    for client in ("alice", "bob", "mallory"):
+        server.connect(client)
+    responses = _serve(server.handle, server.handle_batch, runtime.clock, app)
+    state = json.dumps(snapshot(runtime), sort_keys=True, default=repr)
+    server.disconnect("bob")
+    outputs = (
+        _digest(*responses),
+        runtime.clock.now,
+        _digest(sorted(asdict(server.metrics).items())),
+        _digest(state, server.connected_clients, snapshot(runtime)["memory"]),
+    )
+    if obs is None:
+        return outputs
+    return outputs + (
+        _digest(prometheus_text(obs.registry)),
+        _digest(spans_to_jsonl(obs.buffer)),
+    )
+
+
+def _cluster_outputs(isolation: str, obs_on: bool):
+    obs = Observability() if obs_on else None
+    cluster = NginxCluster(workers=2, isolation=IsolationMode(isolation), obs=obs)
+    for client in ("alice", "bob", "mallory"):
+        cluster.connect(client)
+
+    def batch(client, raws):
+        return [cluster.handle(client, raw) for raw in raws]
+
+    responses = _serve(cluster.handle, batch, cluster.clock, "nginx")
+    workers = [
+        (sorted(asdict(w.server.metrics).items()), w.restarts, w.outages)
+        for w in cluster.workers
+    ]
+    outputs = (
+        _digest(*responses),
+        cluster.clock.now,
+        _digest(sorted(asdict(cluster.metrics).items()), workers),
+        _digest(
+            cluster.total_rewinds(),
+            [json.dumps(snapshot(w.runtime), sort_keys=True, default=repr)
+             for w in cluster.workers],
+        ),
+    )
+    if obs is None:
+        return outputs
+    return outputs + (
+        _digest(prometheus_text(obs.registry)),
+        _digest(spans_to_jsonl(obs.buffer)),
+    )
+
+
+#: Recorded before the two servers shared one serving core.
+_SERVER_OUTPUTS = {
+    ('memcached', 'per-connection', 'mpk', False): ('6646596b4c2f1c49', 0.0026115, 'a86ceab5be9adb5b', '43ddc95928d280d9'),
+    ('memcached', 'per-connection', 'mpk', True): ('6646596b4c2f1c49', 0.0026115, 'a86ceab5be9adb5b', '0b30cea99431617a', '478fed2a1d99fbc0', '463fe34282a8e723'),
+    ('memcached', 'per-connection', 'cheri', False): ('6646596b4c2f1c49', 0.002601020000000003, 'a86ceab5be9adb5b', '2677faf0b04beb5f'),
+    ('memcached', 'per-connection', 'cheri', True): ('6646596b4c2f1c49', 0.002601020000000003, 'a86ceab5be9adb5b', '947e2c553a142884', '6a8cc813f1b61890', 'c4f5060b8d23925a'),
+    ('memcached', 'per-connection', 'sfi', False): ('6646596b4c2f1c49', 0.002591, 'a86ceab5be9adb5b', '8b7b3a2a1e6c4568'),
+    ('memcached', 'per-connection', 'sfi', True): ('6646596b4c2f1c49', 0.002591, 'a86ceab5be9adb5b', 'ea6d25cdf006cbb7', '721f3be13998d099', 'bfaecaee4e94c308'),
+    ('memcached', 'per-request', 'mpk', False): ('6646596b4c2f1c49', 0.003016299999999998, 'a86ceab5be9adb5b', '727aacf4a3740ae7'),
+    ('memcached', 'per-request', 'mpk', True): ('6646596b4c2f1c49', 0.003016299999999998, 'a86ceab5be9adb5b', '3a45b84895d45873', '03f662db74d9d72e', '68cac3786a3d746c'),
+    ('memcached', 'per-request', 'cheri', False): ('6646596b4c2f1c49', 0.0027746200000000037, 'a86ceab5be9adb5b', 'ae179bc7b9f539c4'),
+    ('memcached', 'per-request', 'cheri', True): ('6646596b4c2f1c49', 0.0027746200000000037, 'a86ceab5be9adb5b', '2a3fdd3f33c9de4b', 'cf12fdf73cc85102', '277188946a57dabb'),
+    ('memcached', 'per-request', 'sfi', False): ('6646596b4c2f1c49', 0.002703784, 'a86ceab5be9adb5b', 'd6e738913d39bc4c'),
+    ('memcached', 'per-request', 'sfi', True): ('6646596b4c2f1c49', 0.002703784, 'a86ceab5be9adb5b', '4014615e433e95c3', '47c30584bf9f6acd', '7e896c44bffe469c'),
+    ('memcached', 'none', 'mpk', False): ('8aec2a46cdf57d6c', 0.002562000000000001, '122a5236a5e2371f', '0f412414039c3e48'),
+    ('memcached', 'none', 'mpk', True): ('8aec2a46cdf57d6c', 0.002562000000000001, '122a5236a5e2371f', '2cd935ee31b9555e', '3e3dfb46c54ce4e3', '1b45c9ca9d2418ab'),
+    ('memcached', 'none', 'cheri', False): ('8aec2a46cdf57d6c', 0.002562000000000001, '122a5236a5e2371f', 'ea13814db42f18ca'),
+    ('memcached', 'none', 'cheri', True): ('8aec2a46cdf57d6c', 0.002562000000000001, '122a5236a5e2371f', '002795f043d1bcbe', '3e3dfb46c54ce4e3', '1b45c9ca9d2418ab'),
+    ('memcached', 'none', 'sfi', False): ('8aec2a46cdf57d6c', 0.002562000000000001, '122a5236a5e2371f', 'df799b633d052c32'),
+    ('memcached', 'none', 'sfi', True): ('8aec2a46cdf57d6c', 0.002562000000000001, '122a5236a5e2371f', 'badca453847b7232', '3e3dfb46c54ce4e3', '1b45c9ca9d2418ab'),
+    ('nginx', 'per-connection', 'mpk', False): ('33f9f10059ececc8', 0.0039078, 'e0afd85cc4e89839', 'f9aae2511d8bcc51'),
+    ('nginx', 'per-connection', 'mpk', True): ('33f9f10059ececc8', 0.0039078, 'e0afd85cc4e89839', '8b7de04420a67a19', '1450f95e2d0ca581', '2e45c4268b4f8653'),
+    ('nginx', 'per-connection', 'cheri', False): ('33f9f10059ececc8', 0.0038978000000000033, 'e0afd85cc4e89839', 'ce9753eb5e4a7ab3'),
+    ('nginx', 'per-connection', 'cheri', True): ('33f9f10059ececc8', 0.0038978000000000033, 'e0afd85cc4e89839', '6bde4b2ece1e4792', '61827fab0f36f761', '1921ec0909cc8929'),
+    ('nginx', 'per-connection', 'sfi', False): ('33f9f10059ececc8', 0.0038896660000000013, 'e0afd85cc4e89839', '62e14b8ef852402e'),
+    ('nginx', 'per-connection', 'sfi', True): ('33f9f10059ececc8', 0.0038896660000000013, 'e0afd85cc4e89839', '179f78812301e4a2', '7c56d4115c9e27eb', '3b890f678410e323'),
+    ('nginx', 'per-request', 'mpk', False): ('33f9f10059ececc8', 0.0038324999999999982, 'e0afd85cc4e89839', 'e5586055706b0bbb'),
+    ('nginx', 'per-request', 'mpk', True): ('33f9f10059ececc8', 0.0038324999999999982, 'e0afd85cc4e89839', 'ef41e7950e1a5385', '625370b0bfeb4d3c', '457b5397668f4119'),
+    ('nginx', 'per-request', 'cheri', False): ('33f9f10059ececc8', 0.003691140000000003, 'e0afd85cc4e89839', '955150cb6db0c3de'),
+    ('nginx', 'per-request', 'cheri', True): ('33f9f10059ececc8', 0.003691140000000003, 'e0afd85cc4e89839', '145d5576dfd0aaa0', '522c1117a62ea634', '6eb64e292c55cdc6'),
+    ('nginx', 'per-request', 'sfi', False): ('33f9f10059ececc8', 0.0036497520000000018, 'e0afd85cc4e89839', 'a9b2218b945a1f7a'),
+    ('nginx', 'per-request', 'sfi', True): ('33f9f10059ececc8', 0.0036497520000000018, 'e0afd85cc4e89839', '86deacded40ee7bc', '2e290e2dd70d87eb', '65f39ba77d682301'),
+    ('nginx', 'none', 'mpk', False): ('6de54a5809e3beca', 0.0036007000000000014, '0e0d2f9e36de7c5d', '5306e151ff94c40e'),
+    ('nginx', 'none', 'mpk', True): ('6de54a5809e3beca', 0.0036007000000000014, '0e0d2f9e36de7c5d', 'd42cd68616726bc9', '9cb198a45c76e65d', 'edf9183d8e7f1763'),
+    ('nginx', 'none', 'cheri', False): ('6de54a5809e3beca', 0.0036007000000000014, '0e0d2f9e36de7c5d', '4a2fe00586921e48'),
+    ('nginx', 'none', 'cheri', True): ('6de54a5809e3beca', 0.0036007000000000014, '0e0d2f9e36de7c5d', '572a6803bdedb6e6', '9cb198a45c76e65d', 'edf9183d8e7f1763'),
+    ('nginx', 'none', 'sfi', False): ('6de54a5809e3beca', 0.0036007000000000014, '0e0d2f9e36de7c5d', 'b2a127cd5181f17a'),
+    ('nginx', 'none', 'sfi', True): ('6de54a5809e3beca', 0.0036007000000000014, '0e0d2f9e36de7c5d', 'b3de6e767854ae22', '9cb198a45c76e65d', 'edf9183d8e7f1763'),
+}
+
+#: Recorded before the two servers shared one serving core.
+_CLUSTER_OUTPUTS = {
+    ('per-connection', False): ('ea48d244e15e37d3', 0.0038042, '6039f1f0d629a2ee', '099d6ac3c7e27f84'),
+    ('per-connection', True): ('ea48d244e15e37d3', 0.0038042, '6039f1f0d629a2ee', '8cf4857033f857a6', '8227f7bf4dd681e3', '89021b8a055b5a54'),
+    ('per-request', False): ('ea48d244e15e37d3', 0.004069199999999997, '6039f1f0d629a2ee', '93fe68490722215e'),
+    ('per-request', True): ('ea48d244e15e37d3', 0.004069199999999997, '6039f1f0d629a2ee', '15f36a97c8560d13', '6d9cef82ee84bb03', '4ad4d2253bca6a2d'),
+    ('none', False): ('55d839cc2cf948fc', 0.0027503000000000007, 'ac53399291fe6871', 'f7e23b13365d5d36'),
+    ('none', True): ('55d839cc2cf948fc', 0.0027503000000000007, 'ac53399291fe6871', '84613052e22710bc', '0e09dd8eadef4d89', '699994dea7cec0a2'),
+}
+
+_SERVER_CASES = [
+    (app, isolation.value, backend, obs_on)
+    for app in ("memcached", "nginx")
+    for isolation in IsolationMode
+    for backend in ("mpk", "cheri", "sfi")
+    for obs_on in (False, True)
+]
+
+
+@pytest.mark.parametrize(
+    "case", _SERVER_CASES,
+    ids=lambda c: f"{c[0]}/{c[1]}/{c[2]}/{'obs' if c[3] else 'plain'}",
+)
+def test_servers_pinned(case):
+    assert _server_outputs(*case) == _SERVER_OUTPUTS[case]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [(isolation.value, obs_on) for isolation in IsolationMode for obs_on in (False, True)],
+    ids=lambda c: f"{c[0]}/{'obs' if c[1] else 'plain'}",
+)
+def test_nginx_cluster_pinned(case):
+    assert _cluster_outputs(*case) == _CLUSTER_OUTPUTS[case]
