@@ -8,14 +8,18 @@ Reproduced as: static accounting over our own replicas. For each use case we
 measure (a) the lines of the *core application logic* (which a retrofit does
 not touch) and (b) the lines of the *integration layer* (server wrapper that
 creates domains, routes requests through them and maps faults to protocol
-errors) — the analogue of the paper's 484-line patch. For the FFI path we
-count the lines a `@sandboxed` annotation costs per function. Expected
-shape: integration layers of a few hundred lines per use case (same order as
-the paper's patch), and ~1 line per function for the FFI route.
+errors) — the analogue of the paper's 484-line patch. Memcached and NGINX
+share one serving core (``repro.apps.serving``), counted once in its own
+row, so each use-case row is the glue specific to that app. For the FFI
+path we count the lines a `@sandboxed` annotation costs per function.
+Expected shape: integration layers of tens to a few hundred lines per use
+case (same order as the paper's patch), and ~1 line per function for the
+FFI route.
 """
 
 from __future__ import annotations
 
+import ast
 import inspect
 
 import pytest
@@ -26,29 +30,29 @@ from repro.apps import (
     memcached_server,
     nginx_server,
     openssl_service,
+    serving,
     tls,
 )
 from repro.sustainability.report import format_table
 
 
 def code_lines(module) -> int:
-    """Non-blank, non-comment, non-docstring-only source lines."""
+    """Non-blank, non-comment source lines outside docstrings."""
     source = inspect.getsource(module)
-    count = 0
-    in_doc = False
-    for line in source.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if stripped.startswith(('"""', "'''")):
-            # toggle docstring state (handles one-line docstrings)
-            if not (in_doc is False and stripped.endswith(('"""', "'''")) and len(stripped) > 3):
-                in_doc = not in_doc
-            continue
-        if in_doc:
-            continue
-        count += 1
-    return count
+    docstring_lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ) and ast.get_docstring(node, clean=False) is not None:
+            doc = node.body[0]
+            docstring_lines.update(range(doc.lineno, doc.end_lineno + 1))
+    return sum(
+        1
+        for number, line in enumerate(source.splitlines(), start=1)
+        if number not in docstring_lines
+        and line.strip()
+        and not line.strip().startswith("#")
+    )
 
 
 USE_CASES = [
@@ -71,6 +75,9 @@ def test_e7_retrofit_effort_table(experiment_printer):
                 f"{glue_lines / (core_lines + glue_lines) * 100:.0f} %",
             )
         )
+    # The request/rewind/quarantine/batch protocol Memcached and NGINX
+    # share, counted once: each use-case row is the glue specific to it.
+    rows.append(("shared serving core", "-", code_lines(serving), "-"))
     experiment_printer(
         "E7 — retrofit effort per use case "
         "(paper: Memcached patch = 2 files, 484 added lines)",

@@ -18,9 +18,10 @@ from .http import (
     parse_request_in_domain,
 )
 from .kvstore import KVStore, StoreStats
-from .memcached_server import IsolationMode, MemcachedServer, ServerMetrics
+from .memcached_server import MemcachedServer, ServerMetrics
 from .nginx_server import NginxMetrics, NginxServer
 from .openssl_service import TlsMetrics, TlsServer, TlsSession
+from .serving import DomainServer, IsolationMode
 from .tls import (
     ContentType,
     HandshakeType,
@@ -51,6 +52,7 @@ __all__ = [
     "parse_request_in_domain",
     "KVStore",
     "StoreStats",
+    "DomainServer",
     "IsolationMode",
     "MemcachedServer",
     "ServerMetrics",

@@ -32,7 +32,7 @@ from ..sdrad.policy import ProcessCrashed
 from ..sdrad.runtime import SdradRuntime
 from ..sim.clock import VirtualClock
 from ..sim.cost import DEFAULT_COST_MODEL, CostModel
-from .memcached_server import IsolationMode
+from .serving import IsolationMode
 from .nginx_server import NginxServer
 
 

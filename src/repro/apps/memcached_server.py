@@ -22,36 +22,26 @@ Deliberate parser vulnerabilities (the attack surface):
   field but filled with the *actual* payload — a length lie overflows the
   heap block and smashes the allocator guard.
 
-Isolation modes (E1's ablation axis):
-
-* ``PER_CONNECTION`` — one persistent domain per client (the paper's
-  deployment: cheap, contains clients from each other);
-* ``PER_REQUEST``   — a fresh domain per request (strongest discard
-  semantics, pays domain setup per request);
-* ``NONE``          — parse in the root compartment with abort-on-detect
-  (the unprotected baseline: any detected fault kills the process).
+The serving half — connections, isolation modes, rewind and watchdog
+accounting, pipelined batches — is :class:`~repro.apps.serving.
+DomainServer`; this module adds only the parsers and the trusted-side
+apply.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import AllocationFailure, SdradError
-from ..sdrad.constants import ROOT_UDI, DomainFlags
-from ..sdrad.policy import ProcessCrashed
 from ..sdrad.runtime import DomainHandle, SdradRuntime
 from ..sdrad.watchdog import FaultWatchdog
 from .kvstore import KVStore, MAX_KEY_LEN
+from .serving import DomainServer, IsolationMode
+
+__all__ = ["IsolationMode", "MemcachedServer", "ServerMetrics"]
 
 KEY_STACK_BUFFER = 256
-
-
-class IsolationMode(enum.Enum):
-    PER_CONNECTION = "per-connection"
-    PER_REQUEST = "per-request"
-    NONE = "none"
 
 
 @dataclass
@@ -65,327 +55,6 @@ class ServerMetrics:
     quarantines: int = 0
     quarantine_refusals: int = 0
     per_client_faults: dict[str, int] = field(default_factory=dict)
-
-
-def _response_status(response: bytes) -> str:
-    """Span/metric status derived from the wire response.
-
-    ``refused`` — rejected at the front door (quarantine, no domain work);
-    ``fault`` — a domain fault was rewound and the request discarded;
-    ``ok`` — everything else, including protocol-level CLIENT_ERROR/ERROR
-    (those are the *server* working correctly on bad input).
-    """
-    if response.startswith(b"SERVER_ERROR client quarantined"):
-        return "refused"
-    if response.startswith(b"SERVER_ERROR"):
-        return "fault"
-    return "ok"
-
-
-class MemcachedServer:
-    """The server: connection registry + isolated parsing + trusted apply."""
-
-    def __init__(
-        self,
-        runtime: SdradRuntime,
-        store: Optional[KVStore] = None,
-        isolation: IsolationMode = IsolationMode.PER_CONNECTION,
-        domain_heap_size: int = 128 * 1024,
-        watchdog: Optional["FaultWatchdog"] = None,
-    ) -> None:
-        self.runtime = runtime
-        self.store = store if store is not None else KVStore(runtime)
-        self.isolation = isolation
-        self.domain_heap_size = domain_heap_size
-        self.watchdog = watchdog
-        self.metrics = ServerMetrics()
-        self._connections: dict[str, int] = {}  # client id -> udi
-        #: Whether the last batch ran the single-entry pipelined path, in
-        #: which case every response is "ok" by construction and the obs
-        #: wrapper can skip per-response classification.
-        self._batch_pipelined = True
-        if runtime.obs is None:
-            # With observability off the obs wrappers below are pure
-            # dead weight (an extra frame and a ``None`` check per
-            # request); bind dispatch straight to the implementations so
-            # the off path stays a single attribute lookup.
-            self.handle = self._handle
-            self.handle_batch = self._handle_batch
-
-    # ------------------------------------------------------------------
-    # Connection lifecycle
-    # ------------------------------------------------------------------
-
-    def connect(self, client_id: str) -> None:
-        if client_id in self._connections:
-            raise SdradError(f"client {client_id!r} already connected")
-        if self.isolation is IsolationMode.PER_CONNECTION:
-            domain = self.runtime.domain_init(
-                flags=DomainFlags.RETURN_TO_PARENT,
-                heap_size=self.domain_heap_size,
-            )
-            self._connections[client_id] = domain.udi
-        else:
-            self._connections[client_id] = ROOT_UDI
-
-    def disconnect(self, client_id: str) -> None:
-        udi = self._connections.pop(client_id, None)
-        if udi is not None and udi != ROOT_UDI:
-            self.runtime.domain_destroy(udi)
-
-    @property
-    def connected_clients(self) -> list[str]:
-        return list(self._connections)
-
-    # ------------------------------------------------------------------
-    # Request handling
-    # ------------------------------------------------------------------
-
-    def handle(self, client_id: str, raw: bytes) -> bytes:
-        """Process one request from ``client_id``; returns the response.
-
-        Raises :class:`ProcessCrashed` only in ``NONE`` isolation, when a
-        fault escapes containment — the resilience layer turns that into
-        restart downtime.
-        """
-        obs = self.runtime.obs
-        if obs is None:
-            return self._handle(client_id, raw)
-        span = obs.start_span("memcached.request", client=client_id)
-        started = self.runtime.clock.now
-        try:
-            response = self._handle(client_id, raw)
-        except BaseException:
-            obs.record_request(
-                "memcached", self.runtime.clock.now - started, status="crash"
-            )
-            obs.end_span(span, status="crash")
-            raise
-        status = _response_status(response)
-        obs.record_request("memcached", self.runtime.clock.now - started, status)
-        obs.end_span(span, status=status)
-        return response
-
-    def _handle(self, client_id: str, raw: bytes) -> bytes:
-        if client_id not in self._connections:
-            raise SdradError(f"client {client_id!r} is not connected")
-        self.metrics.requests += 1
-
-        if self.watchdog is not None and self.watchdog.is_quarantined(client_id):
-            # Refused at the front door: no parsing, no domain, ~zero cost.
-            self.metrics.quarantine_refusals += 1
-            return b"SERVER_ERROR client quarantined\r\n"
-
-        if self.isolation is IsolationMode.NONE:
-            # Baseline: no domain, no switch cost — and no containment.
-            try:
-                parsed = self.runtime.execute_unisolated(_parse_in_domain, raw)
-            except ProcessCrashed:
-                self.metrics.crashes += 1
-                self._bump_fault(client_id)
-                raise
-            return self._apply(parsed)
-
-        udi, ephemeral = self._domain_for_request(client_id)
-        try:
-            result = self.runtime.execute(udi, _parse_in_domain, raw)
-        finally:
-            if ephemeral:
-                self.runtime.domain_destroy(udi)
-
-        if not result.ok:
-            self.metrics.server_errors += 1
-            self.metrics.rewinds += 1
-            self._bump_fault(client_id)
-            if self.watchdog is not None and self.watchdog.record_fault(client_id):
-                self.metrics.quarantines += 1
-            return b"SERVER_ERROR domain fault (request discarded)\r\n"
-        return self._apply(result.value)
-
-    def handle_batch(self, client_id: str, raws: list[bytes]) -> list[bytes]:
-        """Process a pipeline of requests in one domain entry.
-
-        Per-connection isolation parses the whole pipeline inside a single
-        enter/exit of the connection's domain — the switch cost is amortised
-        over ``len(raws)`` requests — and then applies the parsed commands
-        trusted-side in order. Nothing is applied until the entire batch has
-        parsed, so a fault on any request rewinds a batch that has had no
-        effect yet; the server then falls back to per-request handling, in
-        which only the offending request answers ``SERVER_ERROR`` and every
-        other request is parsed and applied exactly once.
-
-        Isolation modes without a persistent domain (``PER_REQUEST``,
-        ``NONE``) have nothing to amortise; the pipeline degenerates to the
-        per-request loop, as does a quarantined client.
-        """
-        obs = self.runtime.obs
-        if obs is None:
-            return self._handle_batch(client_id, raws)
-        clock = self.runtime.clock
-        span = obs.start_span("memcached.batch", client=client_id, size=len(raws))
-        started = clock.now
-        try:
-            responses = self._handle_batch(client_id, raws)
-        except BaseException:
-            obs.record_batch("memcached", len(raws))
-            obs.end_span(span, status="crash")
-            raise
-        elapsed = clock.now - started
-        # Per-request accounting with the batch's amortised latency: the
-        # whole point of pipelining is that each request's share shrinks.
-        if self._batch_pipelined:
-            # Steady state: the batch parsed and applied in one pipelined
-            # entry, and ``_apply`` never emits SERVER_ERROR, so every
-            # status is "ok" by construction — record the batch and all
-            # its requests in one fused call without inspecting the
-            # responses.
-            obs.record_pipeline(
-                "memcached",
-                len(raws),
-                elapsed / len(responses) if responses else 0.0,
-                len(responses),
-            )
-            batch_status = "ok"
-        else:
-            obs.record_batch("memcached", len(raws))
-            share = elapsed / len(responses) if responses else 0.0
-            # Fallback or degenerate batch (fault mid-parse, quarantine,
-            # non-persistent isolation): classify each response.
-            statuses = [_response_status(r) for r in responses]
-            obs.record_requests("memcached", share, statuses)
-            batch_status = (
-                "ok" if all(s == "ok" for s in statuses) else "partial"
-            )
-        obs.end_span(span, status=batch_status)
-        return responses
-
-    def _handle_batch(self, client_id: str, raws: list[bytes]) -> list[bytes]:
-        if client_id not in self._connections:
-            raise SdradError(f"client {client_id!r} is not connected")
-        if not raws:
-            return []
-        if self.isolation is not IsolationMode.PER_CONNECTION or (
-            self.watchdog is not None and self.watchdog.is_quarantined(client_id)
-        ):
-            self._batch_pipelined = False
-            return [self._handle(client_id, raw) for raw in raws]
-        udi = self._connections[client_id]
-        result = self.runtime.execute(udi, _parse_batch_in_domain, raws)
-        if not result.ok:
-            # The rewind discarded the whole (unapplied) batch; re-handle
-            # each request in its own entry so only the offender errors.
-            self._batch_pipelined = False
-            return [self._handle(client_id, raw) for raw in raws]
-        self._batch_pipelined = True
-        self.metrics.requests += len(raws)
-        return list(map(self._apply, result.value))
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _domain_for_request(self, client_id: str) -> tuple[int, bool]:
-        if self.isolation is IsolationMode.PER_REQUEST:
-            domain = self.runtime.domain_init(
-                flags=DomainFlags.RETURN_TO_PARENT,
-                heap_size=self.domain_heap_size,
-            )
-            return domain.udi, True
-        return self._connections[client_id], False
-
-    def _bump_fault(self, client_id: str) -> None:
-        faults = self.metrics.per_client_faults
-        faults[client_id] = faults.get(client_id, 0) + 1
-
-    def _apply(self, parsed: Optional[tuple]) -> bytes:
-        """Trusted-side application of a successfully parsed command.
-
-        ``parsed`` is ``_parse_parts``'s tuple, or ``None`` for a line the
-        parser rejected. No branch answers ``SERVER_ERROR``: the pipelined
-        obs path and the fleet's health accounting rely on that.
-        """
-        if parsed is None:
-            self.metrics.client_errors += 1
-            return b"ERROR\r\n"
-        op = parsed[0]
-        if op == b"get":
-            try:
-                if len(parsed) == 2:
-                    key = parsed[1]
-                    hit = self.store.get(key)
-                    self.metrics.ok += 1
-                    if hit is None:
-                        return b"END\r\n"
-                    value, flags = hit
-                    return b"VALUE %s %d %d\r\n%s\r\nEND\r\n" % (key, flags, len(value), value)
-                # Multi-key get: one batched store lookup for the whole
-                # request (memcached's ``get k1 k2 ...``).
-                keys = parsed[1:]
-                hits = self.store.get_many(list(keys))
-            except SdradError:
-                self.metrics.client_errors += 1
-                return b"CLIENT_ERROR bad key\r\n"
-            self.metrics.ok += 1
-            chunks = []
-            for key in keys:
-                item = hits.get(key)
-                if item is not None:
-                    value, flags = item
-                    chunks.append(b"VALUE %s %d %d\r\n%s\r\n" % (key, flags, len(value), value))
-            chunks.append(b"END\r\n")
-            return b"".join(chunks)
-        if op in (b"set", b"add", b"replace"):
-            _, key, flags, value = parsed
-            try:
-                if op == b"set":
-                    self.store.set(key, value, flags)
-                    stored = True
-                elif op == b"add":
-                    stored = self.store.add(key, value, flags)
-                else:
-                    stored = self.store.replace(key, value, flags)
-            except AllocationFailure:
-                # No slab chunk can hold the item (refused before anything
-                # is freed or evicted), or its class has no page left and
-                # nothing is left to evict.
-                self.metrics.client_errors += 1
-                return b"CLIENT_ERROR object too large for cache\r\n"
-            except SdradError:
-                self.metrics.client_errors += 1
-                return b"CLIENT_ERROR bad data chunk\r\n"
-            self.metrics.ok += 1
-            return b"STORED\r\n" if stored else b"NOT_STORED\r\n"
-        if op in (b"incr", b"decr"):
-            _, key, delta = parsed
-            try:
-                new_value = self.store.incr(key, delta if op == b"incr" else -delta)
-            except SdradError:
-                self.metrics.client_errors += 1
-                return b"CLIENT_ERROR bad key\r\n"
-            self.metrics.ok += 1
-            if new_value is None:
-                return b"NOT_FOUND\r\n"
-            return b"%d\r\n" % new_value
-        if op == b"delete":
-            try:
-                found = self.store.delete(parsed[1])
-            except SdradError:
-                self.metrics.client_errors += 1
-                return b"CLIENT_ERROR bad key\r\n"
-            self.metrics.ok += 1
-            return b"DELETED\r\n" if found else b"NOT_FOUND\r\n"
-        if op == b"stats":
-            self.metrics.ok += 1
-            stats = self.store.stats
-            body = (
-                b"STAT cmd_get %d\r\nSTAT cmd_set %d\r\n"
-                b"STAT get_hits %d\r\nSTAT get_misses %d\r\n"
-                b"STAT evictions %d\r\nEND\r\n"
-                % (stats.gets, stats.sets, stats.hits, stats.misses, stats.evictions)
-            )
-            return body
-        self.metrics.client_errors += 1
-        return b"ERROR\r\n"
 
 
 def _parse_in_domain(handle: DomainHandle, raw: bytes) -> Optional[tuple]:
@@ -535,3 +204,124 @@ def _parse_batch_in_domain(
         return out
     finally:
         handle.pop_frame(frame)
+
+
+class MemcachedServer(DomainServer):
+    """The server: the shared serving core applying commands to a KVStore."""
+
+    app = "memcached"
+    REFUSED = b"SERVER_ERROR client quarantined\r\n"
+    DISCARDED = b"SERVER_ERROR domain fault (request discarded)\r\n"
+    _parse = staticmethod(_parse_in_domain)
+    _parse_batch = staticmethod(_parse_batch_in_domain)
+    # Bound in this class's own namespace, not only inherited: the traced
+    # benchmark run (bench/layers.py) wraps the request entry points it
+    # finds in ``vars(MemcachedServer)`` as the ``apps`` layer.
+    handle = DomainServer.handle
+    handle_batch = DomainServer.handle_batch
+
+    def __init__(
+        self,
+        runtime: SdradRuntime,
+        store: Optional[KVStore] = None,
+        isolation: IsolationMode = IsolationMode.PER_CONNECTION,
+        domain_heap_size: int = 128 * 1024,
+        watchdog: Optional[FaultWatchdog] = None,
+    ) -> None:
+        self.store = store if store is not None else KVStore(runtime)
+        self.metrics = ServerMetrics()
+        super().__init__(runtime, isolation, domain_heap_size, watchdog)
+
+    def _discard(self) -> bytes:
+        self.metrics.server_errors += 1
+        return self.DISCARDED
+
+    def _apply(self, parsed: Optional[tuple]) -> bytes:
+        """Trusted-side application of a successfully parsed command.
+
+        ``parsed`` is ``_parse_parts``'s tuple, or ``None`` for a line the
+        parser rejected. No branch answers ``SERVER_ERROR``: the pipelined
+        obs path and the fleet's health accounting rely on that.
+        """
+        if parsed is None:
+            self.metrics.client_errors += 1
+            return b"ERROR\r\n"
+        op = parsed[0]
+        if op == b"get":
+            try:
+                if len(parsed) == 2:
+                    key = parsed[1]
+                    hit = self.store.get(key)
+                    self.metrics.ok += 1
+                    if hit is None:
+                        return b"END\r\n"
+                    value, flags = hit
+                    return b"VALUE %s %d %d\r\n%s\r\nEND\r\n" % (key, flags, len(value), value)
+                # Multi-key get: one batched store lookup for the whole
+                # request (memcached's ``get k1 k2 ...``).
+                keys = parsed[1:]
+                hits = self.store.get_many(list(keys))
+            except SdradError:
+                self.metrics.client_errors += 1
+                return b"CLIENT_ERROR bad key\r\n"
+            self.metrics.ok += 1
+            chunks = []
+            for key in keys:
+                item = hits.get(key)
+                if item is not None:
+                    value, flags = item
+                    chunks.append(b"VALUE %s %d %d\r\n%s\r\n" % (key, flags, len(value), value))
+            chunks.append(b"END\r\n")
+            return b"".join(chunks)
+        if op in (b"set", b"add", b"replace"):
+            _, key, flags, value = parsed
+            try:
+                if op == b"set":
+                    self.store.set(key, value, flags)
+                    stored = True
+                elif op == b"add":
+                    stored = self.store.add(key, value, flags)
+                else:
+                    stored = self.store.replace(key, value, flags)
+            except AllocationFailure:
+                # No slab chunk can hold the item (refused before anything
+                # is freed or evicted), or its class has no page left and
+                # nothing is left to evict.
+                self.metrics.client_errors += 1
+                return b"CLIENT_ERROR object too large for cache\r\n"
+            except SdradError:
+                self.metrics.client_errors += 1
+                return b"CLIENT_ERROR bad data chunk\r\n"
+            self.metrics.ok += 1
+            return b"STORED\r\n" if stored else b"NOT_STORED\r\n"
+        if op in (b"incr", b"decr"):
+            _, key, delta = parsed
+            try:
+                new_value = self.store.incr(key, delta if op == b"incr" else -delta)
+            except SdradError:
+                self.metrics.client_errors += 1
+                return b"CLIENT_ERROR bad key\r\n"
+            self.metrics.ok += 1
+            if new_value is None:
+                return b"NOT_FOUND\r\n"
+            return b"%d\r\n" % new_value
+        if op == b"delete":
+            try:
+                found = self.store.delete(parsed[1])
+            except SdradError:
+                self.metrics.client_errors += 1
+                return b"CLIENT_ERROR bad key\r\n"
+            self.metrics.ok += 1
+            return b"DELETED\r\n" if found else b"NOT_FOUND\r\n"
+        if op == b"stats":
+            self.metrics.ok += 1
+            stats = self.store.stats
+            body = (
+                b"STAT cmd_get %d\r\nSTAT cmd_set %d\r\n"
+                b"STAT get_hits %d\r\nSTAT get_misses %d\r\n"
+                b"STAT evictions %d\r\nEND\r\n"
+                % (stats.gets, stats.sets, stats.hits, stats.misses, stats.evictions)
+            )
+            return body
+        self.metrics.client_errors += 1
+        return b"ERROR\r\n"

@@ -4,7 +4,9 @@ The second of the paper's three use cases. NGINX's architecture maps onto
 SDRaD naturally: each worker's request-processing runs in a domain, the
 routing table and accounting stay in root memory. A crafted request that
 smashes the parser is rewound and answered with ``500``; in the unisolated
-baseline it kills the worker process.
+baseline it kills the worker process. The serving half is
+:class:`~repro.apps.serving.DomainServer`; this module adds the routing
+apply and NGINX's per-request worker cost.
 """
 
 from __future__ import annotations
@@ -12,19 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..errors import SdradError
-from ..sdrad.constants import DomainFlags
-from ..sdrad.policy import ProcessCrashed
 from ..sdrad.runtime import SdradRuntime
 from ..sdrad.watchdog import FaultWatchdog
 from .http import (
     HttpResponse,
-    Router,
     default_router,
     parse_pipeline_in_domain,
     parse_request_in_domain,
 )
-from .memcached_server import IsolationMode
+from .serving import DomainServer, IsolationMode
 
 
 @dataclass
@@ -40,185 +38,36 @@ class NginxMetrics:
     per_client_faults: dict[str, int] = field(default_factory=dict)
 
 
-def _response_status(response: bytes) -> str:
-    """Span/metric status from the wire bytes of an encoded response.
-
-    ``refused`` — quarantine 429 (no domain work happened); ``fault`` — a
-    rewound parser fault answered 500; ``ok`` — everything else (4xx for
-    bad input is the server working correctly).
-    """
-    if response.startswith(b"HTTP/1.1 429 "):
-        return "refused"
-    if response.startswith(b"HTTP/1.1 500 "):
-        return "fault"
-    return "ok"
-
-
-class NginxServer:
+class NginxServer(DomainServer):
     """Connection-oriented HTTP server over the SDRaD runtime."""
+
+    app = "nginx"
+    REFUSED = HttpResponse(
+        status=429, reason="Too Many Requests", body=b"quarantined\n"
+    ).encode()
+    DISCARDED = HttpResponse(
+        status=500, reason="Internal Server Error", body=b"request discarded\n"
+    ).encode()
+    _parse = staticmethod(parse_request_in_domain)
+    _parse_batch = staticmethod(parse_pipeline_in_domain)
+    request_cost = "nginx_request"
 
     def __init__(
         self,
         runtime: SdradRuntime,
-        router: Optional[Router] = None,
         isolation: IsolationMode = IsolationMode.PER_CONNECTION,
         domain_heap_size: int = 128 * 1024,
-        watchdog: Optional["FaultWatchdog"] = None,
+        watchdog: Optional[FaultWatchdog] = None,
     ) -> None:
-        self.runtime = runtime
-        self.router = router if router is not None else default_router()
-        self.isolation = isolation
-        self.domain_heap_size = domain_heap_size
-        self.watchdog = watchdog
+        self.router = default_router()
         self.metrics = NginxMetrics()
-        self._connections: dict[str, int] = {}
+        super().__init__(runtime, isolation, domain_heap_size, watchdog)
 
-    # ------------------------------------------------------------------
+    def _discard(self) -> bytes:
+        self.metrics.responses_5xx += 1
+        return self.DISCARDED
 
-    def connect(self, client_id: str) -> None:
-        if client_id in self._connections:
-            raise SdradError(f"client {client_id!r} already connected")
-        if self.isolation is IsolationMode.PER_CONNECTION:
-            domain = self.runtime.domain_init(
-                flags=DomainFlags.RETURN_TO_PARENT,
-                heap_size=self.domain_heap_size,
-            )
-            self._connections[client_id] = domain.udi
-        else:
-            self._connections[client_id] = -1
-
-    def disconnect(self, client_id: str) -> None:
-        udi = self._connections.pop(client_id, None)
-        if udi is not None and udi >= 0:
-            self.runtime.domain_destroy(udi)
-
-    @property
-    def connected_clients(self) -> list[str]:
-        return list(self._connections)
-
-    # ------------------------------------------------------------------
-
-    def handle(self, client_id: str, raw: bytes) -> bytes:
-        """Process one HTTP request; returns the encoded response."""
-        obs = self.runtime.obs
-        if obs is None:
-            return self._handle(client_id, raw)
-        span = obs.start_span("nginx.request", client=client_id)
-        started = self.runtime.clock.now
-        try:
-            response = self._handle(client_id, raw)
-        except BaseException:
-            obs.record_request(
-                "nginx", self.runtime.clock.now - started, status="crash"
-            )
-            obs.end_span(span, status="crash")
-            raise
-        status = _response_status(response)
-        obs.record_request("nginx", self.runtime.clock.now - started, status)
-        obs.end_span(span, status=status)
-        return response
-
-    def _handle(self, client_id: str, raw: bytes) -> bytes:
-        if client_id not in self._connections:
-            raise SdradError(f"client {client_id!r} is not connected")
-        self.metrics.requests += 1
-        if self.watchdog is not None and self.watchdog.is_quarantined(client_id):
-            self.metrics.quarantine_refusals += 1
-            return HttpResponse(
-                status=429, reason="Too Many Requests", body=b"quarantined\n"
-            ).encode()
-        self.runtime.charge(self.runtime.cost.nginx_request)
-
-        if self.isolation is IsolationMode.NONE:
-            try:
-                request = self.runtime.execute_unisolated(
-                    parse_request_in_domain, raw
-                )
-            except ProcessCrashed:
-                self.metrics.crashes += 1
-                self._bump_fault(client_id)
-                raise
-            return self._respond(request)
-
-        udi, ephemeral = self._domain_for_request(client_id)
-        try:
-            result = self.runtime.execute(udi, parse_request_in_domain, raw)
-        finally:
-            if ephemeral:
-                self.runtime.domain_destroy(udi)
-        if not result.ok:
-            self.metrics.rewinds += 1
-            self.metrics.responses_5xx += 1
-            self._bump_fault(client_id)
-            if self.watchdog is not None and self.watchdog.record_fault(client_id):
-                self.metrics.quarantines += 1
-            return HttpResponse(
-                status=500,
-                reason="Internal Server Error",
-                body=b"request discarded\n",
-            ).encode()
-        return self._respond(result.value)
-
-    def handle_batch(self, client_id: str, raws: list[bytes]) -> list[bytes]:
-        """Process an HTTP/1.1 pipeline in one domain entry.
-
-        Mirrors :meth:`MemcachedServer.handle_batch`: the whole pipeline is
-        parsed inside a single enter/exit of the connection's domain and
-        routed trusted-side afterwards. A fault while parsing rewinds the
-        (side-effect-free) batch and the server falls back to per-request
-        handling, so only the offending request answers 500.
-        """
-        obs = self.runtime.obs
-        if obs is None:
-            return self._handle_batch(client_id, raws)
-        span = obs.start_span("nginx.batch", client=client_id, size=len(raws))
-        started = self.runtime.clock.now
-        try:
-            responses = self._handle_batch(client_id, raws)
-        except BaseException:
-            obs.record_batch("nginx", len(raws))
-            obs.end_span(span, status="crash")
-            raise
-        elapsed = self.runtime.clock.now - started
-        obs.record_batch("nginx", len(raws))
-        share = elapsed / len(responses) if responses else 0.0
-        statuses = [_response_status(response) for response in responses]
-        for status in statuses:
-            obs.record_request("nginx", share, status)
-        batch_status = "ok" if all(s == "ok" for s in statuses) else "partial"
-        obs.end_span(span, status=batch_status)
-        return responses
-
-    def _handle_batch(self, client_id: str, raws: list[bytes]) -> list[bytes]:
-        if client_id not in self._connections:
-            raise SdradError(f"client {client_id!r} is not connected")
-        if not raws:
-            return []
-        if self.isolation is not IsolationMode.PER_CONNECTION or (
-            self.watchdog is not None and self.watchdog.is_quarantined(client_id)
-        ):
-            return [self._handle(client_id, raw) for raw in raws]
-        udi = self._connections[client_id]
-        self.runtime.charge(len(raws) * self.runtime.cost.nginx_request)
-        result = self.runtime.execute(udi, parse_pipeline_in_domain, raws)
-        if not result.ok:
-            # Nothing was routed before the fault; re-handle individually.
-            return [self._handle(client_id, raw) for raw in raws]
-        self.metrics.requests += len(raws)
-        return [self._respond(request) for request in result.value]
-
-    # ------------------------------------------------------------------
-
-    def _domain_for_request(self, client_id: str) -> tuple[int, bool]:
-        if self.isolation is IsolationMode.PER_REQUEST:
-            domain = self.runtime.domain_init(
-                flags=DomainFlags.RETURN_TO_PARENT,
-                heap_size=self.domain_heap_size,
-            )
-            return domain.udi, True
-        return self._connections[client_id], False
-
-    def _respond(self, request) -> bytes:
+    def _apply(self, request) -> bytes:
         if request is None:
             self.metrics.responses_4xx += 1
             return HttpResponse(
@@ -232,7 +81,3 @@ class NginxServer:
         else:
             self.metrics.responses_5xx += 1
         return response.encode()
-
-    def _bump_fault(self, client_id: str) -> None:
-        faults = self.metrics.per_client_faults
-        faults[client_id] = faults.get(client_id, 0) + 1

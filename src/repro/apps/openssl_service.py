@@ -23,7 +23,7 @@ from ..errors import SdradError
 from ..sdrad.constants import DomainFlags
 from ..sdrad.policy import ProcessCrashed, RewindPolicy
 from ..sdrad.runtime import SdradRuntime
-from .memcached_server import IsolationMode
+from .serving import IsolationMode
 from .tls import (
     ContentType,
     HandshakeType,

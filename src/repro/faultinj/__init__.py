@@ -1,14 +1,6 @@
-"""Fault injection: memory-corruption models, arrival campaigns, injector."""
+"""Fault injection: memory-corruption models, arrival processes, injector."""
 
-from .campaign import (
-    DEFAULT_FAULT_MIX,
-    ArrivalProcess,
-    BurstArrivals,
-    Campaign,
-    InjectionPlan,
-    PeriodicArrivals,
-    PoissonArrivals,
-)
+from .campaign import ArrivalProcess, PeriodicArrivals, PoissonArrivals
 from .injector import FaultInjector, InjectionResult, InjectionSummary
 from .models import (
     FAULT_LIBRARY,
@@ -25,11 +17,7 @@ from .models import (
 )
 
 __all__ = [
-    "DEFAULT_FAULT_MIX",
     "ArrivalProcess",
-    "BurstArrivals",
-    "Campaign",
-    "InjectionPlan",
     "PeriodicArrivals",
     "PoissonArrivals",
     "FaultInjector",

@@ -167,6 +167,61 @@ class TestSingleKeyRouting:
         assert fleet.availability() == 1.0
 
 
+class TestRouteCacheBound:
+    """The route cache (key -> owning shard) has an explicit bound that both
+    of its fills honour: the single-key path and the multiget planner."""
+
+    BOUND = 8
+
+    def _fleet(self):
+        fleet = Fleet(4, seed=7)
+        fleet._route_cache_max = self.BOUND
+        return fleet
+
+    def _assert_bounded_and_correct(self, fleet):
+        cache = fleet._route_cache
+        assert len(cache) <= self.BOUND
+        for key, name in cache.items():
+            assert name == fleet.ring.shard_for(key)
+
+    def test_single_key_path_stays_bounded(self):
+        fleet = self._fleet()
+        sizes = []
+        for key, value in ITEMS[:40]:
+            assert fleet.set(key, value) == b"STORED\r\n"
+            sizes.append(len(fleet._route_cache))
+            self._assert_bounded_and_correct(fleet)
+        assert max(sizes) == self.BOUND  # the bound is reached, then held
+        for key, value in ITEMS[:40]:
+            owner = fleet.ring.shard_for(key)
+            before = fleet.metrics.per_shard_ops.get(owner, 0)
+            assert fleet.get(key) == b"VALUE %s 0 %d\r\n%s\r\nEND\r\n" % (
+                key, len(value), value
+            )
+            assert fleet.metrics.per_shard_ops[owner] == before + 1
+            assert fleet.delete(key) == b"DELETED\r\n"
+            self._assert_bounded_and_correct(fleet)
+
+    def test_multiget_planner_stays_bounded(self):
+        fleet = self._fleet()
+        reference = loaded_fleet(4)
+        assert fleet.set_many(list(ITEMS)) == len(ITEMS)
+        self._assert_bounded_and_correct(fleet)
+        fleet._route_cache.clear()
+        keys = KEYS[: self.BOUND]
+        assert fleet.multiget(keys) == reference.multiget(keys)
+        assert len(fleet._route_cache) == self.BOUND  # reached
+        for start in range(0, 120, 30):
+            keys = KEYS[start : start + 30]
+            assert fleet.multiget(keys) == reference.multiget(keys)
+            self._assert_bounded_and_correct(fleet)
+        plan = fleet._plan(KEYS[:50])
+        assert sorted(key for bucket in plan.values() for key in bucket) == KEYS[:50]
+        for name, bucket in plan.items():
+            assert all(fleet.ring.shard_for(key) == name for key in bucket)
+        self._assert_bounded_and_correct(fleet)
+
+
 class TestFailover:
     def test_dead_shard_fails_out_after_threshold(self):
         fleet = loaded_fleet(4)
