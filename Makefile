@@ -93,12 +93,14 @@ lint-domains:
 
 # The linter's own test matrix: planted-violation and near-miss fixtures
 # for every rule (exact rule+line markers), call-graph/SCC-summary unit
-# tests, cache byte-identity tests, and the SARIF golden file.
+# tests, cache byte-identity tests, the SARIF golden file, and the pinned
+# set of domain bodies the registry finds in src/repro/apps.
 lint-fixtures:
 	PYTHONPATH=src python -m pytest -q \
 		tests/test_analysis_fixtures.py \
 		tests/test_analysis_callgraph.py \
-		tests/test_analysis_cache.py
+		tests/test_analysis_cache.py \
+		tests/test_analysis_apps_coverage.py
 
 # General hygiene (ruff + mypy, configured in pyproject.toml). Both are
 # optional: the targets skip with a notice when the tool is not in the

@@ -1,14 +1,17 @@
-"""The Memcached and NGINX serving paths pinned against recorded outputs.
+"""The Memcached, NGINX and TLS serving paths pinned against recorded outputs.
 
 Each case serves one fixed script through a server (or an NGINX cluster)
 in one isolation mode, on one backend, with observability off or on. The
-script mixes benign traffic, stack and heap exploits, malformed lines,
-multi-key gets, and batches that pipeline, fall back and are empty, and a
-watchdog trips, refuses, expires and trips again. The recorded digests
-cover every response (crashes included), the virtual clock, the metrics
-dataclass, ``telemetry.snapshot`` and, with obs on, the Prometheus text
-and the span JSONL. A refactor of the serving core must leave all of them
-byte-identical.
+Memcached/NGINX script mixes benign traffic, stack and heap exploits,
+malformed lines, multi-key gets, and batches that pipeline, fall back and
+are empty, and a watchdog trips, refuses, expires and trips again. The TLS
+script runs handshakes, application data, honest heartbeats, an in-heap
+and a domain-crossing Heartbleed over-read, garbage and out-of-order
+records, and a disconnect and reconnect. The recorded digests cover every
+response (crashes included), the virtual clock, the metrics dataclass,
+``telemetry.snapshot``, the TLS secrets each response leaks and, with obs
+on, the Prometheus text and the span JSONL. A refactor of the serving core
+must leave all of them byte-identical.
 """
 
 from __future__ import annotations
@@ -22,6 +25,15 @@ import pytest
 from repro.apps.cluster import NginxCluster
 from repro.apps.memcached_server import IsolationMode, MemcachedServer
 from repro.apps.nginx_server import NginxServer
+from repro.apps.openssl_service import TlsServer
+from repro.apps.tls import (
+    TlsRecord,
+    make_appdata,
+    make_client_hello,
+    make_finished,
+    make_heartbeat_request,
+)
+from repro.errors import SdradError
 from repro.obs import Observability
 from repro.obs.exporters import prometheus_text, spans_to_jsonl
 from repro.sdrad.policy import ProcessCrashed
@@ -251,3 +263,116 @@ def test_servers_pinned(case):
 )
 def test_nginx_cluster_pinned(case):
     assert _cluster_outputs(*case) == _CLUSTER_OUTPUTS[case]
+
+
+#: ``(client, record)`` to serve, or ``("connect"|"disconnect", client)``.
+TLS_SCRIPT = [
+    ("alice", make_appdata(b"too early")),  # before the handshake
+    ("alice", b"\x00\x01"),  # garbage
+    ("alice", make_client_hello()),
+    ("alice", make_finished()),
+    ("bob", make_client_hello(b"\x07" * 32)),
+    ("alice", make_appdata(b"hello world " * 20)),
+    ("alice", make_heartbeat_request(b"ping")),
+    ("bob", make_appdata(b"b" * 3000)),
+    ("mallory", make_client_hello()),
+    ("mallory", make_heartbeat_request(b"x", declared=4000)),  # in-heap
+    ("mallory", make_heartbeat_request(b"x", declared=60000)),  # contained
+    ("mallory", make_appdata(b"after the rewind")),
+    ("mallory", make_heartbeat_request(b"H" * 40000)),  # heap exhausted
+    ("bob", make_heartbeat_request(b"pong" * 8)),
+    ("bob", TlsRecord(22, 0x0303, b"").encode()),  # empty handshake
+    ("bob", TlsRecord(22, 0x0303, b"\x63").encode()),  # unknown handshake
+    ("bob", TlsRecord(25, 0x0303, b"?").encode()),  # unknown content type
+    ("eve", make_client_hello()),  # never connected
+    ("disconnect", "mallory"),
+    ("connect", "mallory"),
+    ("mallory", make_heartbeat_request(b"again")),  # before the handshake
+    ("mallory", make_client_hello()),
+    ("mallory", make_heartbeat_request(b"x", declared=4000)),
+    ("alice", make_appdata(b"")),
+    ("alice", make_heartbeat_request(b"x", declared=60000)),
+    ("bob", make_appdata(b"still serving")),
+]
+
+
+def _tls_outputs(isolation: str, backend: str, obs_on: bool):
+    obs = Observability() if obs_on else None
+    # A root heap smaller than one heartbeat buffer: the unisolated build
+    # crashes where a domain rewinds.
+    runtime = SdradRuntime(backend=backend, obs=obs, root_heap_size=32 * 1024)
+    server = TlsServer(
+        runtime,
+        isolation=IsolationMode(isolation),
+        domain_heap_size=16 * 1024,
+        domain_stack_size=16 * 1024,
+    )
+    for client in ("alice", "bob", "mallory"):
+        server.connect(client)
+    responses = []
+    leaks = []
+    for client, payload in TLS_SCRIPT:
+        if client == "connect":
+            server.connect(payload)
+            continue
+        if client == "disconnect":
+            server.disconnect(payload)
+            continue
+        try:
+            response = server.handle_record(client, payload)
+        except (ProcessCrashed, SdradError) as exc:
+            response = b"raised: " + str(exc).encode()
+        responses.append(response)
+        leaks.append(server.leaked_secrets(response, exclude=client))
+    state = json.dumps(snapshot(runtime), sort_keys=True, default=repr)
+    outputs = (
+        _digest(*responses),
+        runtime.clock.now,
+        _digest(sorted(asdict(server.metrics).items())),
+        _digest(state, snapshot(runtime)["memory"]),
+        leaks,
+    )
+    if obs is None:
+        return outputs
+    return outputs + (
+        _digest(prometheus_text(obs.registry)),
+        _digest(spans_to_jsonl(obs.buffer)),
+    )
+
+
+#: Recorded before TLS was served through the shared serving core.
+_TLS_OUTPUTS = {
+    ('per-connection', 'mpk', False): ('68fb933412dfedf7', 0.004050541999999999, 'a777fa87e213d0d3', '91977434be4a1677', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []]),
+    ('per-connection', 'mpk', True): ('68fb933412dfedf7', 0.004050541999999999, 'a777fa87e213d0d3', 'f923e4efe0095ba3', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []], '487e3be71fda3d63', 'ad894e8a59d775c1'),
+    ('per-connection', 'cheri', False): ('68fb933412dfedf7', 0.004039322000000003, 'a777fa87e213d0d3', '3aab7878036d07e8', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []]),
+    ('per-connection', 'cheri', True): ('68fb933412dfedf7', 0.004039322000000003, 'a777fa87e213d0d3', '0635009c5bfb1557', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []], 'ec5240f6401b39c5', '4e968358469bcb47'),
+    ('per-connection', 'sfi', False): ('68fb933412dfedf7', 0.004033597999999999, 'a777fa87e213d0d3', 'e4378f4e27764241', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []]),
+    ('per-connection', 'sfi', True): ('68fb933412dfedf7', 0.004033597999999999, 'a777fa87e213d0d3', '91945dbb32592c7a', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []], 'af433b37bfb144e6', '149919a6e3b39df0'),
+    ('per-request', 'mpk', False): ('2924ef157c09e82e', 0.004123821999999998, 'a777fa87e213d0d3', '911c745f7beb4c34', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []]),
+    ('per-request', 'mpk', True): ('2924ef157c09e82e', 0.004123821999999998, 'a777fa87e213d0d3', '97462eec92ccf985', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []], '17b8a1b18caa055f', '1347023281d4f35d'),
+    ('per-request', 'cheri', False): ('2924ef157c09e82e', 0.004069102000000004, 'a777fa87e213d0d3', '8b544206b21fb3c6', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []]),
+    ('per-request', 'cheri', True): ('2924ef157c09e82e', 0.004069102000000004, 'a777fa87e213d0d3', '27df4845517cd9e0', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []], '6bf0000df8127dcb', '3093071e40a98a51'),
+    ('per-request', 'sfi', False): ('2924ef157c09e82e', 0.004053077999999998, 'a777fa87e213d0d3', 'f4b467785a69665e', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []]),
+    ('per-request', 'sfi', True): ('2924ef157c09e82e', 0.004053077999999998, 'a777fa87e213d0d3', '6fa003a2b365a5d7', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []], 'c78996566277237d', '1e1756e22b8a19a8'),
+    ('none', 'mpk', False): ('73c028f3579b9499', 0.00401315, '053716ac35ce39a9', '52185fe300b4a60c', [[], [], [], [], [], [], [], [], [], ['alice', 'bob'], ['alice', 'bob'], [], [], [], [], [], [], [], [], [], ['alice', 'bob'], [], ['bob'], []]),
+    ('none', 'mpk', True): ('73c028f3579b9499', 0.00401315, '053716ac35ce39a9', 'b0e03c935b9d2b00', [[], [], [], [], [], [], [], [], [], ['alice', 'bob'], ['alice', 'bob'], [], [], [], [], [], [], [], [], [], ['alice', 'bob'], [], ['bob'], []], '28a66daa57efb81e', 'b8c86f33118b5deb'),
+    ('none', 'cheri', False): ('73c028f3579b9499', 0.00401315, '053716ac35ce39a9', 'd2ed93434c3a9683', [[], [], [], [], [], [], [], [], [], ['alice', 'bob'], ['alice', 'bob'], [], [], [], [], [], [], [], [], [], ['alice', 'bob'], [], ['bob'], []]),
+    ('none', 'cheri', True): ('73c028f3579b9499', 0.00401315, '053716ac35ce39a9', '133b90b66b31914b', [[], [], [], [], [], [], [], [], [], ['alice', 'bob'], ['alice', 'bob'], [], [], [], [], [], [], [], [], [], ['alice', 'bob'], [], ['bob'], []], '28a66daa57efb81e', 'b8c86f33118b5deb'),
+    ('none', 'sfi', False): ('73c028f3579b9499', 0.00401315, '053716ac35ce39a9', 'b8ede1a919ee7f26', [[], [], [], [], [], [], [], [], [], ['alice', 'bob'], ['alice', 'bob'], [], [], [], [], [], [], [], [], [], ['alice', 'bob'], [], ['bob'], []]),
+    ('none', 'sfi', True): ('73c028f3579b9499', 0.00401315, '053716ac35ce39a9', '3ea1cfbb9eadcfe8', [[], [], [], [], [], [], [], [], [], ['alice', 'bob'], ['alice', 'bob'], [], [], [], [], [], [], [], [], [], ['alice', 'bob'], [], ['bob'], []], '28a66daa57efb81e', 'b8c86f33118b5deb'),
+}
+
+_TLS_CASES = [
+    (isolation.value, backend, obs_on)
+    for isolation in IsolationMode
+    for backend in ("mpk", "cheri", "sfi")
+    for obs_on in (False, True)
+]
+
+
+@pytest.mark.parametrize(
+    "case", _TLS_CASES,
+    ids=lambda c: f"{c[0]}/{c[1]}/{'obs' if c[2] else 'plain'}",
+)
+def test_tls_pinned(case):
+    assert _tls_outputs(*case) == _TLS_OUTPUTS[case]
