@@ -8,7 +8,7 @@ Reproduced as: static accounting over our own replicas. For each use case we
 measure (a) the lines of the *core application logic* (which a retrofit does
 not touch) and (b) the lines of the *integration layer* (server wrapper that
 creates domains, routes requests through them and maps faults to protocol
-errors) — the analogue of the paper's 484-line patch. Memcached and NGINX
+errors) — the analogue of the paper's 484-line patch. All three use cases
 share one serving core (``repro.apps.serving``), counted once in its own
 row, so each use-case row is the glue specific to that app. For the FFI
 path we count the lines a `@sandboxed` annotation costs per function.
@@ -75,7 +75,7 @@ def test_e7_retrofit_effort_table(experiment_printer):
                 f"{glue_lines / (core_lines + glue_lines) * 100:.0f} %",
             )
         )
-    # The request/rewind/quarantine/batch protocol Memcached and NGINX
+    # The request/rewind/quarantine/batch protocol the three use cases
     # share, counted once: each use-case row is the glue specific to it.
     rows.append(("shared serving core", "-", code_lines(serving), "-"))
     experiment_printer(

@@ -32,7 +32,7 @@ def attack(isolation: IsolationMode, declared: int = 8000) -> None:
     for client in ("victim-0", "victim-1", "attacker"):
         server.connect(client)
         server.handle_record(client, make_client_hello())
-        secret = server.session(client).secret
+        secret = server.secret(client)
         print(f"  {client:9s} session secret: {secret[:8].hex()}…")
 
     print(f"  attacker sends heartbeat: 1-byte payload, declares {declared}")

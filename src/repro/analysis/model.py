@@ -158,10 +158,6 @@ class ModuleModel:
         rules = self.suppressions.get(line)
         return rules is not None and (rule in rules or "ALL" in rules)
 
-    def function_named(self, name: str) -> Optional[FunctionInfo]:
-        """Module-level (or method) lookup by bare name; last wins."""
-        return self._by_name.get(name)
-
     def iter_calls(self, node: Optional[ast.AST] = None) -> Iterator[ast.Call]:
         for sub in ast.walk(node if node is not None else self.tree):
             if isinstance(sub, ast.Call):

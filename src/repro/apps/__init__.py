@@ -20,7 +20,7 @@ from .http import (
 from .kvstore import KVStore, StoreStats
 from .memcached_server import MemcachedServer, ServerMetrics
 from .nginx_server import NginxMetrics, NginxServer
-from .openssl_service import TlsMetrics, TlsServer, TlsSession
+from .openssl_service import TlsMetrics, TlsServer
 from .serving import DomainServer, IsolationMode
 from .tls import (
     ContentType,
@@ -60,7 +60,6 @@ __all__ = [
     "NginxServer",
     "TlsMetrics",
     "TlsServer",
-    "TlsSession",
     "ContentType",
     "HandshakeType",
     "HeartbeatType",

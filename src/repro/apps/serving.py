@@ -1,13 +1,14 @@
 """The serving half that every SDRaD request/response server shares.
 
-The paper retrofits Memcached and NGINX onto one protocol: parse untrusted
-input inside a domain, rewind on a fault, then apply the result
-trusted-side. :class:`DomainServer` implements that protocol once — the
-connection registry, the three isolation modes, per-request dispatch with
-rewind, crash and watchdog accounting, the pipelined batch with its
-per-request fallback, and the observability wrappers. A concrete server
-supplies only what differs between applications: its parsers, its
-trusted-side ``_apply``, its wire bytes for a refused and a discarded
+The paper retrofits Memcached, NGINX and OpenSSL onto one protocol: run
+the untrusted work inside a domain, rewind on a fault, then answer from
+the trusted side. :class:`DomainServer` implements that protocol once —
+the connection registry, the three isolation modes, the isolated run
+with rewind, crash and watchdog accounting (:meth:`DomainServer._run`,
+which all three servers call), the pipelined batch with its per-request
+fallback, and the observability wrappers. A concrete server supplies
+only what differs between applications: its domain bodies, its
+trusted-side handling, its wire bytes for a refused and a discarded
 request, and how a discard is counted.
 
 Isolation modes (E1's ablation axis):
@@ -16,7 +17,7 @@ Isolation modes (E1's ablation axis):
   deployment: cheap, contains clients from each other);
 * ``PER_REQUEST``   — a fresh domain per request (strongest discard
   semantics, pays domain setup per request);
-* ``NONE``          — parse in the root compartment with abort-on-detect
+* ``NONE``          — run in the root compartment with abort-on-detect
   (the unprotected baseline: any detected fault kills the process).
 
 The watchdog's quarantine is enforced here and nowhere else: a
@@ -31,6 +32,7 @@ import enum
 from typing import Any, Callable, ClassVar, Optional
 
 from ..errors import SdradError
+from ..memory.layout import DEFAULT_DOMAIN_STACK
 from ..sdrad.constants import ROOT_UDI, DomainFlags
 from ..sdrad.policy import ProcessCrashed
 from ..sdrad.runtime import SdradRuntime
@@ -47,17 +49,24 @@ class DomainServer:
     """Connection registry + isolated parsing + trusted apply.
 
     Subclasses set the class attributes below and ``self.metrics`` (a
-    dataclass with ``requests``, ``rewinds``, ``crashes``, ``quarantines``,
-    ``quarantine_refusals`` and ``per_client_faults``), and implement
-    ``_apply`` (trusted-side handling of one parsed request, ``None`` for a
-    line the parser rejected) and ``_discard`` (count a rewound request and
-    return :attr:`DISCARDED`). ``_apply`` must never return :attr:`REFUSED`
-    or :attr:`DISCARDED`: the pipelined obs path records every response of
-    a batch that parsed in one entry as ``ok`` without looking at it.
+    dataclass with ``rewinds``, ``crashes`` and ``per_client_faults``; with
+    a watchdog also ``quarantines`` and ``quarantine_refusals``). A server
+    that parses each request in one domain entry — Memcached, NGINX — also
+    counts ``requests`` and implements ``_apply`` (trusted-side handling
+    of one parsed request, ``None`` for a line the parser rejected) and
+    ``_discard`` (count a rewound request and return :attr:`DISCARDED`).
+    ``_apply`` must never return :attr:`REFUSED` or :attr:`DISCARDED`: the
+    pipelined obs path records every response of a batch that parsed in
+    one entry as ``ok`` without looking at it. A server with its own
+    trusted-side dispatch — TLS decodes records and runs the handshake
+    outside any domain — overrides ``_handle`` instead and calls
+    :meth:`_run` for each piece of untrusted work.
     """
 
     #: Label of the app in spans and metrics.
     app: ClassVar[str]
+    #: What one request is called in its span name (``<app>.<name>``).
+    request_name: ClassVar[str] = "request"
     #: Answer to a request from a quarantined client.
     REFUSED: ClassVar[bytes]
     #: Answer to a request whose parse faulted and was rewound.
@@ -65,10 +74,13 @@ class DomainServer:
     #: Domain body that parses one raw request (a module-level function,
     #: stored with ``staticmethod`` so ``execute`` gets the function itself).
     _parse: ClassVar[Callable[..., Any]]
-    #: Domain body that parses a whole pipeline in one entry.
-    _parse_batch: ClassVar[Callable[..., Any]]
+    #: Domain body that parses a whole pipeline in one entry; without one,
+    #: a batch is the per-request loop.
+    _parse_batch: ClassVar[Optional[Callable[..., Any]]] = None
     #: ``CostModel`` field charged per request before it is parsed, if any.
     request_cost: ClassVar[Optional[str]] = None
+    #: Stack size of every domain the server creates.
+    domain_stack_size: int = DEFAULT_DOMAIN_STACK
 
     def __init__(
         self,
@@ -86,7 +98,7 @@ class DomainServer:
         #: which case every response is "ok" by construction and the obs
         #: wrapper can skip per-response classification.
         self._batch_pipelined = True
-        self._request_span = f"{self.app}.request"
+        self._request_span = f"{self.app}.{self.request_name}"
         self._batch_span = f"{self.app}.batch"
         if runtime.obs is None:
             # With observability off the obs wrappers below are pure
@@ -107,6 +119,7 @@ class DomainServer:
             domain = self.runtime.domain_init(
                 flags=DomainFlags.RETURN_TO_PARENT,
                 heap_size=self.domain_heap_size,
+                stack_size=self.domain_stack_size,
             )
             self._connections[client_id] = domain.udi
         else:
@@ -173,39 +186,63 @@ class DomainServer:
             # Refused at the front door: no parsing, no domain, ~zero cost.
             metrics.quarantine_refusals += 1
             return self.REFUSED
-        runtime = self.runtime
         if self.request_cost is not None:
+            runtime = self.runtime
             runtime.charge(getattr(runtime.cost, self.request_cost))
+        ok, parsed = self._run(client_id, self._parse, raw)
+        return self._apply(parsed) if ok else self._discard()
 
+    def _run(
+        self,
+        client_id: str,
+        body: Callable[..., Any],
+        *args: Any,
+        stage: Optional[bytes] = None,
+    ) -> tuple[bool, Any]:
+        """Run ``body(handle, *args)`` for ``client_id`` as the isolation
+        mode dictates; returns ``(True, value)``, or ``(False, None)`` when
+        the body faulted and its domain was rewound.
+
+        The rewind is counted here, once: the server's ``rewinds``, the
+        client's fault and the watchdog. ``stage`` is copied into a
+        per-request domain before the body runs — session state that a
+        per-connection domain keeps resident. In ``NONE`` isolation a fault
+        has nothing to contain it: the crash is counted and
+        :class:`ProcessCrashed` propagates.
+        """
+        runtime = self.runtime
         if self.isolation is IsolationMode.NONE:
             # Baseline: no domain, no switch cost — and no containment.
             try:
-                parsed = runtime.execute_unisolated(self._parse, raw)
+                return True, runtime.execute_unisolated(body, *args)
             except ProcessCrashed:
-                metrics.crashes += 1
+                self.metrics.crashes += 1
                 self._bump_fault(client_id)
                 raise
-            return self._apply(parsed)
 
         if self.isolation is IsolationMode.PER_REQUEST:
             udi = runtime.domain_init(
                 flags=DomainFlags.RETURN_TO_PARENT,
                 heap_size=self.domain_heap_size,
+                stack_size=self.domain_stack_size,
             ).udi
             try:
-                result = runtime.execute(udi, self._parse, raw)
+                if stage is not None:
+                    runtime.copy_into(udi, stage)
+                result = runtime.execute(udi, body, *args)
             finally:
                 runtime.domain_destroy(udi)
         else:
-            result = runtime.execute(self._connections[client_id], self._parse, raw)
+            result = runtime.execute(self._connections[client_id], body, *args)
 
         if not result.ok:
+            metrics = self.metrics
             metrics.rewinds += 1
             self._bump_fault(client_id)
             if self.watchdog is not None and self.watchdog.record_fault(client_id):
                 metrics.quarantines += 1
-            return self._discard()
-        return self._apply(result.value)
+            return False, None
+        return True, result.value
 
     def handle_batch(self, client_id: str, raws: list[bytes]) -> list[bytes]:
         """Process a pipeline of requests in one domain entry.
@@ -221,7 +258,8 @@ class DomainServer:
 
         Isolation modes without a persistent domain (``PER_REQUEST``,
         ``NONE``) have nothing to amortise; the pipeline degenerates to the
-        per-request loop, as does a quarantined client.
+        per-request loop, as does a quarantined client or a server without
+        a pipeline parser.
         """
         obs = self.runtime.obs
         if obs is None:
@@ -261,8 +299,10 @@ class DomainServer:
             raise SdradError(f"client {client_id!r} is not connected")
         if not raws:
             return []
-        if self.isolation is not IsolationMode.PER_CONNECTION or (
-            self.watchdog is not None and self.watchdog.is_quarantined(client_id)
+        if (
+            self.isolation is not IsolationMode.PER_CONNECTION
+            or self._parse_batch is None
+            or (self.watchdog is not None and self.watchdog.is_quarantined(client_id))
         ):
             self._batch_pipelined = False
             return [self._handle(client_id, raw) for raw in raws]

@@ -301,14 +301,6 @@ class CampaignModel:
     def predict_recovery(self, stratum: Stratum) -> ConfidenceInterval:
         return self.recovery.predict(self.encoder.encode(stratum))
 
-    def predict_latency(self, stratum: Stratum) -> ConfidenceInterval:
-        return self.latency.predict(self.encoder.encode(stratum))
-
-    def predict_joules(self, stratum: Stratum) -> Optional[ConfidenceInterval]:
-        if self.joules is None:
-            return None
-        return self.joules.predict(self.encoder.encode(stratum))
-
     def predict_gco2e(self, stratum: Stratum) -> Optional[ConfidenceInterval]:
         if self.gco2e is None:
             return None

@@ -48,10 +48,6 @@ class MarshalStats:
     serialize_time: float = 0.0
     copy_time: float = 0.0
 
-    @property
-    def total_bytes(self) -> int:
-        return self.args_bytes + self.result_bytes
-
 
 def marshal_args(
     runtime: SdradRuntime,

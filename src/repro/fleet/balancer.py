@@ -16,14 +16,15 @@ reported to the health monitor, which fails the shard out of the ring
 once failures persist (see :mod:`repro.fleet.health`); the consistent
 ring guarantees only the failed shard's ranges move.
 
-For the wall-clock scaling bench the front-end can track **host time**
-split into serial work (routing, request building, gathering — the
-balancer's own CPU) and per-shard parallelisable work, of which each
-scatter round contributes its *maximum* to the critical path: shards are
-independent nodes, so a fleet's makespan for one scatter is the slowest
-shard's sub-batch, not the sum. ``bench_fleet`` gates on throughput
+For the wall-clock scaling bench, :meth:`Fleet.multiget_wave` can track
+**host time** split into serial work (routing, request building,
+gathering — the balancer's own CPU) and per-shard parallelisable work, of
+which each wave contributes its *maximum* to the critical path: shards are
+independent nodes, so a fleet's makespan for one wave is the slowest
+shard's pipeline, not the sum. ``bench_fleet`` gates on throughput
 computed over ``serial + critical`` — the honest fleet-level number a
-load balancer in front of N real nodes would sustain.
+load balancer in front of N real nodes would sustain. Single-key
+operations and :meth:`Fleet.multiget` are not tracked.
 """
 
 from __future__ import annotations
@@ -125,8 +126,9 @@ class Fleet:
         self.last_op_services: "list[tuple[str, float]]" = []
         #: Shards that failed to serve part of the most recent operation.
         self.last_op_failed: "list[str]" = []
-        # Host-time accounting (bench only; a plain bool guard keeps the
-        # serving path free of timer calls when disabled).
+        # Host-time accounting of ``multiget_wave`` (bench only; a plain
+        # bool guard keeps the serving path free of timer calls when
+        # disabled).
         self.track_host_time = track_host_time
         self.host_serial_s = 0.0
         self.host_critical_s = 0.0
@@ -211,9 +213,6 @@ class Fleet:
             self.obs.registry.counter("fleet_rejoins_total").increment()
             self.obs.registry.gauge("fleet_shards").set(len(self.ring))
 
-    def serving_shards(self) -> "list[str]":
-        return self.ring.shards
-
     # ------------------------------------------------------------------
     # Single-key operations
     # ------------------------------------------------------------------
@@ -291,24 +290,11 @@ class Fleet:
         self.metrics.ops += 1
         self.last_op_services = []
         self.last_op_failed = []
-        if self.track_host_time:
-            t0 = perf_counter()
-            shard = self._route(key)
-            t1 = perf_counter()
-            self.host_serial_s += t1 - t0
-            if shard is None:
-                self.metrics.errors += 1
-                return _NO_SHARD
-            response = self._serve_one(shard, raw)
-            dt = perf_counter() - t1
-            self.host_critical_s += dt
-            self.host_parallel_total_s += dt
-        else:
-            shard = self._route(key)
-            if shard is None:
-                self.metrics.errors += 1
-                return _NO_SHARD
-            response = self._serve_one(shard, raw)
+        shard = self._route(key)
+        if shard is None:
+            self.metrics.errors += 1
+            return _NO_SHARD
+        response = self._serve_one(shard, raw)
         if self.last_op_failed:
             self.metrics.errors += 1
         else:
@@ -333,40 +319,19 @@ class Fleet:
         self.metrics.multigets += 1
         self.last_op_services = []
         self.last_op_failed = []
-        track = self.track_host_time
-        t0 = perf_counter() if track else 0.0
         plan = self._plan(keys) if self.ring.shards else {}
         requests = [
             (name, b"get " + b" ".join(shard_keys) + b"\r\n")
             for name, shard_keys in plan.items()
         ]
-        if track:
-            t1 = perf_counter()
-            self.host_serial_s += t1 - t0
         if not requests:
             self.metrics.errors += 1
             return _NO_SHARD
         self.metrics.scatter_batches += len(requests)
         self.metrics.scatter_keys += len(keys)
 
-        responses = []
-        if track:
-            slowest = 0.0
-            for name, raw in requests:
-                ts = perf_counter()
-                responses.append(self._serve_one(self.shards[name], raw))
-                dt = perf_counter() - ts
-                self.host_parallel_total_s += dt
-                if dt > slowest:
-                    slowest = dt
-            self.host_critical_s += slowest
-            t2 = perf_counter()
-            merged = self._finish_multiget(keys, requests, responses)
-            self.host_serial_s += perf_counter() - t2
-        else:
-            for name, raw in requests:
-                responses.append(self._serve_one(self.shards[name], raw))
-            merged = self._finish_multiget(keys, requests, responses)
+        responses = [self._serve_one(self.shards[name], raw) for name, raw in requests]
+        merged = self._finish_multiget(keys, requests, responses)
         if self.last_op_failed:
             self.metrics.errors += 1
         else:
@@ -583,10 +548,11 @@ class Fleet:
         self.host_parallel_total_s = 0.0
 
     def host_time_snapshot(self) -> "dict[str, float]":
-        """Serial vs parallel host CPU split since the last reset.
+        """Serial vs parallel host CPU split of ``multiget_wave`` since the
+        last reset.
 
         ``makespan`` is the fleet's critical path: the balancer's serial
-        work plus, per scatter round, the slowest shard's share — what a
+        work plus, per wave, the slowest shard's share — what a
         wall clock would read if the shards were real parallel nodes.
         """
         return {

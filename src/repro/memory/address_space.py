@@ -60,6 +60,10 @@ from .plans import AccessPlanCache
 _FILL_BLOCK = 1 << 20
 _fill_blocks: dict[int, memoryview] = {}
 
+#: Most per-gate-value verdict views the software TLB keeps. A write of one
+#: more distinct gate value flushes every view (and every access plan).
+_TLB_VIEW_BOUND = 64
+
 
 def _fill_block(value: int) -> memoryview:
     block = _fill_blocks.get(value)
@@ -258,7 +262,7 @@ class AddressSpace:
         """
         cache = self._tlb_by_pkru.get(value)
         if cache is None:
-            if len(self._tlb_by_pkru) >= 64:
+            if len(self._tlb_by_pkru) >= _TLB_VIEW_BOUND:
                 # Pathological PKRU churn: fall back to a full flush. The
                 # discarded verdict dicts are exactly what checked plans
                 # anchor their validity to, so they must die with them.

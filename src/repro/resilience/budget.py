@@ -75,10 +75,6 @@ class ErrorBudget:
             return math.inf if self._spent > 0 else 0.0
         return self._spent / self.total
 
-    @property
-    def events(self) -> list[BudgetEvent]:
-        return list(self._events)
-
     # ------------------------------------------------------------------
 
     def burn_rate(self, now: float) -> float:

@@ -132,9 +132,6 @@ class FaultWatchdog:
 
     # ------------------------------------------------------------------
 
-    def record_for(self, principal: str) -> Optional[QuarantineRecord]:
-        return self._records.get(principal)
-
     def quarantined_principals(self) -> list[str]:
         now = self.clock.now
         return [

@@ -9,7 +9,7 @@ from .lca import (
     SizedDeployment,
     size_deployment,
 )
-from .power import ServerPowerModel, joules_to_kwh, kwh_to_joules
+from .power import ServerPowerModel, joules_to_kwh
 from .grid import (
     DiurnalIntensity,
     RecoveryEmissions,
@@ -62,7 +62,6 @@ __all__ = [
     "summarize",
     "ServerPowerModel",
     "joules_to_kwh",
-    "kwh_to_joules",
     "availability_table",
     "format_availability",
     "format_seconds",

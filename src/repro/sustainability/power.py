@@ -50,7 +50,3 @@ class ServerPowerModel:
 
 def joules_to_kwh(joules: float) -> float:
     return joules / (1000.0 * HOURS)
-
-
-def kwh_to_joules(kwh: float) -> float:
-    return kwh * 1000.0 * HOURS

@@ -37,19 +37,6 @@ class MemcachedClient:
             return b"set %s 0 0 %d\r\n" % (key, len(value)) + value + b"\r\n"
         return b"get %s\r\n" % key
 
-    def next_batch(self, n: int) -> list[bytes]:
-        """A pipeline of ``n`` requests (``MemcachedServer.handle_batch``).
-
-        Subclass behaviour carries over: a malicious client's pipeline mixes
-        exploit payloads in at the same rate as its serial traffic.
-        """
-        return [self.next_request() for _ in range(n)]
-
-    def next_multiget(self, n: int) -> bytes:
-        """One multi-key ``get k1 k2 ...`` request over the Zipf keyspace."""
-        keys = [self.workload.next_key() for _ in range(max(n, 1))]
-        return b"get " + b" ".join(keys) + b"\r\n"
-
     def is_malicious(self) -> bool:
         return False
 

@@ -15,6 +15,8 @@ from repro.apps.tls import (
     make_finished,
     make_heartbeat_request,
 )
+from repro.errors import SdradError
+from repro.sdrad.policy import ProcessCrashed
 from repro.sdrad.runtime import SdradRuntime
 
 
@@ -69,8 +71,7 @@ def establish(server: TlsServer, client: str) -> None:
 class TestHandshake:
     def test_hello_establishes_session(self, isolated: TlsServer):
         establish(isolated, "c")
-        assert isolated.session("c").established
-        assert len(isolated.session("c").secret) == 48
+        assert len(isolated.secret("c")) == 48
 
     def test_handshake_charges_crypto_cost(self, isolated: TlsServer):
         runtime = isolated.runtime
@@ -99,7 +100,7 @@ class TestHandshake:
     def test_session_secrets_differ(self, isolated: TlsServer):
         establish(isolated, "a")
         establish(isolated, "b")
-        assert isolated.session("a").secret != isolated.session("b").secret
+        assert isolated.secret("a") != isolated.secret("b")
 
 
 class TestHeartbeat:
@@ -174,3 +175,48 @@ class TestHeartbeat:
         baseline = len(isolated.runtime.domains())
         isolated.disconnect("c")
         assert len(isolated.runtime.domains()) == baseline - 1
+
+
+class TestSharedServingCore:
+    def test_secret_exists_from_the_handshake_on(self, isolated: TlsServer):
+        isolated.connect("c")
+        assert isolated.secret("c") is None
+        isolated.handle_record("c", make_client_hello())
+        assert isolated.secret("c") is not None
+        isolated.disconnect("c")
+        with pytest.raises(SdradError):
+            isolated.secret("c")
+
+    @pytest.mark.parametrize("isolation", list(IsolationMode))
+    def test_batch_is_the_per_record_loop(self, isolation: IsolationMode):
+        records = [
+            make_client_hello(),
+            make_heartbeat_request(b"ping"),
+            make_heartbeat_request(b"x", declared=60000),
+            make_appdata(b"after"),
+        ]
+        outputs = []
+        for batched in (False, True):
+            runtime = SdradRuntime()
+            server = TlsServer(
+                runtime,
+                isolation=isolation,
+                domain_heap_size=16 * 1024,
+                domain_stack_size=16 * 1024,
+            )
+            server.connect("c")
+            if batched:
+                responses = server.handle_batch("c", records)
+            else:
+                responses = [server.handle_record("c", raw) for raw in records]
+            outputs.append((responses, server.metrics, runtime.clock.now))
+        assert outputs[0] == outputs[1]
+
+    def test_unisolated_appdata_crash_is_counted(self):
+        runtime = SdradRuntime(root_heap_size=16 * 1024)
+        server = TlsServer(runtime, isolation=IsolationMode.NONE)
+        establish(server, "c")
+        with pytest.raises(ProcessCrashed):
+            server.handle_record("c", make_appdata(b"x" * 30000))
+        assert server.metrics.crashes == 1
+        assert server.metrics.per_client_faults == {"c": 1}

@@ -13,11 +13,12 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import (
+    MemoryError_,
     PermissionFault,
     ProtectionKeyViolation,
     SegmentationFault,
 )
-from repro.memory.address_space import AddressSpace
+from repro.memory.address_space import _TLB_VIEW_BOUND, AddressSpace
 from repro.memory.layout import PAGE_SIZE
 from repro.sdrad.constants import DomainFlags
 from repro.sdrad.runtime import SdradRuntime
@@ -219,6 +220,59 @@ class TestKeyRecyclingInvalidation:
         flushes = runtime.space.tlb_flushes
         runtime.domain_destroy(domain.udi)
         assert runtime.space.tlb_flushes > flushes
+
+
+class TestViewBound:
+    """One distinct gate value past the bound flushes every verdict view,
+    and every access plan with them."""
+
+    @pytest.mark.parametrize("backend", ["mpk", "cheri", "sfi"])
+    def test_gate_churn_past_the_bound(self, backend: str):
+        space = AddressSpace(size=16 * PAGE_SIZE, backend=backend)
+        table = space.page_table
+        table.map_range(0, 4 * PAGE_SIZE, pkey=0)
+        own, foreign = space.pkeys.alloc(), space.pkeys.alloc()
+        table.tag_range(PAGE_SIZE, PAGE_SIZE, own)
+        table.tag_range(2 * PAGE_SIZE, PAGE_SIZE, foreign)
+        table.protect_range(3 * PAGE_SIZE, PAGE_SIZE, readable=True, writable=False)
+        gate = space.gate
+        gate.grant(own)
+        home = gate.value
+        checked = space.plans.checked_plan(PAGE_SIZE, PAGE_SIZE, "rw")
+        kernel = space.plans.kernel_plan(0, PAGE_SIZE)
+        assert checked.is_valid() and kernel.is_valid()
+        flushes = space.tlb_flushes
+
+        for i in range(1, _TLB_VIEW_BOUND + 2):
+            if backend == "mpk":
+                gate.write(home ^ (i << 4))  # flips bits of keys 2-5 only
+            else:
+                gate.grant(100 + i)  # each grant derives a larger set
+            space.load(0, 8)  # populate the view
+            assert len(space._tlb_by_pkru) <= _TLB_VIEW_BOUND
+        assert space.tlb_flushes > flushes
+
+        gate.write(home)
+        assert checked.cell[0] is None  # shot down, not merely dormant
+        assert not checked.is_valid() and not kernel.is_valid()
+        fresh = space.plans.checked_plan(PAGE_SIZE, PAGE_SIZE, "rw")
+        assert fresh is not checked and fresh.is_valid()
+        # Cold, then from the re-warmed view: every verdict is the page
+        # table's (page 4 is unmapped).
+        for _ in range(2):
+            verdicts = []
+            for page in range(5):
+                addr = page * PAGE_SIZE
+                for write in (False, True):
+                    allowed = table.run_allows(page, page + 1, gate, not write, write)
+                    try:
+                        space.store(addr, b"v") if write else space.load(addr, 1)
+                    except MemoryError_:
+                        assert not allowed
+                    else:
+                        assert allowed
+                    verdicts.append(allowed)
+            assert verdicts == [True, True, True, True, False, False, True, False, False, False]
 
 
 class TestTelemetry:
