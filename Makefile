@@ -1,6 +1,6 @@
 # Convenience targets for the SDRaD reproduction.
 
-.PHONY: install test bench bench-fast bench-obs bench-plans bench-fleet bench-backends bench-campaign campaign profile tables examples lint lint-domains lint-fixtures all
+.PHONY: install test bench bench-fast bench-obs bench-plans bench-fleet bench-backends bench-campaign campaign profile tables examples examples-golden lint lint-domains lint-fixtures all
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -80,6 +80,14 @@ tables:
 # script's status only).
 examples:
 	@set -e; for f in examples/*.py; do echo "== $$f =="; python $$f; done
+
+# Re-record the stdout of every example under examples/golden/ (compared
+# byte for byte by tests/test_examples_golden.py). Name the moved lines
+# and the reason in CHANGES.md when a change re-records them.
+examples-golden:
+	@set -e; for f in examples/*.py; do \
+		python $$f > examples/golden/$$(basename $$f .py).txt; done
+	@git diff --stat -- examples/golden/
 
 # sdradlint: whole-program static verification of the SDRaD compartment
 # invariants (R1 enter/exit pairing, R2 domain-heap escape, R3
