@@ -231,7 +231,9 @@ class DomainServer:
                     runtime.copy_into(udi, stage)
                 result = runtime.execute(udi, body, *args)
             finally:
-                runtime.domain_destroy(udi)
+                # The next request's init adopts this domain's regions and
+                # key (``SdradRuntime.domain_retire``).
+                runtime.domain_retire(udi)
         else:
             result = runtime.execute(self._connections[client_id], body, *args)
 

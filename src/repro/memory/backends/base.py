@@ -253,6 +253,11 @@ class TagAllocator:
     def is_allocated(self, tag: int) -> bool:
         return tag in self._allocated
 
+    def would_reissue(self, tag: int) -> bool:
+        """Whether ``free(tag)`` then ``alloc()`` would hand ``tag``
+        straight back: no lower tag is free."""
+        return not self._freed or self._freed[0] > tag
+
 
 class IsolationBackend:
     """Abstract substrate: everything the runtime needs, nothing more.

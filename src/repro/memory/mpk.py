@@ -204,3 +204,8 @@ class PkeyAllocator:
     def is_allocated(self, pkey: int) -> bool:
         _validate_pkey(pkey)
         return pkey in self._allocated
+
+    def would_reissue(self, pkey: int) -> bool:
+        """Whether ``free(pkey)`` then ``alloc()`` would hand ``pkey``
+        straight back: no lower key is free."""
+        return all(key in self._allocated for key in range(pkey))

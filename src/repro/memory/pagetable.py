@@ -209,6 +209,18 @@ class PageTable:
     def mapped_bytes(self) -> int:
         return PAGE_SIZE * (self.num_pages - self._bits.count(0))
 
+    def is_mapped_as(self, address: int, length: int, pkey: int) -> bool:
+        """Whether every page of the in-space, page-aligned range is mapped
+        read-write with tag ``pkey`` — exactly what ``map_range(address,
+        length, pkey=pkey)`` leaves."""
+        first = address // PAGE_SIZE
+        stop = first + length // PAGE_SIZE
+        pages = stop - first
+        return (
+            self._bits.count(PRESENT | READABLE | WRITABLE, first, stop) == pages
+            and self._tags[first:stop].count(pkey) == pages
+        )
+
     def access_fault(self, address: int, write: bool, gate, violation):
         """The fault a checked access to the in-space page holding
         ``address`` raises under ``gate``, or ``None`` if it is allowed."""

@@ -66,6 +66,13 @@ class SdradApi:
         return ReturnCode.SUCCESS
 
     def sdrad_deinit(self, udi: int) -> ReturnCode:
+        """Destroy domain ``udi``; ``SUCCESS`` or a negative code.
+
+        A full :meth:`~repro.sdrad.runtime.SdradRuntime.domain_destroy`,
+        not a retire: the C library's deinit unmaps the domain's memory
+        and frees its key before it returns, so a stale pointer into the
+        domain faults as a segmentation fault at once.
+        """
         try:
             self.runtime.domain_destroy(udi)
         except DomainNotFound as exc:

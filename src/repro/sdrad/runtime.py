@@ -176,6 +176,19 @@ _DEFAULT_REWIND_POLICY = RewindPolicy()
 _MEMORY_POOL_BOUND = 8
 
 
+class _Parked(NamedTuple):
+    """A retired domain's regions and key, still mapped and allocated.
+
+    ``pkey`` is ``None`` under key virtualisation, whose keys the manager
+    recycles itself (and which never parks past the retire)."""
+
+    pkey: Optional[int]
+    heap_base: int
+    heap_size: int
+    stack_base: int
+    stack_size: int
+
+
 class _EntryTicket(NamedTuple):
     """Prepared state for re-entering a domain from the same caller.
 
@@ -312,11 +325,16 @@ class SdradRuntime:
         def _ticket_on_pkey_free(pkey: int) -> None:
             if _chained_on_free is not None:
                 _chained_on_free(pkey)
-            if self._entry_tickets:
-                self._entry_tickets.clear()
-                self.reentry_invalidations += 1
+            # A parked key's tickets went at its retire (see
+            # ``domain_retire``); settling it later must not flush again.
+            parked = self._parked
+            if parked is None or parked.pkey != pkey:
+                self._flush_entry_tickets()
 
         self.space.pkeys.on_free = _ticket_on_pkey_free
+        # The last retired domain's regions and key, kept mapped and
+        # allocated for the next init of the same shape (``domain_retire``).
+        self._parked: Optional[_Parked] = None
         self._root = self._create_root_domain(root_heap_size)
         # Optional libmpk-style key virtualisation (lifts the 15-domain
         # limit at the cost of rebind retagging; see repro.sdrad.keyvirt).
@@ -390,6 +408,12 @@ class SdradRuntime:
         protection keys are taken. Sizes the heap allocator or the stack
         would refuse are rejected before anything is taken: no udi, key,
         region or virtual time.
+
+        A domain retired by :meth:`domain_retire` is adopted when settling
+        it would hand exactly its regions and key to this init: then
+        nothing is unmapped, freed, allocated or mapped, and the domain
+        gets the same addresses, key, bytes and charges it would have got.
+        Any other init settles the parked domain first.
         """
         heap_size = page_align_up(heap_size)
         stack_size = page_align_up(stack_size)
@@ -404,6 +428,49 @@ class SdradRuntime:
             raise DomainStateError(f"domain udi={udi} already exists")
         if parent_udi not in self._domains:
             raise DomainNotFound(parent_udi)
+        parked = self._parked
+        if parked is not None and self._adoptable(parked, heap_size, stack_size):
+            self._parked = None
+            pkey, heap_base, _, stack_base, _ = parked
+        else:
+            self._settle()
+            pkey, heap_base, stack_base = self._map_domain(heap_size, stack_size)
+        # Substrate setup syscalls (pkey_alloc + two pkey_mprotect on MPK,
+        # capability derivation on CHERI, mask install on SFI) + heap arena.
+        self.charge(self._setup_cost + self.cost.domain_heap_init)
+        heap, stack = self._domain_memory(
+            udi, heap_base, heap_size, stack_base, stack_size
+        )
+        domain = Domain(
+            udi=udi,
+            pkey=pkey,
+            space=self.space,
+            heap=heap,
+            stack=stack,
+            flags=flags,
+            parent_udi=parent_udi,
+            lazy_scrub=self.scrub_mode == "lazy",
+        )
+        self._domains[udi] = domain
+        if self.obs is not None:
+            self.obs.registry.counter("sdrad_domains_created_total").increment()
+        return domain
+
+    def _adoptable(self, parked: _Parked, heap_size: int, stack_size: int) -> bool:
+        """Whether settling ``parked`` and then reserving ``heap_size`` and
+        ``stack_size`` would yield exactly its regions and key: the same
+        sizes, no free region of either size ahead of them in the free
+        list, and no free key below its key."""
+        if parked.heap_size != heap_size or parked.stack_size != stack_size:
+            return False
+        for _, size in self._free_regions:
+            if size == heap_size or size == stack_size:
+                return False
+        return self.space.pkeys.would_reissue(parked.pkey)
+
+    def _map_domain(self, heap_size: int, stack_size: int) -> tuple[int, int, int]:
+        """Take a key and map heap and stack regions for a new domain;
+        returns ``(pkey, heap_base, stack_base)``."""
         if self.keys is not None:
             # Virtualised: pages start on the lock key, binding is lazy.
             pkey = self.keys.assign_initial_key()
@@ -430,26 +497,7 @@ class SdradRuntime:
         else:
             table.map_range(heap_base, heap_size, pkey=pkey)
             table.map_range(stack_base, stack_size, pkey=pkey)
-        # Substrate setup syscalls (pkey_alloc + two pkey_mprotect on MPK,
-        # capability derivation on CHERI, mask install on SFI) + heap arena.
-        self.charge(self._setup_cost + self.cost.domain_heap_init)
-        heap, stack = self._domain_memory(
-            udi, heap_base, heap_size, stack_base, stack_size
-        )
-        domain = Domain(
-            udi=udi,
-            pkey=pkey,
-            space=self.space,
-            heap=heap,
-            stack=stack,
-            flags=flags,
-            parent_udi=parent_udi,
-            lazy_scrub=self.scrub_mode == "lazy",
-        )
-        self._domains[udi] = domain
-        if self.obs is not None:
-            self.obs.registry.counter("sdrad_domains_created_total").increment()
-        return domain
+        return pkey, heap_base, stack_base
 
     def _domain_memory(
         self,
@@ -483,7 +531,44 @@ class SdradRuntime:
         return memory
 
     def domain_destroy(self, udi: int) -> None:
-        """Tear a domain down and recycle its key and regions."""
+        """Tear a domain down and recycle its key and regions: a retire
+        whose regions are unmapped and key freed at once."""
+        self.domain_retire(udi)
+        self._settle()
+
+    def domain_retire(self, udi: int) -> None:
+        """Tear a domain down, handing its regions and key to the next init.
+
+        Everything :meth:`domain_destroy` does to the domain happens here,
+        in the same order and at the same charges: its entry tickets (and,
+        as the ``pkey_free`` it stands for would, every other ticket) are
+        dropped, its allocator and stack go to the memory pool, its stats
+        are folded into :attr:`destroyed_stats` and the teardown is
+        charged. The rest of a destroy — unmapping the regions, returning
+        them to the free list and freeing the key — is deferred to a
+        *settle*. The retired domain's shape waits in one parked slot:
+
+        * the next :meth:`domain_init` adopts it when settling would hand
+          that init exactly these regions and this key (same sizes, no
+          free region or lower key ahead of them), skipping the unmap,
+          ``pkey_free``, ``pkey_alloc`` and map a per-request lifecycle
+          would otherwise repeat;
+        * any other init, any region reservation, a further retire and
+          :meth:`domain_destroy` settle it first, in the order a destroy
+          would have, so addresses and keys are exactly a destroy's.
+
+        The model treats a retired domain as destroyed:
+        :func:`~repro.sdrad.telemetry.snapshot` reports its regions as
+        unmapped (:meth:`mapped_bytes`). Its pages keep their key while
+        parked, and the key stays allocated, so no other domain can be
+        granted it: a stale pointer into a parked region faults with the
+        backend's gate violation (a protection-key fault) rather than the
+        :class:`~repro.errors.SegmentationFault` an unmapped page raises.
+
+        Only regions exactly as their init mapped them are parked. Under
+        key virtualisation, or when a region was remapped, retagged or
+        protected since its init, a retire is a destroy: nothing parks.
+        """
         domain = self._domains.get(udi)
         if domain is None:
             raise DomainNotFound(udi)
@@ -491,17 +576,22 @@ class SdradRuntime:
             raise SdradError("cannot destroy the root domain")
         if self.contexts.entries and self.contexts.contains_udi(udi):
             raise DomainStateError(f"domain {udi} is currently entered")
+        self._settle()  # at most one parked shape
         heap_base, heap_size = domain.heap_base, domain.heap_size
         stack_base, stack_size = domain.stack_base, domain.stack_size
-        # Unmapped, so a stale pointer into the domain faults; the regions
-        # go back to the free list for the next reservation.
+        # Park only what the next init would map: key virtualisation
+        # recycles keys itself, and a region remapped, retagged or
+        # protected since its init is not what an init leaves. Anything
+        # else is unmapped first, as a destroy always did (a region that
+        # someone unmapped fails here, before anything is torn down).
         table = self.space.page_table
-        if heap_base + heap_size == stack_base:
-            table.unmap_range(heap_base, heap_size + stack_size)
-        else:
-            table.unmap_range(heap_base, heap_size)
-            table.unmap_range(stack_base, stack_size)
-        self._free_regions += ((heap_base, heap_size), (stack_base, stack_size))
+        park = (
+            self.keys is None
+            and table.is_mapped_as(heap_base, heap_size, domain.pkey)
+            and table.is_mapped_as(stack_base, stack_size, domain.pkey)
+        )
+        if not park:
+            self._unmap(heap_base, heap_size, stack_base, stack_size)
         # A destroyed udi may be recreated (tests and the facade do), and
         # under key virtualisation the physical key returns to the manager's
         # pool without a ``pkey_free`` ever firing — so the destroy itself
@@ -509,8 +599,11 @@ class SdradRuntime:
         self.invalidate_entry_tickets(udi)
         if self.keys is not None:
             self.keys.release_domain(domain)
+            pkey = None
         else:
-            self.space.pkeys.free(domain.pkey)
+            # The ticket flush of the ``pkey_free`` the settle will issue.
+            self._flush_entry_tickets()
+            pkey = domain.pkey
         pool = self._memory_pool
         if len(pool) >= _MEMORY_POOL_BOUND:
             del pool[next(iter(pool))]
@@ -521,6 +614,45 @@ class SdradRuntime:
         self.charge(self._teardown_cost)
         if self.obs is not None:
             self.obs.registry.counter("sdrad_domains_destroyed_total").increment()
+        self._parked = _Parked(pkey, heap_base, heap_size, stack_base, stack_size)
+        if not park:
+            self._settle(unmap=False)
+
+    def _settle(self, unmap: bool = True) -> None:
+        """Finish the parked retire, if any, as a destroy would have: unmap
+        its regions (unless the retire already did), so a stale pointer
+        into them faults, return them to the free list for the next
+        reservation and free the key."""
+        parked = self._parked
+        if parked is None:
+            return
+        pkey, heap_base, heap_size, stack_base, stack_size = parked
+        if unmap:
+            self._unmap(heap_base, heap_size, stack_base, stack_size)
+        self._free_regions += ((heap_base, heap_size), (stack_base, stack_size))
+        if pkey is not None:
+            self.space.pkeys.free(pkey)
+        self._parked = None
+
+    def _unmap(
+        self, heap_base: int, heap_size: int, stack_base: int, stack_size: int
+    ) -> None:
+        # One range update when heap and stack are adjacent (no guard page).
+        table = self.space.page_table
+        if heap_base + heap_size == stack_base:
+            table.unmap_range(heap_base, heap_size + stack_size)
+        else:
+            table.unmap_range(heap_base, heap_size)
+            table.unmap_range(stack_base, stack_size)
+
+    def mapped_bytes(self) -> int:
+        """Bytes the model has mapped: the page table's count less a parked
+        domain's regions, which the model has already unmapped."""
+        mapped = self.space.page_table.mapped_bytes()
+        parked = self._parked
+        if parked is not None:
+            mapped -= parked.heap_size + parked.stack_size
+        return mapped
 
     # ------------------------------------------------------------------
     # Re-entry ticket invalidation (the fast path's shootdown hooks)
@@ -552,6 +684,12 @@ class SdradRuntime:
         for key in stale:
             del tickets[key]
         if stale:
+            self.reentry_invalidations += 1
+
+    def _flush_entry_tickets(self) -> None:
+        """Drop every entry ticket (a key was freed, or is as good as)."""
+        if self._entry_tickets:
+            self._entry_tickets.clear()
             self.reentry_invalidations += 1
 
     def set_domain_flags(self, udi: int, flags: DomainFlags) -> None:
@@ -931,6 +1069,7 @@ class SdradRuntime:
 
     def _map_region(self, size: int, pkey: int) -> int:
         size = page_align_up(size)
+        self._settle()
         base, _ = self._reserve_region(size)
         self.space.page_table.map_range(base, size, pkey=pkey)
         return base

@@ -52,7 +52,7 @@ def snapshot(runtime: SdradRuntime) -> dict[str, Any]:
     memory = {
         "backend": space.backend.name,
         "space_bytes": space.size,
-        "mapped_bytes": space.page_table.mapped_bytes(),
+        "mapped_bytes": runtime.mapped_bytes(),
         "checked_loads": space.loads,
         "checked_stores": space.stores,
         "hardware_faults": space.faults,

@@ -1,16 +1,22 @@
 """Checked plans across per-request domain lifecycles, and cache bounds.
 
 A domain created on recycled regions re-arms its predecessor's dead
-checked plans instead of compiling new ones. That is only sound if every
-re-arm follows a passing probe: the differential test drives random
-lifecycles — repeated and varying heap sizes, heap and stack traffic,
-retags, unmaps and downgrades of recycled or live regions — against an
-``access_plans=False`` twin and checks that no plan the cache hands out
-fails its probe. The bound tests drive the plan cache and the entry-ticket
-cache past their limits.
+checked plans instead of compiling new ones, and one that adopts a
+retired domain's regions and key keeps its predecessor's live plans. That
+is only sound if every re-arm follows a passing probe and every adoption
+yields what a destroy and a fresh init would: the differential test
+drives random lifecycles — repeated and varying heap sizes, retires,
+destroys, explicit udi reuse, shared-region reservations, heap and stack
+traffic, retags, unmaps and downgrades of recycled or live regions —
+against an ``access_plans=False``
+twin and against a twin that destroys where the others retire, and checks
+that no plan the cache hands out fails its probe. The bound tests drive
+the plan cache and the entry-ticket cache past their limits.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +29,8 @@ from repro.memory.layout import PAGE_SIZE
 from repro.memory.mpk import PkruRegister
 from repro.memory.plans import AccessPlanCache
 from repro.sdrad.constants import DomainFlags
-from repro.sdrad.runtime import _MEMORY_POOL_BOUND, SdradRuntime
+from repro.sdrad.detect import DetectionMechanism
+from repro.sdrad.runtime import _MEMORY_POOL_BOUND, DomainResult, SdradRuntime
 
 
 class _ProbingPlanCache(AccessPlanCache):
@@ -64,8 +71,12 @@ _remap_op = st.tuples(
 #: lands between a plan's compile and its next request.
 _life_ops = st.lists(
     st.one_of(
-        st.tuples(st.just("init"), _heap_size),
+        # The flag asks for the udi of the last retired or destroyed domain.
+        st.tuples(st.just("init"), _heap_size, st.booleans()),
+        st.tuples(st.just("retire"), _pick),
+        st.tuples(st.just("retire"), _pick),
         st.tuples(st.just("destroy"), _pick),
+        st.tuples(st.just("shared"), st.sampled_from([_STACK, 8 * PAGE_SIZE])),
         _heap_op,
         _heap_op,
         _stack_op,
@@ -100,15 +111,18 @@ def _stack_body(n: int):
 
 
 class _LifeSide:
-    """One runtime of the plans on/off differential."""
+    """One runtime of the lifecycle differential. ``retire=False`` makes
+    every retire step a destroy: the reference an adoption must match."""
 
-    def __init__(self, backend: str, access_plans: bool) -> None:
+    def __init__(self, backend: str, access_plans: bool, retire: bool = True) -> None:
         space = AddressSpace(size=8 << 20, backend=backend, access_plans=access_plans)
         if access_plans:
             space.plans = _ProbingPlanCache(space)
         self.runtime = SdradRuntime(space=space, root_heap_size=16 * PAGE_SIZE)
         self.space = space
+        self.retire = retire
         self.udis: list[int] = []
+        self.gone: list[int] = []
 
     def _domain(self, pick: int):
         return self.runtime.domain(self.udis[pick % len(self.udis)])
@@ -116,17 +130,35 @@ class _LifeSide:
     def apply(self, op):
         runtime, name = self.runtime, op[0]
         if name == "init":
+            udi = self.gone.pop() if op[2] and self.gone else None
             domain = runtime.domain_init(
-                flags=DomainFlags.RETURN_TO_PARENT, heap_size=op[1], stack_size=_STACK
+                flags=DomainFlags.RETURN_TO_PARENT,
+                heap_size=op[1],
+                stack_size=_STACK,
+                udi=udi,
             )
             self.udis.append(domain.udi)
-            return domain.udi, domain.heap_base, domain.stack_base
+            return domain.udi, domain.pkey, domain.heap_base, domain.stack_base
+        if name == "shared":
+            return runtime.map_shared_region(op[1])
         if not self.udis and name != "remap":
             return None
-        if name == "destroy":
+        if name in ("retire", "destroy"):
             udi = self.udis[op[1] % len(self.udis)]
-            runtime.domain_destroy(udi)
+            tickets = list(runtime._entry_tickets)
+            invalidations = runtime.reentry_invalidations
+            if name == "retire" and self.retire:
+                runtime.domain_retire(udi)
+            else:
+                runtime.domain_destroy(udi)
+            # Both drop the domain's tickets (one invalidation) and, as the
+            # pkey_free they stand for, every other ticket (one more).
+            own = sum(1 for key in tickets if key[1] == udi)
+            expected = (own > 0) + (len(tickets) > own)
+            assert runtime.reentry_invalidations - invalidations == expected
+            assert not runtime._entry_tickets
             self.udis.remove(udi)
+            self.gone.append(udi)
             return udi
         if name == "heap":
             domain = self._domain(op[1])
@@ -136,6 +168,9 @@ class _LifeSide:
         _, kind, where, pick, tag_pick, readable, writable = op
         if where == "recycled":
             # A region a destroyed domain left for the next init to reuse.
+            # Poking the page table is a region operation, and so, like
+            # every one in the runtime, settles a retired domain first.
+            runtime._settle()
             regions = runtime._free_regions
             if not regions:
                 return None
@@ -162,8 +197,42 @@ def _life_outcome(side: _LifeSide, op):
         result = ("ok", side.apply(op))
     except ReproError as exc:
         result = (type(exc), str(exc))
-    space = side.space
-    return result, space.loads, space.stores, space.faults
+    space, runtime = side.space, side.runtime
+    return (
+        result,
+        space.loads,
+        space.stores,
+        space.faults,
+        runtime.clock.now,
+        runtime.reentry_hits,
+        runtime.reentry_misses,
+        runtime.reentry_invalidations,
+        runtime.destroyed_count,
+        runtime.mapped_bytes(),
+    )
+
+
+def _parked_pages(runtime) -> range:
+    parked = runtime._parked
+    if parked is None:
+        return range(0)
+    lo = min(parked.heap_base, parked.stack_base)
+    hi = max(parked.heap_base + parked.heap_size, parked.stack_base + parked.stack_size)
+    return range(lo, hi)
+
+
+def _stale(outcome, parked: range, mechanism: DetectionMechanism):
+    """``outcome`` with a fault into ``parked`` reduced to its address,
+    after checking that it was detected by ``mechanism``."""
+    result = outcome[0]
+    if result[0] != "ok" or not isinstance(result[1], DomainResult):
+        return outcome
+    fault = result[1].fault
+    if fault is None or fault.address not in parked:
+        return outcome
+    assert fault.mechanism is mechanism, fault
+    stale = ("stale", fault.address, fault.domain_udi, fault.timestamp)
+    return (("ok", replace(result[1], fault=stale)),) + outcome[1:]
 
 
 @pytest.mark.parametrize("backend", ["mpk", "cheri", "sfi"])
@@ -171,7 +240,7 @@ def _life_outcome(side: _LifeSide, op):
 @given(ops=_life_ops)
 @example(  # a downgrade of the live heap: its dead plan must stay dead
     ops=[
-        ("init", 4 * PAGE_SIZE),
+        ("init", 4 * PAGE_SIZE, False),
         ("heap", 0, 0, 8),
         ("remap", "protect", "heap", 0, 0, True, False),
         ("heap", 0, 0, 8),
@@ -179,25 +248,65 @@ def _life_outcome(side: _LifeSide, op):
 )
 @example(  # a successor re-arms its predecessor's plans on recycled regions
     ops=[
-        ("init", 4 * PAGE_SIZE),
+        ("init", 4 * PAGE_SIZE, False),
         ("heap", 0, 0, 8),
         ("stack", 0, 8),
         ("destroy", 0),
         ("remap", "unmap", "recycled", 0, 0, False, False),
-        ("init", 4 * PAGE_SIZE),
+        ("init", 4 * PAGE_SIZE, False),
         ("heap", 0, 8, 8),
         ("stack", 0, 40),
+    ]
+)
+@example(  # a successor adopts a retired domain, under its old udi too
+    ops=[
+        ("init", 4 * PAGE_SIZE, False),
+        ("init", 4 * PAGE_SIZE, False),
+        ("heap", 0, 0, 8),
+        ("heap", 1, 0, 8),
+        ("retire", 0),
+        ("heap", 0, -PAGE_SIZE, 8),  # a stale pointer into the parked stack
+        ("init", 4 * PAGE_SIZE, True),
+        ("heap", 1, 8, 8),
+        ("retire", 1),
+        ("init", 8 * PAGE_SIZE, False),  # another shape settles it
+        ("retire", 0),
+        ("retire", 0),  # a second retire settles the first
+        ("init", 4 * PAGE_SIZE, True),
+        ("stack", 0, 40),
+    ]
+)
+@example(  # a lower key is free: the init takes it, not the parked one
+    ops=[
+        ("init", 8 * PAGE_SIZE, False),
+        ("init", 4 * PAGE_SIZE, False),
+        ("destroy", 0),
+        ("shared", _STACK),
+        ("shared", 8 * PAGE_SIZE),
+        ("retire", 0),
+        ("init", 4 * PAGE_SIZE, False),
+        ("heap", 0, 0, 8),
     ]
 )
 def test_rearmed_plans_match_plan_off_twin(backend, ops):
     """Per-request lifecycles with remaps in between: the plans-on runtime
     gives the same results, fault types and messages, counters and final
     bytes as its plan-off twin, and every checked plan the cache hands
-    out — compiled or re-armed — passes its probe."""
+    out — compiled, re-armed or adopted — passes its probe. Against a
+    twin that destroys where it retires, every init gets the same udi,
+    key and regions, and everything else matches too, except that a
+    stale access into a parked region is a gate violation where the
+    destroyed region's is a page fault."""
     on = _LifeSide(backend, access_plans=True)
     off = _LifeSide(backend, access_plans=False)
+    ref = _LifeSide(backend, access_plans=False, retire=False)
     for op in ops:
-        assert _life_outcome(on, op) == _life_outcome(off, op), op
+        parked = _parked_pages(on.runtime)
+        outcome = _life_outcome(on, op)
+        assert outcome == _life_outcome(off, op), op
+        assert _stale(outcome, parked, DetectionMechanism.PKEY_VIOLATION) == _stale(
+            _life_outcome(ref, op), parked, DetectionMechanism.PAGE_FAULT
+        ), op
         cache = on.space.plans
         for plan in cache.handed_out:
             if plan.is_valid():
@@ -205,6 +314,7 @@ def test_rearmed_plans_match_plan_off_twin(backend, ops):
                 assert cache._probe(plan.base, plan.length, plan.mode)
     size = on.space.size
     assert on.space.raw_load(0, size) == off.space.raw_load(0, size)
+    assert on.space.raw_load(0, size) == ref.space.raw_load(0, size)
 
 
 def test_successor_domain_rearms_its_predecessors_plans():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import SegmentationFault
 from repro.sdrad.api import SdradApi
 from repro.sdrad.constants import DomainFlags, ReturnCode
 
@@ -30,6 +31,17 @@ class TestDomainLifecycle:
     def test_deinit_success(self, api: SdradApi):
         api.sdrad_init(1)
         assert api.sdrad_deinit(1) is ReturnCode.SUCCESS
+
+    def test_stale_pointer_after_deinit_is_a_segmentation_fault(self, api: SdradApi):
+        """Deinit unmaps at once, as the C library does: it parks nothing
+        for a later init to adopt."""
+        api.sdrad_init(1)
+        code, addr = api.sdrad_malloc(1, 32)
+        assert code is ReturnCode.SUCCESS
+        assert api.sdrad_deinit(1) is ReturnCode.SUCCESS
+        assert api.runtime._parked is None
+        with pytest.raises(SegmentationFault):
+            api.runtime.space.load(addr, 8)
 
     def test_deinit_unknown(self, api: SdradApi):
         assert api.sdrad_deinit(5) is ReturnCode.NO_SUCH_DOMAIN
