@@ -81,6 +81,9 @@ class TlsServer(DomainServer):
         super().__init__(runtime, isolation, domain_heap_size)
         #: client id -> session secret, from the handshake on.
         self._secrets: dict[str, bytes] = {}
+        #: client id -> address of the secret's resident copy (the client's
+        #: domain heap, or the root heap in NONE isolation).
+        self._secret_addrs: dict[str, int] = {}
         self._secret_rng = runtime.rng.stream("tls/secrets")
         # Model the heap churn Heartbleed exploited: in the unisolated
         # build, connection scratch buffers come and go at low heap
@@ -93,6 +96,11 @@ class TlsServer(DomainServer):
     def disconnect(self, client_id: str) -> None:
         super().disconnect(client_id)
         self._secrets.pop(client_id, None)
+        # A per-connection copy went with its domain; the root's stays
+        # until freed here.
+        addr = self._secret_addrs.pop(client_id, None)
+        if addr is not None and self.isolation is IsolationMode.NONE:
+            self.runtime.root.heap.free(addr)
 
     def secret(self, client_id: str) -> Optional[bytes]:
         """The session secret of ``client_id``; ``None`` before its handshake."""
@@ -142,6 +150,7 @@ class TlsServer(DomainServer):
             return _alert(10)
         if not ok:
             # The rewind discarded the domain heap, the secret included.
+            self._secret_addrs.pop(client_id, None)
             self._place_secret(client_id, secret)
             return self.DISCARDED
         return TlsRecord(record.content_type, VERSION_TLS12, payload).encode()
@@ -181,12 +190,19 @@ class TlsServer(DomainServer):
         ``copy_into``. Per-request: nowhere resident (the core stages it
         into each request's domain). None: root memory, beside every other
         session's secret — the Heartbleed precondition; nothing rewinds
-        there.
+        there. A repeated handshake frees the previous copy first.
         """
+        old = self._secret_addrs.pop(client_id, None)
         if self.isolation is IsolationMode.PER_CONNECTION:
-            self.runtime.copy_into(self._connections[client_id], secret)
+            udi = self._connections[client_id]
+            if old is not None:
+                self.runtime.domain(udi).heap.free(old)
+            self._secret_addrs[client_id] = self.runtime.copy_into(udi, secret)
         elif self.isolation is IsolationMode.NONE:
-            addr = self.runtime.root.heap.malloc(SECRET_LEN)
+            heap = self.runtime.root.heap
+            if old is not None:
+                heap.free(old)
+            self._secret_addrs[client_id] = addr = heap.malloc(SECRET_LEN)
             self.runtime.space.raw_store(addr, secret)
 
     # ------------------------------------------------------------------

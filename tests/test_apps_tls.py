@@ -220,3 +220,41 @@ class TestSharedServingCore:
             server.handle_record("c", make_appdata(b"x" * 30000))
         assert server.metrics.crashes == 1
         assert server.metrics.per_client_faults == {"c": 1}
+
+
+class TestSecretOwnership:
+    """Each session's secret has one resident copy, and the server frees
+    it: a repeated handshake or a reconnect must not leak heap."""
+
+    def test_repeated_hellos_do_not_exhaust_a_connection_domain(self):
+        runtime = SdradRuntime()
+        server = TlsServer(
+            runtime,
+            isolation=IsolationMode.PER_CONNECTION,
+            domain_heap_size=16 * 1024,
+            domain_stack_size=16 * 1024,
+        )
+        server.connect("c")
+        for _ in range(300):
+            response = server.handle_record("c", make_client_hello())
+            assert decode_record(response).content_type == ContentType.HANDSHAKE
+        heap = runtime.domain(server._connections["c"]).heap
+        assert heap.stats().live_blocks == 1
+        # The live copy is the current secret, and a rewind re-stages it
+        # without freeing the block the discard already reclaimed.
+        server.handle_record("c", make_heartbeat_request(b"x", declared=60000))
+        server.handle_record("c", make_client_hello())
+        assert heap.stats().live_blocks == 1
+        response = server.handle_record("c", make_appdata(b"after"))
+        assert decode_record(response).content_type == ContentType.APPLICATION_DATA
+
+    def test_reconnecting_unisolated_clients_do_not_exhaust_the_root_heap(self):
+        runtime = SdradRuntime(root_heap_size=64 * 1024)
+        server = TlsServer(runtime, isolation=IsolationMode.NONE)
+        live = runtime.root.heap.stats().live_blocks
+        for _ in range(1000):
+            server.connect("c")
+            server.handle_record("c", make_client_hello())
+            server.handle_record("c", make_client_hello())
+            server.disconnect("c")
+        assert runtime.root.heap.stats().live_blocks == live
