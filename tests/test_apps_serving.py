@@ -346,6 +346,11 @@ def _tls_outputs(isolation: str, backend: str, obs_on: bool):
 
 #: Recorded before TLS was served through the shared serving core; the
 #: per-request snapshot digests re-recorded as for ``_SERVER_OUTPUTS``.
+#: The NONE cases' response and snapshot digests were re-recorded when the
+#: server started to free a session's root-heap secret on a repeated
+#: handshake and on disconnect: mallory's reconnected handshake reuses the
+#: freed block, so the two later over-reads return other stale bytes (the
+#: same clients' secrets leak), and one fewer root block stays live.
 _TLS_OUTPUTS = {
     ('per-connection', 'mpk', False): ('68fb933412dfedf7', 0.004050541999999999, 'a777fa87e213d0d3', '91977434be4a1677', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []]),
     ('per-connection', 'mpk', True): ('68fb933412dfedf7', 0.004050541999999999, 'a777fa87e213d0d3', 'f923e4efe0095ba3', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []], '487e3be71fda3d63', 'ad894e8a59d775c1'),
@@ -359,12 +364,12 @@ _TLS_OUTPUTS = {
     ('per-request', 'cheri', True): ('2924ef157c09e82e', 0.004069102000000004, 'a777fa87e213d0d3', '881aa6ac3ebbc166', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []], '6bf0000df8127dcb', '3093071e40a98a51'),
     ('per-request', 'sfi', False): ('2924ef157c09e82e', 0.004053077999999998, 'a777fa87e213d0d3', '18385a3e3fb6c8f4', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []]),
     ('per-request', 'sfi', True): ('2924ef157c09e82e', 0.004053077999999998, 'a777fa87e213d0d3', 'ee5e26a5440f8c66', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []], 'c78996566277237d', '1e1756e22b8a19a8'),
-    ('none', 'mpk', False): ('73c028f3579b9499', 0.00401315, '053716ac35ce39a9', '52185fe300b4a60c', [[], [], [], [], [], [], [], [], [], ['alice', 'bob'], ['alice', 'bob'], [], [], [], [], [], [], [], [], [], ['alice', 'bob'], [], ['bob'], []]),
-    ('none', 'mpk', True): ('73c028f3579b9499', 0.00401315, '053716ac35ce39a9', 'b0e03c935b9d2b00', [[], [], [], [], [], [], [], [], [], ['alice', 'bob'], ['alice', 'bob'], [], [], [], [], [], [], [], [], [], ['alice', 'bob'], [], ['bob'], []], '28a66daa57efb81e', 'b8c86f33118b5deb'),
-    ('none', 'cheri', False): ('73c028f3579b9499', 0.00401315, '053716ac35ce39a9', 'd2ed93434c3a9683', [[], [], [], [], [], [], [], [], [], ['alice', 'bob'], ['alice', 'bob'], [], [], [], [], [], [], [], [], [], ['alice', 'bob'], [], ['bob'], []]),
-    ('none', 'cheri', True): ('73c028f3579b9499', 0.00401315, '053716ac35ce39a9', '133b90b66b31914b', [[], [], [], [], [], [], [], [], [], ['alice', 'bob'], ['alice', 'bob'], [], [], [], [], [], [], [], [], [], ['alice', 'bob'], [], ['bob'], []], '28a66daa57efb81e', 'b8c86f33118b5deb'),
-    ('none', 'sfi', False): ('73c028f3579b9499', 0.00401315, '053716ac35ce39a9', 'b8ede1a919ee7f26', [[], [], [], [], [], [], [], [], [], ['alice', 'bob'], ['alice', 'bob'], [], [], [], [], [], [], [], [], [], ['alice', 'bob'], [], ['bob'], []]),
-    ('none', 'sfi', True): ('73c028f3579b9499', 0.00401315, '053716ac35ce39a9', '3ea1cfbb9eadcfe8', [[], [], [], [], [], [], [], [], [], ['alice', 'bob'], ['alice', 'bob'], [], [], [], [], [], [], [], [], [], ['alice', 'bob'], [], ['bob'], []], '28a66daa57efb81e', 'b8c86f33118b5deb'),
+    ('none', 'mpk', False): ('bc14b225f17bf87d', 0.00401315, '053716ac35ce39a9', 'e06a4ec87d047283', [[], [], [], [], [], [], [], [], [], ['alice', 'bob'], ['alice', 'bob'], [], [], [], [], [], [], [], [], [], ['alice', 'bob'], [], ['bob'], []]),
+    ('none', 'mpk', True): ('bc14b225f17bf87d', 0.00401315, '053716ac35ce39a9', '0434f84d96f26b4c', [[], [], [], [], [], [], [], [], [], ['alice', 'bob'], ['alice', 'bob'], [], [], [], [], [], [], [], [], [], ['alice', 'bob'], [], ['bob'], []], '28a66daa57efb81e', 'b8c86f33118b5deb'),
+    ('none', 'cheri', False): ('bc14b225f17bf87d', 0.00401315, '053716ac35ce39a9', '98858fcbb1382876', [[], [], [], [], [], [], [], [], [], ['alice', 'bob'], ['alice', 'bob'], [], [], [], [], [], [], [], [], [], ['alice', 'bob'], [], ['bob'], []]),
+    ('none', 'cheri', True): ('bc14b225f17bf87d', 0.00401315, '053716ac35ce39a9', 'ceb423246fa5023e', [[], [], [], [], [], [], [], [], [], ['alice', 'bob'], ['alice', 'bob'], [], [], [], [], [], [], [], [], [], ['alice', 'bob'], [], ['bob'], []], '28a66daa57efb81e', 'b8c86f33118b5deb'),
+    ('none', 'sfi', False): ('bc14b225f17bf87d', 0.00401315, '053716ac35ce39a9', '07b6ef343cef82e8', [[], [], [], [], [], [], [], [], [], ['alice', 'bob'], ['alice', 'bob'], [], [], [], [], [], [], [], [], [], ['alice', 'bob'], [], ['bob'], []]),
+    ('none', 'sfi', True): ('bc14b225f17bf87d', 0.00401315, '053716ac35ce39a9', '3ad4bddda0a24a46', [[], [], [], [], [], [], [], [], [], ['alice', 'bob'], ['alice', 'bob'], [], [], [], [], [], [], [], [], [], ['alice', 'bob'], [], ['bob'], []], '28a66daa57efb81e', 'b8c86f33118b5deb'),
 }
 
 _TLS_CASES = [
