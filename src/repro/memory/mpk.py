@@ -208,4 +208,4 @@ class PkeyAllocator:
     def would_reissue(self, pkey: int) -> bool:
         """Whether ``free(pkey)`` then ``alloc()`` would hand ``pkey``
         straight back: no lower key is free."""
-        return all(key in self._allocated for key in range(pkey))
+        return self._allocated.issuperset(range(pkey))

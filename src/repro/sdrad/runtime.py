@@ -585,11 +585,14 @@ class SdradRuntime:
         # else is unmapped first, as a destroy always did (a region that
         # someone unmapped fails here, before anything is torn down).
         table = self.space.page_table
-        park = (
-            self.keys is None
-            and table.is_mapped_as(heap_base, heap_size, domain.pkey)
-            and table.is_mapped_as(stack_base, stack_size, domain.pkey)
-        )
+        if self.keys is not None:
+            park = False
+        elif heap_base + heap_size == stack_base:
+            park = table.is_mapped_as(heap_base, heap_size + stack_size, domain.pkey)
+        else:
+            park = table.is_mapped_as(
+                heap_base, heap_size, domain.pkey
+            ) and table.is_mapped_as(stack_base, stack_size, domain.pkey)
         if not park:
             self._unmap(heap_base, heap_size, stack_base, stack_size)
         # A destroyed udi may be recreated (tests and the facade do), and
