@@ -31,10 +31,9 @@ def test_every_example_has_exactly_one_golden():
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.stem)
 def test_example_output_matches_golden(script):
     env = dict(os.environ)
-    src = str(REPO / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get(
-        "PYTHONPATH"
-    ) else src
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+    )
     run = subprocess.run(
         [sys.executable, str(script)],
         cwd=REPO,
