@@ -7,7 +7,8 @@ is only sound if every re-arm follows a passing probe and every adoption
 yields what a destroy and a fresh init would: the differential test
 drives random lifecycles — repeated and varying heap sizes, retires,
 destroys, explicit udi reuse, shared-region reservations, heap and stack
-traffic, retags, unmaps and downgrades of recycled or live regions —
+traffic, stale reads of retired heaps, retags, unmaps and downgrades of
+recycled or live regions —
 against an ``access_plans=False``
 twin and against a twin that destroys where the others retire, and checks
 that no plan the cache hands out fails its probe. The bound tests drive
@@ -77,6 +78,8 @@ _life_ops = st.lists(
         st.tuples(st.just("retire"), _pick),
         st.tuples(st.just("destroy"), _pick),
         st.tuples(st.just("shared"), st.sampled_from([_STACK, 8 * PAGE_SIZE])),
+        # A live domain reads a retired or destroyed domain's heap.
+        st.tuples(st.just("stale"), _pick, _pick),
         _heap_op,
         _heap_op,
         _stack_op,
@@ -123,6 +126,7 @@ class _LifeSide:
         self.retire = retire
         self.udis: list[int] = []
         self.gone: list[int] = []
+        self.gone_heaps: list[int] = []
 
     def _domain(self, pick: int):
         return self.runtime.domain(self.udis[pick % len(self.udis)])
@@ -145,6 +149,7 @@ class _LifeSide:
             return None
         if name in ("retire", "destroy"):
             udi = self.udis[op[1] % len(self.udis)]
+            heap_base = runtime.domain(udi).heap_base
             tickets = list(runtime._entry_tickets)
             invalidations = runtime.reentry_invalidations
             if name == "retire" and self.retire:
@@ -159,7 +164,13 @@ class _LifeSide:
             assert not runtime._entry_tickets
             self.udis.remove(udi)
             self.gone.append(udi)
+            self.gone_heaps.append(heap_base)
             return udi
+        if name == "stale":
+            if not self.gone_heaps:
+                return None
+            stale = self.gone_heaps[op[2] % len(self.gone_heaps)]
+            return runtime.execute(self._domain(op[1]).udi, lambda h: h.load(stale, 8))
         if name == "heap":
             domain = self._domain(op[1])
             return runtime.execute(domain.udi, _heap_body(op[2], op[3]))
@@ -212,23 +223,25 @@ def _life_outcome(side: _LifeSide, op):
     )
 
 
-def _parked_pages(runtime) -> range:
+def _parked_pages(runtime) -> tuple[range, ...]:
+    """The byte ranges of the retired domain waiting in the parked slot."""
     parked = runtime._parked
     if parked is None:
-        return range(0)
-    lo = min(parked.heap_base, parked.stack_base)
-    hi = max(parked.heap_base + parked.heap_size, parked.stack_base + parked.stack_size)
-    return range(lo, hi)
+        return ()
+    return (
+        range(parked.heap_base, parked.heap_base + parked.heap_size),
+        range(parked.stack_base, parked.stack_base + parked.stack_size),
+    )
 
 
-def _stale(outcome, parked: range, mechanism: DetectionMechanism):
+def _stale(outcome, parked: tuple[range, ...], mechanism: DetectionMechanism):
     """``outcome`` with a fault into ``parked`` reduced to its address,
     after checking that it was detected by ``mechanism``."""
     result = outcome[0]
     if result[0] != "ok" or not isinstance(result[1], DomainResult):
         return outcome
     fault = result[1].fault
-    if fault is None or fault.address not in parked:
+    if fault is None or not any(fault.address in pages for pages in parked):
         return outcome
     assert fault.mechanism is mechanism, fault
     stale = ("stale", fault.address, fault.domain_udi, fault.timestamp)
