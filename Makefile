@@ -1,6 +1,6 @@
 # Convenience targets for the SDRaD reproduction.
 
-.PHONY: install test bench bench-fast bench-obs bench-plans bench-fleet bench-backends bench-campaign campaign profile tables examples examples-golden lint lint-domains lint-fixtures all
+.PHONY: install test bench bench-fast bench-obs bench-plans bench-fleet bench-backends bench-campaign campaign profile tables tables-golden examples examples-golden lint lint-domains lint-fixtures all
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -75,6 +75,16 @@ profile:
 
 tables:
 	pytest benchmarks/ -s --benchmark-disable
+
+# Re-record every experiment's printed tables under benchmarks/golden/
+# (compared by benchmarks/conftest.py's experiment_printer at the end of
+# each test). Name the moved lines and the reason in CHANGES.md when a
+# change re-records them.
+tables-golden:
+	rm -f benchmarks/golden/*.txt
+	REPRO_RECORD_TABLES=1 PYTHONPATH=src python -m pytest benchmarks/ -q \
+		--benchmark-disable -p no:cacheprovider
+	@git diff --stat -- benchmarks/golden/
 
 # Stops at the first failing script (a bare loop exits with the last
 # script's status only).
