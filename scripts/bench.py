@@ -29,7 +29,7 @@ and are unchanged by any of this). Four benches:
                        hub at sampling 1.0 and 0.01, measured in the
                        *saturated steady state* (the span buffer is warmed
                        to capacity first, so the numbers reflect the
-                       ring-buffer hot path a long-running deployment sits
+                       saturated hot path a long-running deployment sits
                        in, not the transient fill phase); the per-request
                        grain is reported as ``*_per_request``,
                        informational;
@@ -533,7 +533,7 @@ def bench_memcached_obs(min_time: float) -> dict:
     a wrapper frame. A live hub is measured in the *saturated steady
     state*: the span buffer (capacity 10,000, a production-shaped cap) is
     warmed to capacity before timing starts, so the measured path is the
-    ring-buffer hot path — interned codes, the shared DROPPED placeholder,
+    saturated hot path — the shared DROPPED placeholder,
     cached metric handles — that a long-running deployment actually sits
     in. The fill-phase cost is a bounded one-off (capacity x span build),
     not a per-request cost, which is why steady state is the honest

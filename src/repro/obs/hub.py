@@ -14,11 +14,13 @@ one attribute load and a falsy check, verified by the ``memcached_obs``
 bench. With obs enabled, the hot path is budgeted for the ≤1.05x
 wall-clock gate (DESIGN.md §9):
 
-* span records go into a **preallocated buffer** (one index store), with
-  names/statuses interned to integer codes and materialised only at
-  export time; the buffer swaps a stored span's attrs for a read-only
-  mapping shared by every stored span with the same items, so retained
-  spans hold one dict per distinct attribute set;
+* an open span is a :class:`Span` on the hub's stack; when it ends, the
+  buffer stores it as one row of flat columns (ids, interned name and
+  status codes, timestamps) and lets the object go, so a retained span
+  holds no Python object of its own. The row's attrs are a read-only
+  mapping shared by every stored row with the same items, so retained
+  spans hold one dict per distinct attribute set. Names and statuses are
+  materialised only when a span is read (export, queries);
 * once the buffer saturates, span *construction* stops too: the stack
   tracks the shared :data:`DROPPED` placeholder while ids, the sampling
   accumulator and the ``dropped`` counter keep advancing exactly as if

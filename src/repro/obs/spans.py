@@ -19,18 +19,21 @@ Design constraints (why this is not OpenTelemetry):
 * **single-threaded** — the simulator is single-threaded, so one open-span
   stack per hub is sufficient for parent linking.
 
-Hot-path layout (DESIGN.md §9): span names and statuses are *interned* to
+Storage layout (DESIGN.md §9): span names and statuses are *interned* to
 small integer codes at record time and materialised back to strings only
 when someone reads ``span.name``/``span.status`` — at export or snapshot
-time, never per request. A bounded :class:`SpanBuffer` preallocates its
-slot array once, so steady-state appends are one index store with no list
-growth, and a saturated buffer costs one counter bump per drop.
+time, never per request. A :class:`SpanBuffer` keeps finished spans as
+rows of flat typed columns rather than as :class:`Span` objects, and
+builds a :class:`Span` only for a span somebody reads; a saturated buffer
+costs one counter bump per drop.
 """
 
 from __future__ import annotations
 
+from array import array
+from math import nan
 from types import MappingProxyType
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from ..errors import SdradError
 
@@ -160,6 +163,21 @@ class Span:
             attrs=dict(data["attrs"]),
         )
 
+    def _fields(self) -> tuple:
+        return (
+            self.span_id, self.trace_id, self.parent_id, self._name_code,
+            self.start, self.end, self._status_code, self.attrs,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        """Value equality: a span read back from a buffer equals the one
+        appended (attrs compare by items, dict or read-only mapping)."""
+        if not isinstance(other, Span):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # type: ignore[assignment]  # mutable until ended
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Span(span_id={self.span_id}, trace_id={self.trace_id}, "
@@ -178,22 +196,35 @@ class Span:
 
 
 class SpanBuffer:
-    """Per-run buffer of *finished* spans, bounded by ``capacity``.
+    """Per-run store of *finished* spans, bounded by ``capacity``.
 
-    A bounded buffer preallocates its slot array once (the ring the obs
-    hot path writes into) and appends with a single index store; when
-    full, further spans are counted in :attr:`dropped` instead of stored —
-    a long benchmark run must not grow memory without bound just because
-    tracing is on, and the hub stops even *constructing* spans once
-    :attr:`full` goes true (see ``Observability.start_span``). Drop order
-    is oldest-kept/newest-dropped so early-run context survives.
+    Spans are stored as rows of flat columns, not as objects: typed
+    :class:`array.array` columns hold the span, trace and parent ids, the
+    interned name and status codes, and the start and end timestamps, and
+    one list holds each row's attrs mapping. A retained row costs ~58
+    bytes (``tracemalloc``, 100k fleet-shaped spans), where a retained
+    :class:`Span` with its boxed ids and timestamps cost ~177.
+    :class:`Span` objects are built only when something reads them —
+    :attr:`spans`, iteration, the exporters, the queries' results — and a
+    built span equals the one that was appended.
 
-    Every stored span's ``attrs`` becomes a read-only mapping shared by
-    all stored spans with the same items (same keys, order, value types
-    and values), so the many spans that repeat an attribute set hold one
-    dict between them. The table of shared mappings holds at most
+    When the store holds ``capacity`` rows, further spans are counted in
+    :attr:`dropped` instead of stored (drop-newest, so early-run context
+    survives): a long benchmark run must not grow memory without bound
+    just because tracing is on, and the hub stops even *constructing*
+    spans once :attr:`full` goes true (see ``Observability.start_span``).
+    The columns grow by appending, so a store that records ten spans holds
+    ten rows whatever its capacity.
+
+    Every stored row's attrs is a read-only mapping shared by all stored
+    rows with the same items (same keys, order, value types and values),
+    so the many spans that repeat an attribute set hold one dict between
+    them. The table of shared mappings holds at most
     :attr:`SHARED_ATTRS_BOUND` entries and is cleared when full; a span
     with an unhashable value keeps its own dict, wrapped read-only.
+
+    Ids are non-negative integers (the hub counts from 1); a root's
+    missing parent is stored as -1 and an open span's missing end as NaN.
     """
 
     SHARED_ATTRS_BOUND = 4096
@@ -202,14 +233,19 @@ class SpanBuffer:
         if capacity is not None and capacity < 1:
             raise ObsError(f"span buffer capacity must be >= 1, got {capacity}")
         self._capacity = capacity
-        # Preallocated ring storage for the bounded case; a plain growable
-        # list when unbounded (tests, small tools).
-        self._slots: "list[Optional[Span]]" = (
-            [None] * capacity if capacity is not None else []
-        )
-        self._count = 0
         self.dropped = 0
         self._shared_attrs: dict = {}
+        self._new_columns()
+
+    def _new_columns(self) -> None:
+        self._span_ids = array("q")
+        self._trace_ids = array("q")
+        self._parent_ids = array("q")
+        self._name_codes = array("I")
+        self._status_codes = array("I")
+        self._starts = array("d")
+        self._ends = array("d")
+        self._attrs: list = []
 
     @property
     def capacity(self) -> Optional[int]:
@@ -218,65 +254,89 @@ class SpanBuffer:
     @property
     def full(self) -> bool:
         """True when the next append would drop (the hub's saturation test)."""
-        return self._capacity is not None and self._count >= self._capacity
+        return self._capacity is not None and len(self._attrs) >= self._capacity
 
     def append(self, span: Span) -> None:
-        i = self._count
-        if self._capacity is None:
-            self._slots.append(span)
-        elif i >= self._capacity:
+        """Store ``span`` as one row; its ``attrs`` become the row's mapping."""
+        if self._capacity is not None and len(self._attrs) >= self._capacity:
             self.dropped += 1
             return
-        else:
-            self._slots[i] = span
-        self._count = i + 1
         attrs = span.attrs
         key = (tuple(attrs.items()), tuple(map(type, attrs.values())))
         shared = self._shared_attrs
         try:
-            span.attrs = shared[key]
+            attrs = shared[key]
         except KeyError:
             if len(shared) >= self.SHARED_ATTRS_BOUND:
                 shared.clear()
-            span.attrs = shared[key] = MappingProxyType(attrs)
+            attrs = shared[key] = MappingProxyType(attrs)
         except TypeError:  # an unhashable value
-            span.attrs = MappingProxyType(attrs)
+            attrs = MappingProxyType(attrs)
+        span.attrs = attrs
+        parent_id = span.parent_id
+        end = span.end
+        self._span_ids.append(span.span_id)
+        self._trace_ids.append(span.trace_id)
+        self._parent_ids.append(-1 if parent_id is None else parent_id)
+        self._name_codes.append(span._name_code)
+        self._status_codes.append(span._status_code)
+        self._starts.append(span.start)
+        self._ends.append(nan if end is None else end)
+        self._attrs.append(attrs)
+
+    def _build(self, i: int) -> Span:
+        """Materialise row ``i`` as a :class:`Span` equal to the one appended."""
+        span = Span.__new__(Span)
+        span.span_id = self._span_ids[i]
+        span.trace_id = self._trace_ids[i]
+        parent_id = self._parent_ids[i]
+        span.parent_id = None if parent_id < 0 else parent_id
+        span._name_code = self._name_codes[i]
+        span.start = self._starts[i]
+        end = self._ends[i]
+        span.end = None if end != end else end  # NaN: still open
+        span._status_code = self._status_codes[i]
+        span.attrs = self._attrs[i]
+        return span
+
+    def _build_where(self, column: "Iterable[int]", wanted: object) -> "list[Span]":
+        """The spans whose ``column`` value is in ``wanted``, in store order."""
+        build = self._build
+        return [build(i) for i, value in enumerate(column) if value in wanted]
 
     @property
     def spans(self) -> "list[Span]":
-        return self._slots[: self._count]
+        return [self._build(i) for i in range(len(self._attrs))]
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._attrs)
 
     def __iter__(self) -> Iterator[Span]:
-        return iter(self._slots[: self._count])
+        build = self._build
+        return (build(i) for i in range(len(self._attrs)))
 
     def clear(self) -> None:
-        if self._capacity is None:
-            self._slots.clear()
-        else:
-            self._slots = [None] * self._capacity
-        self._count = 0
+        self._new_columns()
         self.dropped = 0
         self._shared_attrs.clear()
 
     # ------------------------------------------------------------------
-    # Tree queries (tests and reports)
+    # Queries (tests and reports): scan the columns, build only the hits
     # ------------------------------------------------------------------
 
     def of_name(self, *names: str) -> "list[Span]":
-        wanted = set(names)
-        return [s for s in self.spans if s.name in wanted]
+        codes = {_LABEL_CODES[n] for n in names if n in _LABEL_CODES}
+        return self._build_where(self._name_codes, codes)
 
     def count(self, name: str) -> int:
-        return sum(1 for s in self.spans if s.name == name)
+        code = _LABEL_CODES.get(name)
+        return 0 if code is None else self._name_codes.count(code)
 
     def roots(self) -> "list[Span]":
-        return [s for s in self.spans if s.parent_id is None]
+        return self._build_where(self._parent_ids, (-1,))
 
     def children_of(self, span: Span) -> "list[Span]":
-        return [s for s in self.spans if s.parent_id == span.span_id]
+        return self._build_where(self._parent_ids, (span.span_id,))
 
     def tree_violations(self) -> "list[str]":
         """Structural invariants of the buffered span forest.
@@ -287,37 +347,44 @@ class SpanBuffer:
         every child lies within its parent's interval.
         """
         problems: "list[str]" = []
-        spans = self.spans
-        by_id = {s.span_id: s for s in spans}
-        for span in spans:
-            if span.is_open:
-                problems.append(f"span #{span.span_id} {span.name!r} never ended")
-                continue
-            if span.end < span.start:
+        ids = self._span_ids
+        traces = self._trace_ids
+        starts = self._starts
+        ends = self._ends
+        names = self._name_codes
+        row_of = {span_id: i for i, span_id in enumerate(ids)}
+        for i, parent_id in enumerate(self._parent_ids):
+            span_id = ids[i]
+            start = starts[i]
+            end = ends[i]
+            if end != end:
                 problems.append(
-                    f"span #{span.span_id} {span.name!r} ends before it starts"
+                    f"span #{span_id} {_LABELS[names[i]]!r} never ended"
                 )
-            if span.parent_id is None:
                 continue
-            parent = by_id.get(span.parent_id)
-            if parent is None:
+            if end < start:
+                problems.append(
+                    f"span #{span_id} {_LABELS[names[i]]!r} ends before it starts"
+                )
+            if parent_id < 0:
+                continue
+            p = row_of.get(parent_id)
+            if p is None:
                 if self.dropped == 0:
                     problems.append(
-                        f"span #{span.span_id} {span.name!r} has unknown "
-                        f"parent #{span.parent_id}"
+                        f"span #{span_id} {_LABELS[names[i]]!r} has unknown "
+                        f"parent #{parent_id}"
                     )
                 continue
-            if parent.trace_id != span.trace_id:
+            if traces[p] != traces[i]:
                 problems.append(
-                    f"span #{span.span_id} is in trace {span.trace_id} but its "
-                    f"parent #{parent.span_id} is in trace {parent.trace_id}"
+                    f"span #{span_id} is in trace {traces[i]} but its "
+                    f"parent #{parent_id} is in trace {traces[p]}"
                 )
-            if span.start < parent.start or (
-                parent.end is not None and span.end is not None
-                and span.end > parent.end
-            ):
+            # An open parent's end is NaN, and ``end > nan`` is False.
+            if start < starts[p] or end > ends[p]:
                 problems.append(
-                    f"span #{span.span_id} {span.name!r} is not contained in "
-                    f"its parent #{parent.span_id} {parent.name!r}"
+                    f"span #{span_id} {_LABELS[names[i]]!r} is not contained in "
+                    f"its parent #{parent_id} {_LABELS[names[p]]!r}"
                 )
         return problems
