@@ -248,9 +248,9 @@ class Observability:
         stack = self._stack
         if stack:
             parent = stack[-1]
-            if parent is UNSAMPLED or parent is DROPPED:
+            if parent is UNSAMPLED:
                 return None
-            if self.buffer.full:
+            if parent is DROPPED or self.buffer.full:
                 self._next_span_id += 1
                 self.buffer.dropped += 1
                 return None
