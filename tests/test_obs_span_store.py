@@ -211,9 +211,9 @@ _OPS = st.lists(
         # or mis-traced rows the hub itself never produces.
         st.tuples(
             st.just("append"),
-            st.integers(1, 12),
-            st.integers(1, 3),
-            st.one_of(st.none(), st.integers(1, 12)),
+            st.integers(1, 5),
+            st.integers(1, 2),
+            st.one_of(st.none(), st.integers(1, 5)),
             _NAMES,
             st.sampled_from([0.0, 1e-6, 3e-6]),
             st.sampled_from([None, 0.0, 2e-6, 5e-6]),
@@ -222,6 +222,7 @@ _OPS = st.lists(
         ),
         st.just(("clear",)),
     ),
+    min_size=8,
     max_size=60,
 )
 
