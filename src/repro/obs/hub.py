@@ -17,15 +17,16 @@ wall-clock gate (DESIGN.md §9):
 * an open span is a :class:`Span` on the hub's stack; when it ends, the
   buffer stores it as one row of flat columns (ids, interned name and
   status codes, timestamps) and lets the object go, so a retained span
-  holds no Python object of its own. The row's attrs are a read-only
-  mapping shared by every stored row with the same items, so retained
-  spans hold one dict per distinct attribute set. Names and statuses are
-  materialised only when a span is read (export, queries);
+  holds no object, boxed id or boxed timestamp. The row's attrs are a
+  read-only mapping shared by every stored row with the same items, so
+  retained spans hold one dict per distinct attribute set. Names and
+  statuses are materialised only when a span is read (export, queries);
 * once the buffer saturates, span *construction* stops too: the stack
   tracks the shared :data:`DROPPED` placeholder while ids, the sampling
   accumulator and the ``dropped`` counter keep advancing exactly as if
-  the span had been built and then dropped — virtual time and metric
-  values are bit-identical either way;
+  the span had been built and then dropped, for spans and events alike,
+  under a dropped parent too — virtual time and metric values are
+  bit-identical either way;
 * :meth:`record_request`/:meth:`record_batch` resolve their metric
   handles once per ``(app, status)`` and reuse them — label resolution is
   a registry-construction cost, not a per-request cost.

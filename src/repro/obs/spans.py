@@ -258,7 +258,7 @@ class SpanBuffer:
 
     def append(self, span: Span) -> None:
         """Store ``span`` as one row; its ``attrs`` become the row's mapping."""
-        if self._capacity is not None and len(self._attrs) >= self._capacity:
+        if self.full:
             self.dropped += 1
             return
         attrs = span.attrs
@@ -306,7 +306,7 @@ class SpanBuffer:
 
     @property
     def spans(self) -> "list[Span]":
-        return [self._build(i) for i in range(len(self._attrs))]
+        return list(self)
 
     def __len__(self) -> int:
         return len(self._attrs)
