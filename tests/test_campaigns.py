@@ -11,6 +11,8 @@ deterministically.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -27,10 +29,14 @@ from repro.campaigns import (
     recommend,
     run_campaign,
 )
+from repro.campaigns.closure import validate_assignment
 from repro.campaigns.decision import (
+    POLICY_ORDER,
+    PolicyAssignment,
     PolicyInputs,
     carbon_per_fault,
     downtime_per_fault,
+    score_policies,
 )
 from repro.campaigns.stats import (
     ConfidenceInterval,
@@ -453,3 +459,401 @@ class TestGoldenFixture:
         )
         got = json.loads(json.dumps(small_report.as_dict(), sort_keys=True))
         assert got == want
+
+
+# ----------------------------------------------------------------------
+# Recorded pins: full-precision outputs of the closure under each of the
+# four policies, of the per-fault cost formulas and of one sampler round
+# ----------------------------------------------------------------------
+
+#: ``(p, recovery, rewind_g)`` points the cost formulas are pinned at.
+PIN_POINTS = (
+    (0.0, 3.5e-6, 7e-8),
+    (0.7, 3.5e-6, 7e-8),
+    (0.95, 1.2e-5, 1.3e-7),
+    (1.0, 4e-6, 9e-8),
+    # Near p = 1 the restart term no longer swamps the contained term, so
+    # these two see a change in the contained term's rounding.
+    (0.999999999, 9.3e-6, 5.9e-8),
+    (0.999999999997, 1.1e-5, 1.7e-7),
+)
+
+
+def _pin_config() -> CampaignConfig:
+    """Two domains (both heap sizes), an addressed kind and all phases."""
+    return CampaignConfig(
+        kinds=(
+            FaultKind.STACK_SMASH,
+            FaultKind.CROSS_DOMAIN_WRITE,
+            FaultKind.OVER_READ,
+        ),
+        domains=("shard-0", "shard-1"),
+        phases=(InjectionPhase.ENTRY, InjectionPhase.WARM, InjectionPhase.DRAIN),
+        backends=("mpk",),
+        validation_injections=12,
+    )
+
+
+def _pin_inputs(cfg: CampaignConfig) -> PolicyInputs:
+    return dataclasses.replace(
+        _inputs(),
+        restart_downtime=cfg.cost.process_restart_time(cfg.dataset_bytes),
+    )
+
+
+def _forced_assignment(policy: str, cfg: CampaignConfig) -> PolicyAssignment:
+    """Every domain assigned ``policy``, scored from :func:`_pin_inputs`."""
+    inputs = _pin_inputs(cfg)
+    return PolicyAssignment(
+        backend="mpk",
+        policies=dict.fromkeys(cfg.domains, policy),
+        scores=[s for d in cfg.domains for s in score_policies(inputs, d, cfg)],
+        slo=cfg.slo,
+        carbon_budget_g_per_year=cfg.carbon_budget_g_per_year,
+        inputs=dict.fromkeys(cfg.domains, inputs),
+        feasible=True,
+    )
+
+
+def _pin_sampler_state() -> dict:
+    """One round of every stratum: addressed and over-read kinds in the
+    warm and drain phases on two backends."""
+    sampler = CampaignSampler(
+        CampaignConfig(
+            kinds=(FaultKind.CROSS_DOMAIN_WRITE, FaultKind.OVER_READ),
+            domains=("shard-0", "shard-1"),
+            phases=(InjectionPhase.WARM, InjectionPhase.DRAIN),
+            backends=("mpk", "sfi"),
+        )
+    )
+    sampler.step()
+    return sampler.state()
+
+
+#: ``validate_assignment(...).as_dict()`` per forced policy; ``restart``
+#: reboots the process on every detected fault.
+VALIDATION_PINS = {
+    "rewind": {
+        "backend": "mpk",
+        "ok": True,
+        "domains": [
+            {
+                "domain": "shard-0",
+                "policy": "rewind",
+                "injections": 12,
+                "contained": 8,
+                "measured_availability": 0.9999370238794981,
+                "measured_interval": {
+                    "lo": 0.9998769841217936,
+                    "mid": 0.9999370238794981,
+                    "hi": 0.9999812495945604,
+                },
+                "predicted_availability": {
+                    "lo": 0.9999244286560572,
+                    "mid": 0.9999433214909712,
+                    "hi": 0.9999622143260499,
+                },
+                "availability_ok": True,
+                "measured_gco2e_per_recovery": 7.141341666666666e-08,
+                "predicted_gco2e_per_recovery": {
+                    "lo": 5e-08,
+                    "mid": 7e-08,
+                    "hi": 9e-08,
+                },
+                "gco2e_ok": True,
+            },
+            {
+                "domain": "shard-1",
+                "policy": "rewind",
+                "injections": 12,
+                "contained": 7,
+                "measured_availability": 0.9999212798508154,
+                "measured_interval": {
+                    "lo": 0.9998633423956408,
+                    "mid": 0.9999212798508154,
+                    "hi": 0.999971348589558,
+                },
+                "predicted_availability": {
+                    "lo": 0.9999244286560572,
+                    "mid": 0.9999433214909712,
+                    "hi": 0.9999622143260499,
+                },
+                "availability_ok": True,
+                "measured_gco2e_per_recovery": 7.141341666666666e-08,
+                "predicted_gco2e_per_recovery": {
+                    "lo": 5e-08,
+                    "mid": 7e-08,
+                    "hi": 9e-08,
+                },
+                "gco2e_ok": True,
+            },
+        ],
+        "fleet": {},
+    },
+    "retry": {
+        "backend": "mpk",
+        "ok": True,
+        "domains": [
+            {
+                "domain": "shard-0",
+                "policy": "retry",
+                "injections": 12,
+                "contained": 8,
+                "measured_availability": 0.9999370237657234,
+                "measured_interval": {
+                    "lo": 0.9998769840622538,
+                    "mid": 0.9999370237657234,
+                    "hi": 0.9999812494408358,
+                },
+                "predicted_availability": {
+                    "lo": 0.9999244285531653,
+                    "mid": 0.9999433213715077,
+                    "hi": 0.9999622141901798,
+                },
+                "availability_ok": True,
+                "measured_gco2e_per_recovery": 7.141341666666666e-08,
+                "predicted_gco2e_per_recovery": {
+                    "lo": 5e-08,
+                    "mid": 7e-08,
+                    "hi": 9e-08,
+                },
+                "gco2e_ok": True,
+            },
+            {
+                "domain": "shard-1",
+                "policy": "retry",
+                "injections": 12,
+                "contained": 7,
+                "measured_availability": 0.9999212797512625,
+                "measured_interval": {
+                    "lo": 0.9998633423484237,
+                    "mid": 0.9999212797512625,
+                    "hi": 0.9999713484447772,
+                },
+                "predicted_availability": {
+                    "lo": 0.9999244285531653,
+                    "mid": 0.9999433213715077,
+                    "hi": 0.9999622141901798,
+                },
+                "availability_ok": True,
+                "measured_gco2e_per_recovery": 7.141341666666666e-08,
+                "predicted_gco2e_per_recovery": {
+                    "lo": 5e-08,
+                    "mid": 7e-08,
+                    "hi": 9e-08,
+                },
+                "gco2e_ok": True,
+            },
+        ],
+        "fleet": {},
+    },
+    "quarantine": {
+        "backend": "mpk",
+        "ok": True,
+        "domains": [
+            {
+                "domain": "shard-0",
+                "policy": "quarantine",
+                "injections": 12,
+                "contained": 8,
+                "measured_availability": 0.9999370046447251,
+                "measured_interval": {
+                    "lo": 0.9998769740559819,
+                    "mid": 0.9999370046447251,
+                    "hi": 0.9999812236058649,
+                },
+                "predicted_availability": {
+                    "lo": 0.9999244113450831,
+                    "mid": 0.9999433012944595,
+                    "hi": 0.9999621912438936,
+                },
+                "availability_ok": True,
+                "measured_gco2e_per_recovery": 7.141341666666666e-08,
+                "predicted_gco2e_per_recovery": {
+                    "lo": 5e-08,
+                    "mid": 7e-08,
+                    "hi": 9e-08,
+                },
+                "gco2e_ok": True,
+            },
+            {
+                "domain": "shard-1",
+                "policy": "quarantine",
+                "injections": 12,
+                "contained": 7,
+                "measured_availability": 0.9999212630203891,
+                "measured_interval": {
+                    "lo": 0.9998633344131228,
+                    "mid": 0.9999212630203891,
+                    "hi": 0.9999713241128929,
+                },
+                "predicted_availability": {
+                    "lo": 0.9999244113450831,
+                    "mid": 0.9999433012944595,
+                    "hi": 0.9999621912438936,
+                },
+                "availability_ok": True,
+                "measured_gco2e_per_recovery": 7.141341666666666e-08,
+                "predicted_gco2e_per_recovery": {
+                    "lo": 5e-08,
+                    "mid": 7e-08,
+                    "hi": 9e-08,
+                },
+                "gco2e_ok": True,
+            },
+        ],
+        "fleet": {},
+    },
+    "restart": {
+        "backend": "mpk",
+        "ok": True,
+        "domains": [
+            {
+                "domain": "shard-0",
+                "policy": "restart",
+                "injections": 12,
+                "contained": 0,
+                "measured_availability": 0.9998110716500367,
+                "measured_interval": {
+                    "lo": 0.9998110716500367,
+                    "mid": 0.9998110716500367,
+                    "hi": 0.9998610712486802,
+                },
+                "predicted_availability": {
+                    "lo": 0.9998110716500367,
+                    "mid": 0.9998110716500367,
+                    "hi": 0.9998110716500367,
+                },
+                "availability_ok": True,
+                "measured_gco2e_per_recovery": None,
+                "predicted_gco2e_per_recovery": {
+                    "lo": 5e-08,
+                    "mid": 7e-08,
+                    "hi": 9e-08,
+                },
+                "gco2e_ok": True,
+            },
+            {
+                "domain": "shard-1",
+                "policy": "restart",
+                "injections": 12,
+                "contained": 0,
+                "measured_availability": 0.9998110716500367,
+                "measured_interval": {
+                    "lo": 0.9998110716500367,
+                    "mid": 0.9998110716500367,
+                    "hi": 0.9998610712486802,
+                },
+                "predicted_availability": {
+                    "lo": 0.9998110716500367,
+                    "mid": 0.9998110716500367,
+                    "hi": 0.9998110716500367,
+                },
+                "availability_ok": True,
+                "measured_gco2e_per_recovery": None,
+                "predicted_gco2e_per_recovery": {
+                    "lo": 5e-08,
+                    "mid": 7e-08,
+                    "hi": 9e-08,
+                },
+                "gco2e_ok": True,
+            },
+        ],
+        "fleet": {},
+    },
+}
+
+#: ``downtime_per_fault`` per policy at each of :data:`PIN_POINTS`.
+DOWNTIME_PINS = {
+    "rewind": [
+        114.57777777777777,
+        34.37333578333333,
+        5.728900288888894,
+        4e-06,
+        9.414577765237298e-06,
+        1.1000343738417048e-05,
+    ],
+    "retry": [
+        114.57777777777777,
+        34.373408233333336,
+        5.7290066888888935,
+        0.00010800000000000001,
+        0.00011871457765593731,
+        0.00012200034373808406,
+    ],
+    "quarantine": [
+        114.57777777777777,
+        34.385584190833335,
+        5.745517878888894,
+        0.0175014,
+        0.017503369560271285,
+        0.01750385034368594,
+    ],
+    "restart": [
+        114.57777777777777,
+        114.57777777777777,
+        114.57777777777777,
+        114.57777777777777,
+        114.57777777777777,
+        114.57777777777777,
+    ],
+}
+
+#: ``carbon_per_fault`` per policy at each of :data:`PIN_POINTS`.
+CARBON_PINS = {
+    "rewind": [
+        2.3125,
+        0.693750049,
+        0.11562512350000011,
+        9e-08,
+        6.131249987559803e-08,
+        1.700069376027596e-07,
+    ],
+    "retry": [
+        2.3125,
+        0.6937500980000001,
+        0.1156252470000001,
+        1.8e-07,
+        1.2031249981659803e-07,
+        3.400069376022496e-07,
+    ],
+    "quarantine": [
+        2.3125,
+        0.6937500171500001,
+        0.1156250432250001,
+        3.15e-08,
+        2.2962499913948035e-08,
+        5.950693760309113e-08,
+    ],
+    "restart": [2.3125, 2.3125, 2.3125, 2.3125, 2.3125, 2.3125],
+}
+
+#: SHA-256 of the JSON checkpoint after :func:`_pin_sampler_state`.
+SAMPLER_STATE_SHA256 = (
+    "b73c2bb8054d73484b6a75eb9ebc5286331bb4b885187b518d89e5cbed6db7f9"
+)
+
+
+class TestRecordedPins:
+    @pytest.mark.parametrize("policy", POLICY_ORDER)
+    def test_validation_under_forced_policy(self, policy):
+        cfg = _pin_config()
+        report = validate_assignment(
+            _forced_assignment(policy, cfg), None, cfg, run_fleet=False
+        )
+        assert report.as_dict() == VALIDATION_PINS[policy]
+
+    @pytest.mark.parametrize("policy", POLICY_ORDER)
+    def test_cost_formulas(self, policy):
+        cfg = _pin_config()
+        inputs = _pin_inputs(cfg)
+        assert [
+            downtime_per_fault(policy, p, r, inputs, cfg) for p, r, _ in PIN_POINTS
+        ] == DOWNTIME_PINS[policy]
+        assert [
+            carbon_per_fault(policy, p, g, inputs, cfg) for p, _, g in PIN_POINTS
+        ] == CARBON_PINS[policy]
+
+    def test_sampler_round(self):
+        blob = json.dumps(_pin_sampler_state(), sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == SAMPLER_STATE_SHA256
