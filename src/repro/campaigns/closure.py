@@ -14,11 +14,13 @@ module:
 3. checks the re-measured availability and carbon fall inside the model's
    predicted confidence intervals.
 
-Measurement and prediction share the same availability formula
-(:func:`repro.campaigns.decision.downtime_per_fault` structure) evaluated
-at the same threat rate, so a validation failure means the *sampled
-quantities* (containment probability, recovery time, per-recovery carbon)
-drifted outside their intervals — exactly the claim being validated.
+Each validation injection runs in the sampler's
+:class:`~repro.campaigns.sampler.InjectionProcess`, and each measured
+recovery is charged through the policy's row of
+:func:`repro.campaigns.decision.cost_table` at the same threat rate as the
+prediction, so a validation failure means the *sampled quantities*
+(containment probability, recovery time, per-recovery carbon) drifted
+outside their intervals — exactly the claim being validated.
 """
 
 from __future__ import annotations
@@ -26,17 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..faultinj.injector import FaultInjector
-from ..faultinj.models import NEEDS_ADDRESS
-from ..obs.hub import Observability
-from ..obs.ledger import SustainabilityLedger
 from ..sdrad.policy import ProcessCrashed, RecoveryPolicy, make_policy
-from ..sdrad.runtime import DomainHandle, SdradRuntime
-from ..sim.clock import YEARS, VirtualClock
+from ..sim.clock import YEARS
 from ..sim.rng import RngFactory
-from .decision import PolicyAssignment
-from .model import CampaignModel
-from .sampler import draw_severity, phase_prelude
+from .decision import PolicyAssignment, policy_cost
+from .sampler import InjectionProcess, draw_severity, phase_prelude
 from .stats import ConfidenceInterval, clopper_pearson
 from .strata import CampaignConfig
 
@@ -158,7 +154,6 @@ def _predicted_availability(
 
 def validate_assignment(
     assignment: PolicyAssignment,
-    model: CampaignModel,
     config: CampaignConfig,
     run_fleet: bool = True,
 ) -> ValidationReport:
@@ -169,87 +164,46 @@ def validate_assignment(
     cells = [
         (kind, phase) for kind in config.kinds for phase in config.phases
     ]
-    d_rst = config.cost.process_restart_time(config.dataset_bytes)
+    spacing = config.round_horizon / config.batch
 
     for domain in config.domains:
         policy_name = assignment.policies[domain]
+        cost = policy_cost(policy_name, config)
         inputs = assignment.inputs[domain]
+        d_rst = inputs.restart_downtime
         rng = factory.child(f"validate/{domain}").stream("severity")
         prelude_rng = factory.child(f"validate/{domain}").stream("prelude")
-
-        clock = VirtualClock()
-        obs = Observability(clock=clock)
-
-        def boot() -> "tuple[SdradRuntime, FaultInjector, int, int]":
-            runtime = SdradRuntime(
-                clock=clock,
-                cost=config.cost,
-                obs=obs,
-                backend=assignment.backend,
-                default_policy=build_policy(policy_name, config),
-            )
-            victim = runtime.domain_init()
-            app = runtime.domain_init()
-            return runtime, FaultInjector(runtime), victim.udi, app.udi
-
-        runtime, injector, victim_udi, app_udi = boot()
-        index = config.domain_index(domain)
-        heap_size = max(64 * 1024, 256 * 1024 >> index)
-        spacing = config.round_horizon / config.batch
-        op = config.cost.memcached_op
+        process = InjectionProcess(
+            config,
+            domain,
+            assignment.backend,
+            default_policy=build_policy(policy_name, config),
+        )
 
         downtime_total = 0.0
         contained = 0
         for i in range(config.validation_injections):
-            target_time = (i + 0.5) * spacing
-            if target_time > clock.now:
-                clock.advance_to(target_time)
-
-            def body(handle: DomainHandle) -> None:
-                handle.charge(op)
-
-            for _ in range(config.background_requests):
-                result = runtime.execute(app_udi, body)
-                obs.record_request("campaign", result.elapsed)
-
+            process.wait_until((i + 0.5) * spacing)
+            process.serve(config.background_requests)
             kind, phase = cells[i % len(cells)]
             severity = draw_severity(kind, rng)
             prelude = phase_prelude(phase, prelude_rng)
-            victim_addr = None
-            if kind in NEEDS_ADDRESS:
-                victim_addr = runtime.domain(victim_udi).heap_base + 64
-            target = runtime.domain_init(heap_size=heap_size)
             try:
-                result = injector.inject(
-                    target.udi,
-                    kind,
-                    victim_addr=victim_addr,
-                    prelude=prelude,
-                    **severity,
-                )
+                result = process.inject(kind, severity, prelude)
             except ProcessCrashed:
-                # The abort baseline: the whole process restarts. Model the
-                # reload window and boot a fresh process on the same clock.
+                # The abort baseline: the whole process restarts.
                 downtime_total += d_rst
-                clock.advance(d_rst)
-                runtime, injector, victim_udi, app_udi = boot()
+                process.restart(d_rst)
                 continue
             if result.contained:
+                # The measured recovery already includes any retries and
+                # their backoff; the table adds the struck share and window.
                 contained += 1
-                cost_here = result.recovery_time
-                if policy_name == "quarantine":
-                    # The embargo window is unavailability, and only the
-                    # modelled struck fraction of faults reaches the domain
-                    # at all — same threat model as the prediction.
-                    cost_here = config.quarantine_suppression * (
-                        cost_here + config.quarantine_window
-                    )
-                downtime_total += cost_here
+                downtime_total += cost.downtime(1.0, result.recovery_time)
             else:
                 # Undetected corruption surfaces as an eventual restart —
                 # the same accounting the decision layer charges (1-p) with.
                 downtime_total += d_rst
-            runtime.domain_destroy(target.udi)
 
         n = config.validation_injections
         measured_availability = 1.0 - lam * downtime_total / n
@@ -272,16 +226,9 @@ def validate_assignment(
         predicted_availability = _predicted_availability(assignment, domain)
 
         measured_g: Optional[float] = None
-        ledger = SustainabilityLedger(
-            obs.registry,
-            clock,
-            cost=config.cost,
-            dataset_bytes=config.dataset_bytes,
-            isolation_backend=assignment.backend,
-        )
-        if ledger.faults_observed() > 0 and ledger.requests_served() > 0:
-            rewind_entry = ledger.entries()[0]
-            measured_g = rewind_entry.recovery_gco2e / rewind_entry.faults
+        entries = process.ledger_entries()
+        if entries is not None:
+            measured_g = entries[0].recovery_gco2e / entries[0].faults
         predicted_g = inputs.rewind_gco2e_per_recovery
         gco2e_ok = measured_g is None or predicted_g.contains(measured_g)
 

@@ -1,25 +1,19 @@
 """MCDM policy selection: availability SLO × carbon budget × latency.
 
 For the decision backend and each target domain, four candidate recovery
-policies are scored from the fitted model:
-
-* **rewind** — contained faults cost one rewind; uncontained (undetected)
-  faults are assumed to surface as an eventual process restart;
-* **retry** (with backoff) — a transient fraction of faults succeeds on
-  retry, the persistent remainder pays the extra rewinds;
-* **quarantine** — rewind plus a re-entry embargo that sheds repeat
-  strikes (only ``quarantine_suppression`` of contained faults actually
-  cost anything) at the price of the embargo window's unavailability;
-* **restart** — the abort baseline: every detected fault kills the process.
+policies (rewind, retry with backoff, quarantine, restart) are scored from
+the fitted model. Each policy is one row of :func:`cost_table`, which both
+the downtime and the carbon formula read; uncontained (undetected) faults
+are assumed to surface as an eventual process restart under every policy.
 
 Availability is time-based against the configured threat rate λ:
 ``availability = 1 − λ · E[downtime per fault]``. Carbon is the annualised
 gCO₂e of the recoveries themselves, using the ledger-fitted per-recovery
 footprint for rewinds and the sampled restart footprint for restarts.
 Interval arithmetic propagates the model's containment and recovery CIs to
-per-policy availability/carbon intervals; the same formulas re-run on
-measured quantities during closure, which is what makes prediction and
-re-measurement comparable.
+per-policy availability/carbon intervals; the closure charges each
+measured recovery through the same table row, which is what makes
+prediction and re-measurement comparable.
 """
 
 from __future__ import annotations
@@ -47,53 +41,83 @@ class PolicyInputs:
     restart_gco2e_per_fault: float
 
 
+@dataclass(frozen=True)
+class PolicyCost:
+    """One policy's row of the cost table.
+
+    A contained fault takes ``attempts`` rewinds plus ``backoff`` seconds
+    of idle wait; only the ``struck`` fraction of faults reaches the domain,
+    and each that does is also unavailable for ``window`` seconds. The
+    faults a policy does not contain (all of them, if ``contains`` is
+    false) pay a process restart.
+    """
+
+    attempts: float = 1.0
+    backoff: float = 0.0
+    struck: float = 1.0
+    window: float = 0.0
+    contains: bool = True
+
+    def downtime(self, p: float, busy: float) -> float:
+        """Unavailable seconds of a ``p`` share of faults contained, each
+        keeping the domain busy for ``busy`` seconds."""
+        return p * self.struck * (busy + self.window)
+
+
+def cost_table(config: CampaignConfig) -> "Dict[str, PolicyCost]":
+    """Every candidate policy's cost row at ``config``'s parameters."""
+    transient = config.transient_fraction
+    persistent = 1.0 - transient
+    base = config.retry_backoff
+    return {
+        "rewind": PolicyCost(),
+        # Persistent faults exhaust the retry budget (each attempt rewinds
+        # again); transient ones succeed after one extra rewind. Backoff is
+        # downtime (at 100µs it dwarfs the 3.5µs rewind, so omitting it
+        # would make closure unvalidatable) but, as idle wait, no carbon.
+        "retry": PolicyCost(
+            attempts=1.0 + config.retry_budget * persistent + transient,
+            backoff=transient * base
+            + persistent * base * (2.0 ** config.retry_budget - 1.0),
+        ),
+        # A re-entry embargo sheds repeat strikes: only the suppression share
+        # of contained faults costs anything, plus the window's downtime.
+        "quarantine": PolicyCost(
+            struck=config.quarantine_suppression, window=config.quarantine_window
+        ),
+        # The abort baseline: every detected fault kills the process.
+        "restart": PolicyCost(contains=False),
+    }
+
+
+def policy_cost(policy: str, config: CampaignConfig) -> PolicyCost:
+    """``policy``'s row of :func:`cost_table`."""
+    try:
+        return cost_table(config)[policy]
+    except KeyError:
+        raise ValueError(f"unknown policy {policy!r}") from None
+
+
 def downtime_per_fault(
     policy: str, p: float, recovery: float, inputs: PolicyInputs, config: CampaignConfig
 ) -> float:
     """Expected service-unavailable seconds per arriving fault."""
-    d_rst = inputs.restart_downtime
-    if policy == "rewind":
-        return p * recovery + (1.0 - p) * d_rst
-    if policy == "retry":
-        # Persistent faults exhaust the retry budget (each attempt rewinds
-        # again); transient ones succeed after one extra rewind. The backoff
-        # delay itself is charged as downtime — at 100µs it dwarfs the
-        # 3.5µs rewind, so omitting it would make closure unvalidatable.
-        persistent = 1.0 - config.transient_fraction
-        attempts = 1.0 + config.retry_budget * persistent + config.transient_fraction
-        base = config.retry_backoff
-        backoff = (
-            config.transient_fraction * base
-            + persistent * base * (2.0 ** config.retry_budget - 1.0)
-        )
-        return p * (recovery * attempts + backoff) + (1.0 - p) * d_rst
-    if policy == "quarantine":
-        struck = config.quarantine_suppression
-        window = config.quarantine_window
-        return p * struck * (recovery + window) + (1.0 - p) * d_rst
-    if policy == "restart":
-        return d_rst
-    raise ValueError(f"unknown policy {policy!r}")
+    cost = policy_cost(policy, config)
+    if not cost.contains:
+        return inputs.restart_downtime
+    busy = recovery * cost.attempts + cost.backoff
+    return cost.downtime(p, busy) + (1.0 - p) * inputs.restart_downtime
 
 
 def carbon_per_fault(
     policy: str, p: float, rewind_g: float, inputs: PolicyInputs, config: CampaignConfig
 ) -> float:
     """Expected recovery gCO₂e per arriving fault."""
-    c_rst = inputs.restart_gco2e_per_fault
-    if policy == "rewind":
-        return p * rewind_g + (1.0 - p) * c_rst
-    if policy == "retry":
-        # Backoff is an idle wait, not recovery work: only the extra
-        # rewinds carry a carbon cost.
-        persistent = 1.0 - config.transient_fraction
-        attempts = 1.0 + config.retry_budget * persistent + config.transient_fraction
-        return p * rewind_g * attempts + (1.0 - p) * c_rst
-    if policy == "quarantine":
-        return p * config.quarantine_suppression * rewind_g + (1.0 - p) * c_rst
-    if policy == "restart":
-        return c_rst
-    raise ValueError(f"unknown policy {policy!r}")
+    cost = policy_cost(policy, config)
+    if not cost.contains:
+        return inputs.restart_gco2e_per_fault
+    contained = p * cost.struck * rewind_g * cost.attempts
+    return contained + (1.0 - p) * inputs.restart_gco2e_per_fault
 
 
 def _interval_over(

@@ -109,9 +109,7 @@ def run_campaign(
     assignment = recommend(model, config, sampler.accumulators)
     validation: Optional[ValidationReport] = None
     if validate:
-        validation = validate_assignment(
-            assignment, model, config, run_fleet=run_fleet
-        )
+        validation = validate_assignment(assignment, config, run_fleet=run_fleet)
     return CampaignReport(
         config=config,
         sampler=sampler,

@@ -1,7 +1,7 @@
 """Stratified sequential fault-load sampling.
 
-Each stratum is sampled in *rounds*. A round builds a fresh
-:class:`~repro.sdrad.runtime.SdradRuntime` on the stratum's backend, plans
+Each stratum is sampled in *rounds*. A round boots a fresh
+:class:`InjectionProcess` on the stratum's backend, plans
 its injection times through the existing :class:`ArrivalProcess` hierarchy,
 draws per-injection severities from an rng derived purely from
 ``(seed, stratum, round)``, serves background requests between injections
@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..faultinj.campaign import PeriodicArrivals, PoissonArrivals
-from ..faultinj.injector import FaultInjector
+from ..faultinj.injector import FaultInjector, InjectionResult
 from ..faultinj.models import NEEDS_ADDRESS, FaultKind
 from ..obs.hub import Observability
-from ..obs.ledger import SustainabilityLedger
+from ..obs.ledger import LedgerEntry, SustainabilityLedger
+from ..sdrad.policy import RecoveryPolicy
 from ..sdrad.runtime import DomainHandle, SdradRuntime
 from ..sim.clock import VirtualClock
 from ..sim.rng import RngFactory
@@ -156,51 +157,122 @@ class StratumAccumulator:
             return None
         return self.restart_gco2e / self.restart_faults
 
+    #: Checkpointed fields, before and after the observation rows.
+    _STATE_COUNTS = ("trials", "contained", "detected", "rounds")
+    _STATE_LEDGER = (
+        "rewind_joules", "rewind_gco2e", "rewind_faults",
+        "restart_joules", "restart_gco2e", "restart_faults",
+    )
+
     def as_state(self) -> dict:
-        return {
-            "trials": self.trials,
-            "contained": self.contained,
-            "detected": self.detected,
-            "rounds": self.rounds,
-            "observations": [
-                [
-                    int(o.contained),
-                    int(o.detected),
-                    o.recovery_seconds,
-                    o.latency,
-                    o.violation,
-                ]
-                for o in self.observations
-            ],
-            "rewind_joules": self.rewind_joules,
-            "rewind_gco2e": self.rewind_gco2e,
-            "rewind_faults": self.rewind_faults,
-            "restart_joules": self.restart_joules,
-            "restart_gco2e": self.restart_gco2e,
-            "restart_faults": self.restart_faults,
-        }
+        state = {name: getattr(self, name) for name in self._STATE_COUNTS}
+        state["observations"] = [
+            [int(o.contained), int(o.detected), o.recovery_seconds, o.latency, o.violation]
+            for o in self.observations
+        ]
+        state.update((name, getattr(self, name)) for name in self._STATE_LEDGER)
+        return state
 
     def load_state(self, state: dict) -> None:
-        self.trials = state["trials"]
-        self.contained = state["contained"]
-        self.detected = state["detected"]
-        self.rounds = state["rounds"]
+        for name in self._STATE_COUNTS + self._STATE_LEDGER:
+            setattr(self, name, state[name])
         self.observations = [
-            Observation(
-                contained=bool(row[0]),
-                detected=bool(row[1]),
-                recovery_seconds=row[2],
-                latency=row[3],
-                violation=row[4],
-            )
+            Observation(bool(row[0]), bool(row[1]), row[2], row[3], row[4])
             for row in state["observations"]
         ]
-        self.rewind_joules = state["rewind_joules"]
-        self.rewind_gco2e = state["rewind_gco2e"]
-        self.rewind_faults = state["rewind_faults"]
-        self.restart_joules = state["restart_joules"]
-        self.restart_gco2e = state["restart_gco2e"]
-        self.restart_faults = state["restart_faults"]
+
+
+class InjectionProcess:
+    """One simulated process that a campaign injects faults into.
+
+    A runtime on its own clock and obs hub hosts a victim domain (the
+    addressed kinds aim at its heap) and an app domain serving background
+    requests; each injection strikes a fresh target domain. Domain labels
+    are shard names, and a bigger shard index gives a smaller target heap:
+    the domain factor is a real effect (boundary proximity), not a label.
+    """
+
+    def __init__(
+        self,
+        config: CampaignConfig,
+        domain: str,
+        backend: str,
+        rng: Optional[RngFactory] = None,
+        default_policy: Optional[RecoveryPolicy] = None,
+    ) -> None:
+        self.config = config
+        self.backend = backend
+        self.heap_size = max(64 * 1024, 256 * 1024 >> config.domain_index(domain))
+        self._rng = rng
+        self._default_policy = default_policy
+        self.clock = VirtualClock()
+        self.obs = Observability(clock=self.clock)
+        self._boot()
+
+    def _boot(self) -> None:
+        self.runtime = SdradRuntime(
+            clock=self.clock,
+            cost=self.config.cost,
+            obs=self.obs,
+            backend=self.backend,
+            rng=self._rng,
+            default_policy=self._default_policy,
+        )
+        self.victim = self.runtime.domain_init()
+        self.app = self.runtime.domain_init()
+        self.injector = FaultInjector(self.runtime)
+
+    def wait_until(self, when: float) -> None:
+        if when > self.clock.now:
+            self.clock.advance_to(when)
+
+    def restart(self, downtime: float) -> None:
+        """A whole-process restart: ``downtime`` seconds of reload, then a
+        fresh runtime on the same clock and hub."""
+        self.clock.advance(downtime)
+        self._boot()
+
+    def serve(self, count: int) -> None:
+        """Serve ``count`` modelled app requests (the ledger's request rate)."""
+        op = self.config.cost.memcached_op
+
+        def body(handle: DomainHandle) -> None:
+            handle.charge(op)
+
+        for _ in range(count):
+            result = self.runtime.execute(self.app.udi, body)
+            self.obs.record_request("campaign", result.elapsed)
+
+    def inject(
+        self,
+        kind: FaultKind,
+        severity: dict,
+        prelude: "Optional[Callable[[DomainHandle], None]]",
+    ) -> InjectionResult:
+        """Inject one fault into a fresh target domain, then destroy it.
+        :class:`~repro.sdrad.policy.ProcessCrashed` propagates."""
+        victim_addr = self.victim.heap_base + 64 if kind in NEEDS_ADDRESS else None
+        target = self.runtime.domain_init(heap_size=self.heap_size)
+        result = self.injector.inject(
+            target.udi, kind, victim_addr=victim_addr, prelude=prelude, **severity
+        )
+        self.runtime.domain_destroy(target.udi)
+        return result
+
+    def ledger_entries(self) -> "Optional[list[LedgerEntry]]":
+        """The live ledger's ``[rewind, restart]`` entries, or None before
+        the first request or fault: requests and rewinds come from the obs
+        registry, the per-fault joules from the power and carbon models."""
+        ledger = SustainabilityLedger(
+            self.obs.registry,
+            self.clock,
+            cost=self.config.cost,
+            dataset_bytes=self.config.dataset_bytes,
+            isolation_backend=self.backend,
+        )
+        if ledger.faults_observed() > 0 and ledger.requests_served() > 0:
+            return ledger.entries()
+        return None
 
 
 class CampaignSampler:
@@ -258,50 +330,19 @@ class CampaignSampler:
         prelude_rng = self._factory.child(f"stratum/{stratum.key}").stream(
             f"prelude/{round_index}"
         )
-
-        clock = VirtualClock()
-        obs = Observability(clock=clock)
-        runtime = SdradRuntime(
-            clock=clock,
-            cost=cfg.cost,
-            obs=obs,
-            backend=stratum.backend,
+        process = InjectionProcess(
+            cfg,
+            stratum.domain,
+            stratum.backend,
             rng=self._factory.child(f"runtime/{stratum.key}/{round_index}"),
         )
-        # Domain labels are shard names so the recommendation maps straight
-        # onto the fleet driver. Bigger shard index -> smaller heap: the
-        # domain factor is a real effect (boundary proximity), not a label.
-        index = cfg.domain_index(stratum.domain)
-        heap_size = max(64 * 1024, 256 * 1024 >> index)
-        victim = runtime.domain_init()
-        app = runtime.domain_init()
-        injector = FaultInjector(runtime)
-        victim_addr = (
-            victim.heap_base + 64 if stratum.kind in NEEDS_ADDRESS else None
-        )
-
-        def serve_background(count: int) -> None:
-            op = cfg.cost.memcached_op
-
-            def body(handle: DomainHandle) -> None:
-                handle.charge(op)
-
-            for _ in range(count):
-                result = runtime.execute(app.udi, body)
-                obs.record_request("campaign", result.elapsed)
-
         for planned in plan:
-            if planned.offset > clock.now:
-                clock.advance_to(planned.offset)
-            serve_background(cfg.background_requests)
-            target = runtime.domain_init(heap_size=heap_size)
-            prelude = phase_prelude(stratum.phase, prelude_rng)
-            result = injector.inject(
-                target.udi,
+            process.wait_until(planned.offset)
+            process.serve(cfg.background_requests)
+            result = process.inject(
                 stratum.kind,
-                victim_addr=victim_addr,
-                prelude=prelude,
-                **planned.severity,
+                planned.severity,
+                phase_prelude(stratum.phase, prelude_rng),
             )
             acc.trials += 1
             acc.contained += int(result.contained)
@@ -315,20 +356,10 @@ class CampaignSampler:
                     violation=result.violation,
                 )
             )
-            runtime.domain_destroy(target.udi)
 
-        # Fold the round's energy/carbon off the live ledger: requests and
-        # rewinds come from the obs registry the runtime populated, the
-        # per-fault joules from the frozen power/carbon models.
-        ledger = SustainabilityLedger(
-            obs.registry,
-            clock,
-            cost=cfg.cost,
-            dataset_bytes=cfg.dataset_bytes,
-            isolation_backend=stratum.backend,
-        )
-        if ledger.faults_observed() > 0 and ledger.requests_served() > 0:
-            rewind_entry, restart_entry = ledger.entries()
+        entries = process.ledger_entries()
+        if entries is not None:
+            rewind_entry, restart_entry = entries
             acc.rewind_joules += rewind_entry.recovery_joules
             acc.rewind_gco2e += rewind_entry.recovery_gco2e
             acc.rewind_faults += rewind_entry.faults

@@ -145,14 +145,9 @@ class QuarantinePolicy(RewindPolicy):
     name = "quarantine"
 
 
-#: Policy names the campaign decision layer chooses between. ``restart``
-#: maps to the abort policy: detection kills the process and the resilience
-#: layer models the process restart that follows.
-POLICY_CHOICES = ("rewind", "retry", "quarantine", "restart")
-
-
 def make_policy(name: str, **kwargs: float) -> RecoveryPolicy:
-    """Build a recovery policy from its campaign/CLI name."""
+    """Build a recovery policy from its campaign/CLI name. ``restart`` maps
+    to the abort policy: the resilience layer models the restart."""
     if name == "rewind":
         return RewindPolicy()
     if name in ("retry", "retry-backoff"):

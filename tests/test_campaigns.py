@@ -839,7 +839,7 @@ class TestRecordedPins:
     def test_validation_under_forced_policy(self, policy):
         cfg = _pin_config()
         report = validate_assignment(
-            _forced_assignment(policy, cfg), None, cfg, run_fleet=False
+            _forced_assignment(policy, cfg), cfg, run_fleet=False
         )
         assert report.as_dict() == VALIDATION_PINS[policy]
 
