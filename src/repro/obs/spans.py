@@ -123,9 +123,15 @@ class Span:
         return (self.end - self.start) if self.end is not None else 0.0
 
     def set_attrs(self, **attrs: object) -> None:
-        """Annotate mid-flight (uniform with the unsampled placeholder)."""
-        if self.end is not None:
-            raise ObsError(f"span #{self.span_id} has ended; its attrs are read-only")
+        """Annotate mid-flight (uniform with the unsampled placeholder).
+
+        An ended span's attrs are read-only, and so are a buffered span's:
+        the buffer may share its attrs mapping with other rows.
+        """
+        if self.end is not None or isinstance(self.attrs, MappingProxyType):
+            raise ObsError(
+                f"span #{self.span_id} has ended or is buffered; its attrs are read-only"
+            )
         self.attrs.update(attrs)
 
     @property

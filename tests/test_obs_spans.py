@@ -81,6 +81,14 @@ class TestSharedAttrs:
             span.set_attrs(client="c1")
         assert twin.attrs == {"client": "c0"}
 
+    def test_set_attrs_on_open_span_in_a_buffer_raises(self):
+        buf = SpanBuffer()
+        span = Span(1, 1, None, "x", 0.0)
+        buf.append(span)
+        with pytest.raises(ObsError, match="#1 "):
+            span.set_attrs(a=1)
+        assert [dict(s.attrs) for s in buf] == [{}]
+
     def test_table_never_exceeds_its_bound(self):
         buf = SpanBuffer()
         bound = SpanBuffer.SHARED_ATTRS_BOUND
