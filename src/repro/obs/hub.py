@@ -293,18 +293,9 @@ class Observability:
     # ------------------------------------------------------------------
 
     def record_request(self, app: str, elapsed: float, status: str = "ok") -> None:
-        key = (app, status)
-        pair = self._request_metrics.get(key)
+        pair = self._request_metrics.get((app, status))
         if pair is None:
-            pair = (
-                self.registry.counter(
-                    "app_requests_total", app=app, status=status
-                ),
-                self.registry.histogram(
-                    "app_request_latency_seconds", app=app
-                ),
-            )
-            self._request_metrics[key] = pair
+            pair = self._new_request_metrics(app, status)
         pair[0].increment()
         pair[1].observe(elapsed)
 
@@ -316,42 +307,26 @@ class Observability:
         One counter bump and one histogram update per *distinct* status
         (the common pipeline is all-``"ok"``, so usually one of each)
         replaces a full call per request; the recorded metrics are
-        bit-identical to the per-request loop.
+        bit-identical to the per-request loop (``count`` repeated
+        additions of ``elapsed``).
         """
-        if not statuses:
-            return
         counts: "dict[str, int]" = {}
         for status in statuses:
             counts[status] = counts.get(status, 0) + 1
         for status, count in counts.items():
-            self.record_request_batch(app, elapsed, status, count)
+            pair = self._request_metrics.get((app, status))
+            if pair is None:
+                pair = self._new_request_metrics(app, status)
+            pair[0].increment(count)
+            pair[1].observe_many(elapsed, count)
 
-    def record_request_batch(
-        self, app: str, elapsed: float, status: str, count: int
-    ) -> None:
-        """Uniform-status :meth:`record_requests` without building a list.
-
-        The steady-state pipeline is all-``"ok"``; callers that already
-        know the batch is uniform skip the per-request status list and the
-        grouping pass entirely. Metric values are bit-identical to the
-        per-request loop (``count`` repeated additions of ``elapsed``).
-        """
-        if count <= 0:
-            return
-        key = (app, status)
-        pair = self._request_metrics.get(key)
-        if pair is None:
-            pair = (
-                self.registry.counter(
-                    "app_requests_total", app=app, status=status
-                ),
-                self.registry.histogram(
-                    "app_request_latency_seconds", app=app
-                ),
-            )
-            self._request_metrics[key] = pair
-        pair[0].increment(count)
-        pair[1].observe_many(elapsed, count)
+    def _new_request_metrics(self, app: str, status: str) -> tuple:
+        pair = (
+            self.registry.counter("app_requests_total", app=app, status=status),
+            self.registry.histogram("app_request_latency_seconds", app=app),
+        )
+        self._request_metrics[(app, status)] = pair
+        return pair
 
     def record_batch(self, app: str, size: int) -> None:
         pair = self._batch_metrics.get(app)
@@ -374,7 +349,7 @@ class Observability:
         tuple halves the per-batch call and dict-probe count on the hot
         path the <=1.05x overhead gate measures. Metric values are
         bit-identical to ``record_batch(app, size)`` followed by
-        ``record_request_batch(app, elapsed, "ok", count)``.
+        ``record_requests(app, elapsed, ["ok"] * count)``.
         """
         handles = self._pipeline_metrics.get(app)
         if handles is None:
