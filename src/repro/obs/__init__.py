@@ -13,9 +13,8 @@ The subsystem the serving stack reports itself through:
 * :mod:`~repro.obs.ledger` — live joules/gCO₂e per request per recovery
   strategy, folded from the sustainability models over live metrics.
 
-``repro.obs.report`` (imported on demand by the CLI and
-``scripts/obs_report.py``) runs the demo workload behind
-``python -m repro obs``.
+``repro.obs.report`` (imported on demand by the CLI) runs the demo
+workload behind ``python -m repro obs``.
 """
 
 from .exporters import (

@@ -6,8 +6,6 @@ buffer — through an obs-instrumented :class:`MemcachedServer`, then
 reports what the observability layer saw: request/rewind metrics, the
 span buffer, the sustainability ledger (joules and gCO₂e per request for
 rewind vs restart recovery), and the telemetry consistency check.
-
-``scripts/obs_report.py`` is a thin wrapper over the same entry point.
 """
 
 from __future__ import annotations
