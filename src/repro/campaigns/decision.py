@@ -19,7 +19,7 @@ prediction and re-measurement comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..sim.clock import YEARS
 from .model import CampaignModel
