@@ -157,7 +157,9 @@ class DomainServer:
 
         Raises :class:`ProcessCrashed` only in ``NONE`` isolation, when a
         fault escapes containment — the resilience layer turns that into
-        restart downtime.
+        restart downtime. Only that crash counts as a ``crash`` request; a
+        caller error (an unconnected client, say) ends the span as
+        ``error`` and counts no request.
         """
         obs = self.runtime.obs
         if obs is None:
@@ -166,11 +168,14 @@ class DomainServer:
         started = self.runtime.clock.now
         try:
             response = self._handle(client_id, raw)
-        except BaseException:
+        except ProcessCrashed:
             obs.record_request(
                 self.app, self.runtime.clock.now - started, status="crash"
             )
             obs.end_span(span, status="crash")
+            raise
+        except BaseException:
+            obs.end_span(span, status="error")
             raise
         status = self._status(response)
         obs.record_request(self.app, self.runtime.clock.now - started, status)
@@ -271,9 +276,12 @@ class DomainServer:
         started = clock.now
         try:
             responses = self._handle_batch(client_id, raws)
-        except BaseException:
+        except ProcessCrashed:
             obs.record_batch(self.app, len(raws))
             obs.end_span(span, status="crash")
+            raise
+        except BaseException:
+            obs.end_span(span, status="error")
             raise
         elapsed = clock.now - started
         # Per-request accounting with the batch's amortised latency: the

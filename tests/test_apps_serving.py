@@ -351,25 +351,29 @@ def _tls_outputs(isolation: str, backend: str, obs_on: bool):
 #: handshake and on disconnect: mallory's reconnected handshake reuses the
 #: freed block, so the two later over-reads return other stale bytes (the
 #: same clients' secrets leak), and one fewer root block stays live.
+#: The obs cases' snapshot, metrics and span digests were re-recorded when
+#: a caller error stopped counting as a crash: the never-connected
+#: client's record no longer adds a ``crash`` request and a latency sample,
+#: and its span ends as ``error``.
 _TLS_OUTPUTS = {
     ('per-connection', 'mpk', False): ('68fb933412dfedf7', 0.004050541999999999, 'a777fa87e213d0d3', '91977434be4a1677', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []]),
-    ('per-connection', 'mpk', True): ('68fb933412dfedf7', 0.004050541999999999, 'a777fa87e213d0d3', 'f923e4efe0095ba3', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []], '487e3be71fda3d63', 'ad894e8a59d775c1'),
+    ('per-connection', 'mpk', True): ('68fb933412dfedf7', 0.004050541999999999, 'a777fa87e213d0d3', '1fd0e2f90c30ec38', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []], 'bd29f6d61dd4bb08', 'eabd2bcf5864b851'),
     ('per-connection', 'cheri', False): ('68fb933412dfedf7', 0.004039322000000003, 'a777fa87e213d0d3', '3aab7878036d07e8', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []]),
-    ('per-connection', 'cheri', True): ('68fb933412dfedf7', 0.004039322000000003, 'a777fa87e213d0d3', '0635009c5bfb1557', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []], 'ec5240f6401b39c5', '4e968358469bcb47'),
+    ('per-connection', 'cheri', True): ('68fb933412dfedf7', 0.004039322000000003, 'a777fa87e213d0d3', '46422f151dd58ec9', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []], '4edf9da83ba484b2', '00d0557d9781b365'),
     ('per-connection', 'sfi', False): ('68fb933412dfedf7', 0.004033597999999999, 'a777fa87e213d0d3', 'e4378f4e27764241', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []]),
-    ('per-connection', 'sfi', True): ('68fb933412dfedf7', 0.004033597999999999, 'a777fa87e213d0d3', '91945dbb32592c7a', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []], 'af433b37bfb144e6', '149919a6e3b39df0'),
+    ('per-connection', 'sfi', True): ('68fb933412dfedf7', 0.004033597999999999, 'a777fa87e213d0d3', '5d7831c91558c5cf', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []], '3c2440fe295c2030', '9a8112f4d2f23478'),
     ('per-request', 'mpk', False): ('2924ef157c09e82e', 0.004123821999999998, 'a777fa87e213d0d3', 'e0265c9cc4de9f25', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []]),
-    ('per-request', 'mpk', True): ('2924ef157c09e82e', 0.004123821999999998, 'a777fa87e213d0d3', 'fd6e98e32ccec87d', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []], '17b8a1b18caa055f', '1347023281d4f35d'),
+    ('per-request', 'mpk', True): ('2924ef157c09e82e', 0.004123821999999998, 'a777fa87e213d0d3', 'f953f28b70b10740', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []], 'd33bfbb021ad9f8a', '60002a8b0d724850'),
     ('per-request', 'cheri', False): ('2924ef157c09e82e', 0.004069102000000004, 'a777fa87e213d0d3', '49503b68b21c315b', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []]),
-    ('per-request', 'cheri', True): ('2924ef157c09e82e', 0.004069102000000004, 'a777fa87e213d0d3', '881aa6ac3ebbc166', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []], '6bf0000df8127dcb', '3093071e40a98a51'),
+    ('per-request', 'cheri', True): ('2924ef157c09e82e', 0.004069102000000004, 'a777fa87e213d0d3', '2686607301c8b772', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []], 'b3fa1dbd899e1094', '63d5c4094fb56f9e'),
     ('per-request', 'sfi', False): ('2924ef157c09e82e', 0.004053077999999998, 'a777fa87e213d0d3', '18385a3e3fb6c8f4', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []]),
-    ('per-request', 'sfi', True): ('2924ef157c09e82e', 0.004053077999999998, 'a777fa87e213d0d3', 'ee5e26a5440f8c66', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []], 'c78996566277237d', '1e1756e22b8a19a8'),
+    ('per-request', 'sfi', True): ('2924ef157c09e82e', 0.004053077999999998, 'a777fa87e213d0d3', '275b67a868f65987', [[], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], [], []], 'a442ba053de3a7b5', '3f7984a89ab337b0'),
     ('none', 'mpk', False): ('bc14b225f17bf87d', 0.00401315, '053716ac35ce39a9', 'e06a4ec87d047283', [[], [], [], [], [], [], [], [], [], ['alice', 'bob'], ['alice', 'bob'], [], [], [], [], [], [], [], [], [], ['alice', 'bob'], [], ['bob'], []]),
-    ('none', 'mpk', True): ('bc14b225f17bf87d', 0.00401315, '053716ac35ce39a9', '0434f84d96f26b4c', [[], [], [], [], [], [], [], [], [], ['alice', 'bob'], ['alice', 'bob'], [], [], [], [], [], [], [], [], [], ['alice', 'bob'], [], ['bob'], []], '28a66daa57efb81e', 'b8c86f33118b5deb'),
+    ('none', 'mpk', True): ('bc14b225f17bf87d', 0.00401315, '053716ac35ce39a9', '4b3983d4e23aa49f', [[], [], [], [], [], [], [], [], [], ['alice', 'bob'], ['alice', 'bob'], [], [], [], [], [], [], [], [], [], ['alice', 'bob'], [], ['bob'], []], '4f8fea3cdf5e0aae', 'e4b4d087bc3219c2'),
     ('none', 'cheri', False): ('bc14b225f17bf87d', 0.00401315, '053716ac35ce39a9', '98858fcbb1382876', [[], [], [], [], [], [], [], [], [], ['alice', 'bob'], ['alice', 'bob'], [], [], [], [], [], [], [], [], [], ['alice', 'bob'], [], ['bob'], []]),
-    ('none', 'cheri', True): ('bc14b225f17bf87d', 0.00401315, '053716ac35ce39a9', 'ceb423246fa5023e', [[], [], [], [], [], [], [], [], [], ['alice', 'bob'], ['alice', 'bob'], [], [], [], [], [], [], [], [], [], ['alice', 'bob'], [], ['bob'], []], '28a66daa57efb81e', 'b8c86f33118b5deb'),
+    ('none', 'cheri', True): ('bc14b225f17bf87d', 0.00401315, '053716ac35ce39a9', '0dbdf86a1fb6778c', [[], [], [], [], [], [], [], [], [], ['alice', 'bob'], ['alice', 'bob'], [], [], [], [], [], [], [], [], [], ['alice', 'bob'], [], ['bob'], []], '4f8fea3cdf5e0aae', 'e4b4d087bc3219c2'),
     ('none', 'sfi', False): ('bc14b225f17bf87d', 0.00401315, '053716ac35ce39a9', '07b6ef343cef82e8', [[], [], [], [], [], [], [], [], [], ['alice', 'bob'], ['alice', 'bob'], [], [], [], [], [], [], [], [], [], ['alice', 'bob'], [], ['bob'], []]),
-    ('none', 'sfi', True): ('bc14b225f17bf87d', 0.00401315, '053716ac35ce39a9', '3ad4bddda0a24a46', [[], [], [], [], [], [], [], [], [], ['alice', 'bob'], ['alice', 'bob'], [], [], [], [], [], [], [], [], [], ['alice', 'bob'], [], ['bob'], []], '28a66daa57efb81e', 'b8c86f33118b5deb'),
+    ('none', 'sfi', True): ('bc14b225f17bf87d', 0.00401315, '053716ac35ce39a9', '071821956ce88595', [[], [], [], [], [], [], [], [], [], ['alice', 'bob'], ['alice', 'bob'], [], [], [], [], [], [], [], [], [], ['alice', 'bob'], [], ['bob'], []], '4f8fea3cdf5e0aae', 'e4b4d087bc3219c2'),
 }
 
 _TLS_CASES = [

@@ -12,6 +12,7 @@ import pytest
 
 from repro.apps.cluster import NginxCluster
 from repro.apps.memcached_server import IsolationMode, MemcachedServer
+from repro.errors import SdradError
 from repro.obs import Observability
 from repro.sdrad.constants import DomainFlags
 from repro.sdrad.policy import ProcessCrashed, RetryPolicy
@@ -176,3 +177,56 @@ class TestWorkerCrashRestart:
         assert obs.registry.counter_total("sdrad_crashes_total") == 1
         assert obs.open_span_count == 0
         assert obs.buffer.tree_violations() == []
+
+    def test_uncontained_batch_crash_closes_span_as_crash(self):
+        runtime = observed_runtime()
+        server = MemcachedServer(runtime, isolation=IsolationMode.NONE)
+        server.connect("mallory")
+        with pytest.raises(ProcessCrashed):
+            server.handle_batch("mallory", [b"get k\r\n", ATTACK_LONG_KEY])
+        obs = runtime.obs
+        [batch_span] = obs.buffer.of_name("memcached.batch")
+        assert batch_span.status == "crash"
+        assert obs.registry.counter_total("app_batches_total") == 1
+        assert server.metrics.crashes == 1
+        assert obs.open_span_count == 0
+        assert obs.buffer.tree_violations() == []
+
+
+class TestCallerErrors:
+    """A caller's mistake is not a crash: the span ends as ``error``, as
+    ``Observability.span`` ends it, and no request or batch is counted."""
+
+    def _server(self):
+        runtime = observed_runtime()
+        server = MemcachedServer(runtime, isolation=IsolationMode.PER_CONNECTION)
+        server.connect("c0")
+        return runtime.obs, server
+
+    def _assert_nothing_counted(self, obs, server):
+        assert obs.registry.counter_total("app_requests_total") == 0
+        assert obs.registry.counter_total("app_batches_total") == 0
+        assert obs.registry.histogram(
+            "app_request_latency_seconds", app="memcached"
+        ).count == 0
+        assert (server.metrics.requests, server.metrics.crashes) == (0, 0)
+        assert obs.open_span_count == 0
+        assert obs.buffer.tree_violations() == []
+
+    def test_unconnected_client_request_is_an_error(self):
+        obs, server = self._server()
+        with pytest.raises(SdradError, match="not connected"):
+            server.handle("ghost", b"get k\r\n")
+        [span] = obs.buffer.of_name("memcached.request")
+        assert (span.status, dict(span.attrs)) == ("error", {"client": "ghost"})
+        self._assert_nothing_counted(obs, server)
+
+    def test_unconnected_client_batch_is_an_error(self):
+        obs, server = self._server()
+        with pytest.raises(SdradError, match="not connected"):
+            server.handle_batch("ghost", [b"get k\r\n", b"get j\r\n"])
+        [span] = obs.buffer.of_name("memcached.batch")
+        assert (span.status, dict(span.attrs)) == (
+            "error", {"client": "ghost", "size": 2}
+        )
+        self._assert_nothing_counted(obs, server)
