@@ -207,19 +207,24 @@ def validate_assignment(
 
         n = config.validation_injections
         measured_availability = 1.0 - lam * downtime_total / n
-        # The validation sample's own binomial noise, propagated through
-        # the measured mean per-contained charge.
-        c_bar = (
-            (downtime_total - (n - contained) * d_rst) / contained
-            if contained
-            else 0.0
-        )
-        p_ci = clopper_pearson(contained, n, config.confidence)
+        if cost.contains:
+            # The validation sample's own binomial noise, propagated through
+            # the measured mean per-contained charge — or, with no contained
+            # fault to measure, the row's charge at the predicted recovery.
+            c_bar = (
+                (downtime_total - (n - contained) * d_rst) / contained
+                if contained
+                else cost.downtime(1.0, cost.busy(inputs.recovery_seconds.mid))
+            )
+            p_ci = clopper_pearson(contained, n, config.confidence)
 
-        def avail_at(p: float) -> float:
-            return 1.0 - lam * (p * c_bar + (1.0 - p) * d_rst)
+            def avail_at(p: float) -> float:
+                return 1.0 - lam * (p * c_bar + (1.0 - p) * d_rst)
 
-        corners = (avail_at(p_ci.lo), avail_at(p_ci.hi))
+            corners = (avail_at(p_ci.lo), avail_at(p_ci.hi))
+        else:
+            # Every fault pays a restart: the sample has nothing to vary.
+            corners = (measured_availability,)
         measured_interval = ConfidenceInterval(
             min(corners), measured_availability, max(corners)
         )

@@ -58,6 +58,11 @@ class PolicyCost:
     window: float = 0.0
     contains: bool = True
 
+    def busy(self, recovery: float) -> float:
+        """Seconds a contained fault keeps the domain busy, at ``recovery``
+        seconds per rewind."""
+        return recovery * self.attempts + self.backoff
+
     def downtime(self, p: float, busy: float) -> float:
         """Unavailable seconds of a ``p`` share of faults contained, each
         keeping the domain busy for ``busy`` seconds."""
@@ -105,8 +110,7 @@ def downtime_per_fault(
     cost = policy_cost(policy, config)
     if not cost.contains:
         return inputs.restart_downtime
-    busy = recovery * cost.attempts + cost.backoff
-    return cost.downtime(p, busy) + (1.0 - p) * inputs.restart_downtime
+    return cost.downtime(p, cost.busy(recovery)) + (1.0 - p) * inputs.restart_downtime
 
 
 def carbon_per_fault(

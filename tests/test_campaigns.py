@@ -46,7 +46,9 @@ from repro.campaigns.stats import (
     mat_solve,
     normal_quantile,
 )
+from repro.campaigns.sampler import InjectionProcess
 from repro.faultinj.models import FaultKind
+from repro.sim.clock import YEARS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -531,7 +533,10 @@ def _pin_sampler_state() -> dict:
 
 
 #: ``validate_assignment(...).as_dict()`` per forced policy; ``restart``
-#: reboots the process on every detected fault.
+#: reboots the process on every detected fault. The ``restart`` intervals
+#: were re-recorded when a non-containing policy's measured interval became
+#: a point: their upper bound had charged the Clopper–Pearson upper share
+#: of faults nothing, an availability no restart run can reach.
 VALIDATION_PINS = {
     "rewind": {
         "backend": "mpk",
@@ -717,7 +722,7 @@ VALIDATION_PINS = {
                 "measured_interval": {
                     "lo": 0.9998110716500367,
                     "mid": 0.9998110716500367,
-                    "hi": 0.9998610712486802,
+                    "hi": 0.9998110716500367,
                 },
                 "predicted_availability": {
                     "lo": 0.9998110716500367,
@@ -742,7 +747,7 @@ VALIDATION_PINS = {
                 "measured_interval": {
                     "lo": 0.9998110716500367,
                     "mid": 0.9998110716500367,
-                    "hi": 0.9998610712486802,
+                    "hi": 0.9998110716500367,
                 },
                 "predicted_availability": {
                     "lo": 0.9998110716500367,
@@ -842,6 +847,49 @@ class TestRecordedPins:
             _forced_assignment(policy, cfg), cfg, run_fleet=False
         )
         assert report.as_dict() == VALIDATION_PINS[policy]
+
+    def test_restart_interval_is_a_point(self):
+        """Every restart-policy fault pays a restart, so the validation
+        sample has no containment share to be uncertain about."""
+        cfg = _pin_config()
+        report = validate_assignment(
+            _forced_assignment("restart", cfg), cfg, run_fleet=False
+        )
+        for domain in report.domains:
+            interval = domain.measured_interval
+            assert interval.lo == interval.mid == interval.hi
+            assert interval.mid == domain.measured_availability
+
+    def test_uncontained_sample_charges_the_rows_recovery(self, monkeypatch):
+        """A containing policy whose validation contained nothing still
+        charges the upper containment share at its row's recovery cost."""
+        inject = InjectionProcess.inject
+
+        def undetected(self, *args):
+            result = inject(self, *args)
+            result.detected = False
+            return result
+
+        monkeypatch.setattr(InjectionProcess, "inject", undetected)
+        cfg = _pin_config()
+        inputs = _pin_inputs(cfg)
+        lam = cfg.faults_per_year / YEARS
+        p_hi = clopper_pearson(0, cfg.validation_injections, cfg.confidence).hi
+        for policy in ("rewind", "retry", "quarantine"):
+            report = validate_assignment(
+                _forced_assignment(policy, cfg), cfg, run_fleet=False
+            )
+            charged = downtime_per_fault(
+                policy, p_hi, inputs.recovery_seconds.mid, inputs, cfg
+            )
+            for domain in report.domains:
+                interval = domain.measured_interval
+                assert domain.contained == 0
+                assert interval.lo == pytest.approx(
+                    1.0 - lam * inputs.restart_downtime, rel=1e-15
+                )
+                assert interval.hi == pytest.approx(1.0 - lam * charged, rel=1e-15)
+                assert interval.hi > interval.mid
 
     @pytest.mark.parametrize("policy", POLICY_ORDER)
     def test_cost_formulas(self, policy):
