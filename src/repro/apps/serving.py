@@ -45,6 +45,11 @@ class IsolationMode(enum.Enum):
     NONE = "none"
 
 
+_PER_CONNECTION = IsolationMode.PER_CONNECTION  # hot-path enum members
+_PER_REQUEST = IsolationMode.PER_REQUEST
+_RETURN_TO_PARENT = DomainFlags.RETURN_TO_PARENT
+
+
 class DomainServer:
     """Connection registry + isolated parsing + trusted apply.
 
@@ -115,13 +120,8 @@ class DomainServer:
     def connect(self, client_id: str) -> None:
         if client_id in self._connections:
             raise SdradError(f"client {client_id!r} already connected")
-        if self.isolation is IsolationMode.PER_CONNECTION:
-            domain = self.runtime.domain_init(
-                flags=DomainFlags.RETURN_TO_PARENT,
-                heap_size=self.domain_heap_size,
-                stack_size=self.domain_stack_size,
-            )
-            self._connections[client_id] = domain.udi
+        if self.isolation is _PER_CONNECTION:
+            self._connections[client_id] = self._new_domain()
         else:
             self._connections[client_id] = ROOT_UDI
 
@@ -148,48 +148,43 @@ class DomainServer:
         """
         if response == self.REFUSED:
             return "refused"
-        if response == self.DISCARDED:
-            return "fault"
-        return "ok"
+        return "fault" if response == self.DISCARDED else "ok"
 
     def handle(self, client_id: str, raw: bytes) -> bytes:
         """Process one request from ``client_id``; returns the response.
 
         Raises :class:`ProcessCrashed` only in ``NONE`` isolation, when a
         fault escapes containment — the resilience layer turns that into
-        restart downtime. Only that crash counts as a ``crash`` request; a
-        caller error (an unconnected client, say) ends the span as
-        ``error`` and counts no request.
+        restart downtime; only that counts as a ``crash`` request (a caller
+        error ends the span as ``error`` and counts no request).
         """
         obs = self.runtime.obs
         if obs is None:
             return self._handle(client_id, raw)
+        clock = self.runtime.clock
         span = obs.start_span(self._request_span, client=client_id)
-        started = self.runtime.clock.now
+        started = clock.now
         try:
             response = self._handle(client_id, raw)
         except ProcessCrashed:
-            obs.record_request(
-                self.app, self.runtime.clock.now - started, status="crash"
-            )
-            obs.end_span(span, status="crash")
+            obs.record_request(self.app, clock.now - started, "crash")
+            obs.end_span(span, "crash")
             raise
         except BaseException:
-            obs.end_span(span, status="error")
+            obs.end_span(span, "error")
             raise
         status = self._status(response)
-        obs.record_request(self.app, self.runtime.clock.now - started, status)
-        obs.end_span(span, status=status)
+        obs.record_request(self.app, clock.now - started, status)
+        obs.end_span(span, status)
         return response
 
     def _handle(self, client_id: str, raw: bytes) -> bytes:
         if client_id not in self._connections:
             raise SdradError(f"client {client_id!r} is not connected")
-        metrics = self.metrics
-        metrics.requests += 1
+        self.metrics.requests += 1
         if self.watchdog is not None and self.watchdog.is_quarantined(client_id):
             # Refused at the front door: no parsing, no domain, ~zero cost.
-            metrics.quarantine_refusals += 1
+            self.metrics.quarantine_refusals += 1
             return self.REFUSED
         if self.request_cost is not None:
             runtime = self.runtime
@@ -216,21 +211,10 @@ class DomainServer:
         :class:`ProcessCrashed` propagates.
         """
         runtime = self.runtime
-        if self.isolation is IsolationMode.NONE:
-            # Baseline: no domain, no switch cost — and no containment.
-            try:
-                return True, runtime.execute_unisolated(body, *args)
-            except ProcessCrashed:
-                self.metrics.crashes += 1
-                self._bump_fault(client_id)
-                raise
-
-        if self.isolation is IsolationMode.PER_REQUEST:
-            udi = runtime.domain_init(
-                flags=DomainFlags.RETURN_TO_PARENT,
-                heap_size=self.domain_heap_size,
-                stack_size=self.domain_stack_size,
-            ).udi
+        if self.isolation is _PER_CONNECTION:
+            result = runtime.execute(self._connections[client_id], body, *args)
+        elif self.isolation is _PER_REQUEST:
+            udi = self._new_domain()
             try:
                 if stage is not None:
                     runtime.copy_into(udi, stage)
@@ -240,7 +224,13 @@ class DomainServer:
                 # key (``SdradRuntime.domain_retire``).
                 runtime.domain_retire(udi)
         else:
-            result = runtime.execute(self._connections[client_id], body, *args)
+            # Baseline: no domain, no switch cost — and no containment.
+            try:
+                return True, runtime.execute_unisolated(body, *args)
+            except ProcessCrashed:
+                self.metrics.crashes += 1
+                self._bump_fault(client_id)
+                raise
 
         if not result.ok:
             metrics = self.metrics
@@ -309,29 +299,36 @@ class DomainServer:
             raise SdradError(f"client {client_id!r} is not connected")
         if not raws:
             return []
+        result = None
         if (
-            self.isolation is not IsolationMode.PER_CONNECTION
-            or self._parse_batch is None
-            or (self.watchdog is not None and self.watchdog.is_quarantined(client_id))
+            self.isolation is _PER_CONNECTION
+            and self._parse_batch is not None
+            and (self.watchdog is None or not self.watchdog.is_quarantined(client_id))
         ):
-            self._batch_pipelined = False
+            runtime = self.runtime
+            if self.request_cost is not None:
+                runtime.charge(len(raws) * getattr(runtime.cost, self.request_cost))
+            result = runtime.execute(self._connections[client_id], self._parse_batch, raws)
+        # A degenerate batch, or one whose rewind discarded the whole
+        # (unapplied) batch: handle each request in its own entry so only
+        # an offender errors.
+        self._batch_pipelined = result is not None and result.ok
+        if not self._batch_pipelined:
             return [self._handle(client_id, raw) for raw in raws]
-        runtime = self.runtime
-        if self.request_cost is not None:
-            runtime.charge(len(raws) * getattr(runtime.cost, self.request_cost))
-        result = runtime.execute(self._connections[client_id], self._parse_batch, raws)
-        if not result.ok:
-            # The rewind discarded the whole (unapplied) batch; re-handle
-            # each request in its own entry so only the offender errors.
-            self._batch_pipelined = False
-            return [self._handle(client_id, raw) for raw in raws]
-        self._batch_pipelined = True
         self.metrics.requests += len(raws)
         return list(map(self._apply, result.value))
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+
+    def _new_domain(self) -> int:
+        """A fresh domain for a connection or a request; returns its udi."""
+        return self.runtime.domain_init(
+            flags=_RETURN_TO_PARENT,
+            heap_size=self.domain_heap_size,
+            stack_size=self.domain_stack_size,
+        ).udi
 
     def _bump_fault(self, client_id: str) -> None:
         faults = self.metrics.per_client_faults

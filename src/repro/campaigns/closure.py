@@ -207,27 +207,23 @@ def validate_assignment(
 
         n = config.validation_injections
         measured_availability = 1.0 - lam * downtime_total / n
-        if cost.contains:
-            # The validation sample's own binomial noise, propagated through
-            # the measured mean per-contained charge — or, with no contained
-            # fault to measure, the row's charge at the predicted recovery.
-            c_bar = (
-                (downtime_total - (n - contained) * d_rst) / contained
-                if contained
-                else cost.downtime(1.0, cost.busy(inputs.recovery_seconds.mid))
-            )
-            p_ci = clopper_pearson(contained, n, config.confidence)
-
-            def avail_at(p: float) -> float:
-                return 1.0 - lam * (p * c_bar + (1.0 - p) * d_rst)
-
-            corners = (avail_at(p_ci.lo), avail_at(p_ci.hi))
-        else:
-            # Every fault pays a restart: the sample has nothing to vary.
-            corners = (measured_availability,)
-        measured_interval = ConfidenceInterval(
-            min(corners), measured_availability, max(corners)
+        # The validation sample's own binomial noise, propagated through
+        # the measured mean per-contained charge (with none contained, the
+        # row's charge at the predicted recovery). A policy that contains
+        # nothing has no such noise: every fault pays a restart.
+        c_bar = (
+            (downtime_total - (n - contained) * d_rst) / contained
+            if contained
+            else cost.downtime(1.0, cost.busy(inputs.recovery_seconds.mid))
         )
+        p_ci = clopper_pearson(contained, n, config.confidence)
+
+        def avail_at(p: float) -> float:
+            return 1.0 - lam * (p * c_bar + (1.0 - p) * d_rst)
+
+        mid = measured_availability
+        corners = (avail_at(p_ci.lo), avail_at(p_ci.hi)) if cost.contains else (mid,)
+        measured_interval = ConfidenceInterval(min(corners), mid, max(corners))
         predicted_availability = _predicted_availability(assignment, domain)
 
         measured_g: Optional[float] = None

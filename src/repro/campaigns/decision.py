@@ -59,8 +59,7 @@ class PolicyCost:
     contains: bool = True
 
     def busy(self, recovery: float) -> float:
-        """Seconds a contained fault keeps the domain busy, at ``recovery``
-        seconds per rewind."""
+        """Seconds a contained fault is busy at ``recovery`` s per rewind."""
         return recovery * self.attempts + self.backoff
 
     def downtime(self, p: float, busy: float) -> float:

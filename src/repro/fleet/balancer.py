@@ -257,23 +257,24 @@ class Fleet:
 
     def _serve_one(self, shard: Shard, raw: bytes) -> bytes:
         """One routed request with health reporting + service bookkeeping."""
-        self.metrics.per_shard_ops[shard.name] = (
-            self.metrics.per_shard_ops.get(shard.name, 0) + 1
-        )
+        name = shard.name
+        per_shard_ops = self.metrics.per_shard_ops
+        per_shard_ops[name] = per_shard_ops.get(name, 0) + 1
+        health = self.health
         if shard.is_down:
-            self.last_op_failed.append(shard.name)
-            if self.health is not None:
-                self.health.on_failure(shard.name)
+            self.last_op_failed.append(name)
+            if health is not None:
+                health.on_failure(name)
             return _SHARD_DOWN
         started = self.clock.now
         response = shard.handle(raw)
-        self.last_op_services.append((shard.name, self.clock.now - started))
+        self.last_op_services.append((name, self.clock.now - started))
         if response.startswith(b"SERVER_ERROR"):
-            self.last_op_failed.append(shard.name)
-            if self.health is not None:
-                self.health.on_failure(shard.name)
-        elif self.health is not None:
-            self.health.on_success(shard.name)
+            self.last_op_failed.append(name)
+            if health is not None:
+                health.on_failure(name)
+        elif health is not None:
+            health.on_success(name)
         return response
 
     def set(self, key: bytes, value: bytes, flags: int = 0) -> bytes:

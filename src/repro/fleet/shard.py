@@ -43,6 +43,9 @@ class ShardState(enum.Enum):
     DOWN = "down"
 
 
+_DOWN = ShardState.DOWN  # tested on every routed request
+
+
 class Shard:
     """A single shard node: runtime, store, server, and health state."""
 
@@ -104,12 +107,12 @@ class Shard:
     @property
     def is_down(self) -> bool:
         """True while the node is dead (killed, not yet restarted)."""
-        if self.state is ShardState.DOWN and self.clock.now >= self.down_until:
+        if self.state is _DOWN and self.clock.now >= self.down_until:
             # The supervisor restarted the process: fresh image, empty
             # cache. State goes back to UP; rejoining the ring is the
             # health monitor's call, not ours.
             self.restart()
-        return self.state is ShardState.DOWN
+        return self.state is _DOWN
 
     @property
     def is_quarantined(self) -> bool:

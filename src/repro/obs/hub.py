@@ -49,7 +49,10 @@ from contextlib import contextmanager
 from typing import Iterator, Optional, Union
 
 from .metrics import ObsRegistry
-from .spans import ObsError, Span, SpanBuffer
+from .spans import ObsError, Span, SpanBuffer, _intern
+
+#: The interned status of an open span.
+_OPEN = _intern("open")
 
 
 class _UnsampledSpan:
@@ -128,20 +131,6 @@ class Observability:
         if self.clock is None:
             self.clock = clock
 
-    def now(self) -> float:
-        return self.clock.now if self.clock is not None else 0.0
-
-    # ------------------------------------------------------------------
-    # Sampling
-    # ------------------------------------------------------------------
-
-    def _sample_root(self) -> bool:
-        self._accum += self.sampling
-        if self._accum >= 1.0 - 1e-12:
-            self._accum -= 1.0
-            return True
-        return False
-
     # ------------------------------------------------------------------
     # Spans
     # ------------------------------------------------------------------
@@ -166,32 +155,33 @@ class Observability:
                 self._next_span_id += 1
                 stack.append(DROPPED)
                 return DROPPED
-            span = Span(
-                span_id=self._next_span_id,
-                trace_id=parent.trace_id,  # type: ignore[union-attr]
-                parent_id=parent.span_id,  # type: ignore[union-attr]
-                name=name,
-                start=self.now(),
-                attrs=attrs,
-            )
+            trace_id = parent.trace_id  # type: ignore[union-attr]
+            parent_id = parent.span_id  # type: ignore[union-attr]
         else:
-            if not self._sample_root():
+            # Deterministic sampling: keep a root each time this reaches 1.
+            self._accum += self.sampling
+            if self._accum < 1.0 - 1e-12:
                 stack.append(UNSAMPLED)
                 return UNSAMPLED
+            self._accum -= 1.0
+            trace_id = self._next_trace_id
+            self._next_trace_id = trace_id + 1
             if self.buffer.full:
                 self._next_span_id += 1
-                self._next_trace_id += 1
                 stack.append(DROPPED)
                 return DROPPED
-            span = Span(
-                span_id=self._next_span_id,
-                trace_id=self._next_trace_id,
-                parent_id=None,
-                name=name,
-                start=self.now(),
-                attrs=attrs,
-            )
-            self._next_trace_id += 1
+            parent_id = None
+        # ``Span.__init__`` without its keyword binding.
+        span = object.__new__(Span)
+        span.span_id = self._next_span_id
+        span.trace_id = trace_id
+        span.parent_id = parent_id
+        span._name_code = _intern(name)
+        clock = self.clock
+        span.start = clock.now if clock is not None else 0.0
+        span.end = None
+        span._status_code = _OPEN
+        span.attrs = attrs
         self._next_span_id += 1
         stack.append(span)
         return span
@@ -220,8 +210,9 @@ class Observability:
                 f"mis-nested end_span: {span!r} is not the innermost open "
                 f"span ({top!r} is)"
             )
-        span.end = self.now()
-        span.status = status
+        clock = self.clock
+        span.end = clock.now if clock is not None else 0.0
+        span._status_code = _intern(status)
         if attrs:
             span.attrs.update(attrs)
         self.buffer.append(span)
@@ -245,43 +236,12 @@ class Observability:
         own at recording time — a fault classification, a rewind (whose
         simulated duration rides in ``attrs``), a quarantine trip. Returns
         ``None`` when the trace is sampled out or the buffer is saturated.
+        An event is a span that ends where it starts, so it takes ids,
+        samples and drops exactly as one.
         """
-        stack = self._stack
-        if stack:
-            parent = stack[-1]
-            if parent is UNSAMPLED:
-                return None
-            if parent is DROPPED or self.buffer.full:
-                self._next_span_id += 1
-                self.buffer.dropped += 1
-                return None
-            trace_id = parent.trace_id  # type: ignore[union-attr]
-            parent_id: Optional[int] = parent.span_id  # type: ignore[union-attr]
-        else:
-            if not self._sample_root():
-                return None
-            if self.buffer.full:
-                self._next_span_id += 1
-                self._next_trace_id += 1
-                self.buffer.dropped += 1
-                return None
-            trace_id = self._next_trace_id
-            self._next_trace_id += 1
-            parent_id = None
-        ts = self.now()
-        span = Span(
-            span_id=self._next_span_id,
-            trace_id=trace_id,
-            parent_id=parent_id,
-            name=name,
-            start=ts,
-            end=ts,
-            status="ok",
-            attrs=attrs,
-        )
-        self._next_span_id += 1
-        self.buffer.append(span)
-        return span
+        span = _start_span(self, name, **attrs)
+        _end_span(self, span)
+        return span if span.__class__ is Span else None
 
     @property
     def open_span_count(self) -> int:
@@ -296,8 +256,14 @@ class Observability:
         pair = self._request_metrics.get((app, status))
         if pair is None:
             pair = self._new_request_metrics(app, status)
-        pair[0].increment()
-        pair[1].observe(elapsed)
+        requests, latency = pair
+        # Inlined Counter.increment / BucketHistogram.observe, field for
+        # field, as in record_pipeline: this runs once per request.
+        requests._value += 1
+        elapsed = float(elapsed)
+        latency._bucket_counts[bisect_left(latency.buckets, elapsed)] += 1
+        latency._sum += elapsed
+        latency._count += 1
 
     def record_requests(
         self, app: str, elapsed: float, statuses: "list[str]"
@@ -384,3 +350,9 @@ class Observability:
                 total += elapsed
             latency._sum = total
             latency._count += count
+
+
+# ``event`` runs the span path through these, not the (patchable) methods,
+# so a wrapper around start_span/end_span sees an event once, as an event.
+_start_span = Observability.start_span
+_end_span = Observability.end_span

@@ -113,10 +113,6 @@ class Span:
     def status(self) -> str:
         return _LABELS[self._status_code]
 
-    @status.setter
-    def status(self, value: str) -> None:
-        self._status_code = _intern(value)
-
     @property
     def duration(self) -> float:
         """Virtual seconds covered; 0.0 while still open."""
@@ -218,7 +214,8 @@ class SpanBuffer:
     :attr:`dropped` instead of stored (drop-newest, so early-run context
     survives): a long benchmark run must not grow memory without bound
     just because tracing is on, and the hub stops even *constructing*
-    spans once :attr:`full` goes true (see ``Observability.start_span``).
+    spans once :attr:`full` (kept current by :meth:`append` and
+    :meth:`clear`) goes true (see ``Observability.start_span``).
     The columns grow by appending, so a store that records ten spans holds
     ten rows whatever its capacity.
 
@@ -244,6 +241,8 @@ class SpanBuffer:
         self._new_columns()
 
     def _new_columns(self) -> None:
+        #: True when the next append would drop (the hub's saturation test).
+        self.full = False
         self._span_ids = array("q")
         self._trace_ids = array("q")
         self._parent_ids = array("q")
@@ -257,18 +256,14 @@ class SpanBuffer:
     def capacity(self) -> Optional[int]:
         return self._capacity
 
-    @property
-    def full(self) -> bool:
-        """True when the next append would drop (the hub's saturation test)."""
-        return self._capacity is not None and len(self._attrs) >= self._capacity
-
     def append(self, span: Span) -> None:
         """Store ``span`` as one row; its ``attrs`` become the row's mapping."""
         if self.full:
             self.dropped += 1
             return
         attrs = span.attrs
-        key = (tuple(attrs.items()), tuple(map(type, attrs.values())))
+        # n items then n value types: equal items, order and value types.
+        key = (*attrs.items(), *map(type, attrs.values()))
         shared = self._shared_attrs
         try:
             attrs = shared[key]
@@ -288,7 +283,10 @@ class SpanBuffer:
         self._status_codes.append(span._status_code)
         self._starts.append(span.start)
         self._ends.append(nan if end is None else end)
-        self._attrs.append(attrs)
+        rows = self._attrs
+        rows.append(attrs)
+        if len(rows) == self._capacity:
+            self.full = True
 
     def _build(self, i: int) -> Span:
         """Materialise row ``i`` as a :class:`Span` equal to the one appended."""

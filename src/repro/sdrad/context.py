@@ -49,7 +49,8 @@ class ContextStack:
         return self.entries[-1].udi if self.entries else root_udi
 
     def push(self, udi: int, saved_pkru: int, entered_at: float) -> ExecutionContext:
-        context = ExecutionContext(udi, saved_pkru, entered_at, len(self.entries))
+        # ``tuple.__new__`` skips the generated ``__new__``'s Python frame.
+        context = tuple.__new__(ExecutionContext, (udi, saved_pkru, entered_at, len(self.entries)))
         self.entries.append(context)
         return context
 

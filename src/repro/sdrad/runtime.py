@@ -50,10 +50,10 @@ from ..memory.stack import CallStack, check_stack_size, stack_seed
 from ..sim.clock import VirtualClock
 from ..sim.cost import DEFAULT_COST_MODEL, CostModel
 from ..sim.rng import RngFactory
-from .constants import ROOT_UDI, DomainFlags, DomainState
+from .constants import ROOT_UDI, DomainFlags
 from .context import ContextStack
 from .detect import FaultReport, classify, is_recoverable
-from .domain import Domain, DomainStats
+from .domain import _DESTROYED, Domain, DomainStats
 from .policy import (
     ProcessCrashed,
     RecoveryPolicy,
@@ -63,14 +63,17 @@ from .policy import (
 
 @dataclass
 class DomainResult:
-    """Outcome of one :meth:`SdradRuntime.execute` call."""
+    """Outcome of one :meth:`SdradRuntime.execute` call (built positionally
+    per entry; slots by hand, as ``dataclass(slots=True)`` needs 3.10)."""
+
+    __slots__ = ("ok", "value", "fault", "retries", "recovery_time", "elapsed")
 
     ok: bool
-    value: object = None
-    fault: Optional[FaultReport] = None
-    retries: int = 0
-    recovery_time: float = 0.0
-    elapsed: float = 0.0
+    value: object
+    fault: Optional[FaultReport]
+    retries: int
+    recovery_time: float
+    elapsed: float
 
     def unwrap(self) -> object:
         """Return the value or raise the fault (test convenience)."""
@@ -252,6 +255,9 @@ class SdradRuntime:
         #: The isolation substrate (see ``repro.memory.backends``).
         self.backend = self.space.backend
         self.clock = clock if clock is not None else VirtualClock()
+        #: ``charge(seconds)``: advance the clock, return the new time. Every
+        #: modelled cost goes through it, so it is the clock's own method.
+        self.charge = self.clock.advance
         self.cost = cost
         # Per-operation substrate costs, resolved once: under the MPK
         # default these are the very same floats the runtime used to read
@@ -741,15 +747,17 @@ class SdradRuntime:
         domain = self._domains.get(udi)
         if domain is None:
             raise DomainNotFound(udi)
-        if domain.state is DomainState.DESTROYED:
+        if domain.state is _DESTROYED:
             raise DomainStateError(f"domain {udi} is destroyed")
-        if self.contexts.entries and self.contexts.contains_udi(udi):
+        contexts = self.contexts
+        if contexts.entries and contexts.contains_udi(udi):
             raise DomainStateError(f"domain {udi} re-entered while active")
         if policy is None:
             policy = self.default_policy
 
-        granted_domains: list[Domain] = []
+        granted_domains: Optional[list[Domain]] = None
         if read_grants:
+            granted_domains = []
             for grant_udi in read_grants:
                 if grant_udi == udi:
                     raise SdradError("cannot read-grant a domain to itself")
@@ -758,7 +766,7 @@ class SdradRuntime:
         started = self.clock.now
         if self.keys is not None:
             self.keys.ensure_bound(domain)
-            for granted in granted_domains:
+            for granted in granted_domains or ():
                 self.keys.ensure_bound(granted)
             parent = self._domains.get(domain.parent_udi or ROOT_UDI)
             if (
@@ -767,7 +775,7 @@ class SdradRuntime:
                 and parent.udi != ROOT_UDI
             ):
                 self.keys.ensure_bound(parent)
-        self.charge(self._enter_cost)
+        entered = self.charge(self._enter_cost)
         gate = self.space.gate
         saved_gate = gate.snapshot()
         # SFI's per-access tax anchors: checked accesses between here and
@@ -777,7 +785,7 @@ class SdradRuntime:
         if self._access_tax:
             access_mark = self.space.loads + self.space.stores
             taxed_mark = self._taxed_accesses
-        context = self.contexts.push(udi, saved_gate, self.clock.now)
+        context = contexts.push(udi, saved_gate, entered)
         # Re-entry fast path: from the same caller gate state, entering the
         # same domain always derives the same final gate value and an
         # equivalent handle, so replay the prepared ticket instead of
@@ -785,7 +793,7 @@ class SdradRuntime:
         # depend on *other* domains' tags too and stay on the slow path.
         if (
             self.reentry_enabled
-            and not granted_domains
+            and granted_domains is None
             and not domain.nonisolated_heap
         ):
             tickets = self._entry_tickets
@@ -812,7 +820,7 @@ class SdradRuntime:
             check_heap = ticket.check_heap
         else:
             self._apply_domain_gate(domain)
-            for granted in granted_domains:
+            for granted in granted_domains or ():
                 gate.grant(granted.pkey, read=True, write=False)
             handle = DomainHandle(self, domain)
             check_heap = domain.check_heap_on_exit
@@ -820,7 +828,7 @@ class SdradRuntime:
         span = None
         if obs is not None:
             span = obs.start_span("domain.execute", udi=udi)
-            self._obs_entries.increment()
+            self._obs_entries._value += 1  # Counter.increment(), inlined
 
         attempt = 0
         recovery_time = 0.0
@@ -831,65 +839,70 @@ class SdradRuntime:
                 if check_heap:
                     domain.heap.check()
             except BaseException as exc:  # noqa: BLE001 - boundary must see all
-                if not is_recoverable(exc):
-                    # Logic error: restore trusted state, propagate.
-                    self._leave(context, saved_gate, access_mark, taxed_mark)
-                    if obs is not None:
-                        obs.end_span(span, status="error")
-                    raise
-                report = classify(exc, domain_udi=udi, timestamp=self.clock.now)
-                domain.mark_faulted()
-                domain.stats.record_fault(report.mechanism.value)
                 attempt += 1
-                if obs is not None:
-                    obs.event(
-                        "domain.fault", attempt=attempt, **report.span_attrs()
-                    )
-                    obs.registry.counter(
-                        "sdrad_domain_faults_total",
-                        mechanism=report.mechanism.value,
-                    ).increment()
-                decision = policy.decide(report, attempt)
-                if decision.abort:
-                    self._leave(context, saved_gate, access_mark, taxed_mark)
-                    if obs is not None:
-                        obs.registry.counter(
-                            "sdrad_crashes_total",
-                            mechanism=report.mechanism.value,
-                        ).increment()
-                        obs.end_span(span, status="crash")
-                    raise ProcessCrashed(report) from exc
-                recovery_time += self._rewind(
-                    domain, cause=report.mechanism.value
+                report, retry, recovery_time = self._recover(
+                    exc, domain, policy, attempt, span, recovery_time,
+                    context, saved_gate, access_mark, taxed_mark,
                 )
-                if decision.retry:
-                    domain.stats.retries += 1
-                    if decision.backoff > 0.0:
-                        self.charge(decision.backoff)
-                        recovery_time += decision.backoff
+                if retry:
                     continue
-                self._leave(context, saved_gate, access_mark, taxed_mark)
+                left = self._leave(context, saved_gate, access_mark, taxed_mark)
                 if obs is not None:
-                    obs.end_span(span, status="fault", retries=attempt - 1)
+                    obs.end_span(span, "fault", retries=attempt - 1)
                 return DomainResult(
-                    ok=False,
-                    fault=report,
-                    retries=attempt - 1,
-                    recovery_time=recovery_time,
-                    elapsed=self.clock.now - started,
+                    False, None, report, attempt - 1, recovery_time, left - started
                 )
             else:
                 domain.mark_exited()
-                self._leave(context, saved_gate, access_mark, taxed_mark)
+                left = self._leave(context, saved_gate, access_mark, taxed_mark)
                 if obs is not None:
-                    obs.end_span(span, status="ok")
+                    obs.end_span(span, "ok")
                 return DomainResult(
-                    ok=True,
-                    value=value,
-                    retries=attempt,
-                    recovery_time=recovery_time,
-                    elapsed=self.clock.now - started,
+                    True, value, None, attempt, recovery_time, left - started
                 )
+
+    def _recover(
+        self, exc: BaseException, domain: Domain, policy: RecoveryPolicy,
+        attempt: int, span: object, recovery_time: float, *leave: object,
+    ) -> tuple[FaultReport, bool, float]:
+        """:meth:`execute`'s fault path for the ``attempt``-th run of its body.
+
+        A logic error and a fault the policy aborts on leave the domain
+        (``_leave(*leave)``) and raise. Any other fault is classified,
+        recorded and rewound: returns its report, whether the policy retries
+        (staying in the domain) and ``recovery_time`` plus the recovery."""
+        obs = self.obs
+        if not is_recoverable(exc):
+            # Logic error: restore trusted state, propagate.
+            self._leave(*leave)
+            if obs is not None:
+                obs.end_span(span, status="error")
+            raise exc
+        report = classify(exc, domain_udi=domain.udi, timestamp=self.clock.now)
+        domain.mark_faulted()
+        mechanism = report.mechanism.value
+        domain.stats.record_fault(mechanism)
+        if obs is not None:
+            obs.event("domain.fault", attempt=attempt, **report.span_attrs())
+            obs.registry.counter(
+                "sdrad_domain_faults_total", mechanism=mechanism
+            ).increment()
+        decision = policy.decide(report, attempt)
+        if decision.abort:
+            self._leave(*leave)
+            if obs is not None:
+                obs.registry.counter(
+                    "sdrad_crashes_total", mechanism=mechanism
+                ).increment()
+                obs.end_span(span, status="crash")
+            raise ProcessCrashed(report) from exc
+        recovery_time += self._rewind(domain, cause=mechanism)
+        if decision.retry:
+            domain.stats.retries += 1
+            if decision.backoff > 0.0:
+                self.charge(decision.backoff)
+                recovery_time += decision.backoff
+        return report, decision.retry, recovery_time
 
     def execute_with_checkpoint(
         self,
@@ -977,21 +990,23 @@ class SdradRuntime:
 
     def _leave(
         self, context, saved_gate: int, access_mark: int = 0, taxed_mark: int = 0
-    ) -> None:
+    ) -> float:
+        """Leave an entry; returns the virtual time after its charges."""
         self.contexts.pop(context)
-        self.space.gate.write(saved_gate)
-        self.charge(self._exit_cost)
+        space = self.space
+        space.gate.write(saved_gate)
+        now = self.charge(self._exit_cost)
         if self._access_tax:
             # SFI: charge the instrumentation tax for every checked access
             # executed inside this entry that an inner entry has not
             # already paid for (an access is masked exactly once).
-            space = self.space
             fresh = (space.loads + space.stores - access_mark) - (
                 self._taxed_accesses - taxed_mark
             )
             if fresh > 0:
-                self.charge(fresh * self._access_tax)
+                now = self.charge(fresh * self._access_tax)
                 self._taxed_accesses += fresh
+        return now
 
     def _apply_domain_gate(self, domain: Domain) -> None:
         """Grant access only to the domain's tag (plus shared-heap parents).
@@ -1064,11 +1079,8 @@ class SdradRuntime:
         return data
 
     # ------------------------------------------------------------------
-    # Region management + cost charging
+    # Region management
     # ------------------------------------------------------------------
-
-    def charge(self, seconds: float) -> None:
-        self.clock.advance(seconds)
 
     def _map_region(self, size: int, pkey: int) -> int:
         size = page_align_up(size)
