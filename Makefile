@@ -1,6 +1,6 @@
 # Convenience targets for the SDRaD reproduction.
 
-.PHONY: install test bench bench-fast bench-obs bench-plans bench-fleet bench-backends bench-campaign campaign profile tables tables-golden examples examples-golden lint lint-domains lint-fixtures all
+.PHONY: install test bench bench-fast bench-obs bench-plans bench-fleet bench-backends bench-campaign campaign profile tables tables-golden examples examples-golden pins lint lint-domains lint-fixtures all
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -98,6 +98,21 @@ examples-golden:
 	@set -e; for f in examples/*.py; do \
 		python $$f > examples/golden/$$(basename $$f .py).txt; done
 	@git diff --stat -- examples/golden/
+
+# Re-record every golden at once: the E-series tables, the examples'
+# stdout, the obs exporter fixtures and the campaign fixture (with the
+# command CI's campaign-smoke job checks it with), then show what moved.
+# Tests only compare; nothing re-records unless asked to here.
+pins:
+	PYTHONPATH=src $(MAKE) --no-print-directory tables-golden examples-golden
+	PYTHONPATH=src python -c "import sys; sys.path.insert(0, '.'); \
+		from tests.test_obs_exporters import regenerate_golden_files; \
+		regenerate_golden_files()"
+	PYTHONPATH=src python -m repro campaign \
+		--strata "kinds=stack-smash,heap-overflow;domains=1;phases=entry;backends=mpk,cheri" \
+		--max-rounds 8 --json > tests/fixtures/campaign_golden.json
+	@git diff --stat -- benchmarks/golden/ examples/golden/ tests/fixtures/obs/ \
+		tests/fixtures/campaign_golden.json
 
 # sdradlint: whole-program static verification of the SDRaD compartment
 # invariants (R1 enter/exit pairing, R2 domain-heap escape, R3
