@@ -53,7 +53,7 @@ from ..sim.rng import RngFactory
 from .constants import ROOT_UDI, DomainFlags
 from .context import ContextStack
 from .detect import FaultReport, classify, is_recoverable
-from .domain import _DESTROYED, Domain, DomainStats
+from .domain import _DESTROYED, _INITIALIZED, Domain, DomainStats
 from .policy import (
     ProcessCrashed,
     RecoveryPolicy,
@@ -873,7 +873,9 @@ class SdradRuntime:
         (staying in the domain) and ``recovery_time`` plus the recovery."""
         obs = self.obs
         if not is_recoverable(exc):
-            # Logic error: restore trusted state, propagate.
+            # Logic error: restore trusted state, propagate. Nothing runs
+            # in the domain any more, but it did not exit cleanly.
+            domain.state = _INITIALIZED
             self._leave(*leave)
             if obs is not None:
                 obs.end_span(span, status="error")

@@ -295,14 +295,14 @@ PINS: dict = {'mpk/ok/miss': {'entry': {'returned': (True, b'entry contract', No
  'mpk/logic/miss': {'entry': {'returned': ('ValueError', 'logic error inside the domain'),
                               'clock': 3.5000000000000004e-07,
                               'writes': 4,
-                              'stats': ('active', 1, 0, 0, 0, 0)},
+                              'stats': ('initialized', 1, 0, 0, 0, 0)},
                     'spans': [('domain.execute', 'error', 1.9999999999999978e-07, {'udi': 2})],
                     'counters': {'counter/sdrad_domain_entries_total': 2,
                                  'counter/sdrad_domains_created_total': 2}},
  'mpk/logic/hit': {'entry': {'returned': ('ValueError', 'logic error inside the domain'),
                              'clock': 3.5000000000000004e-07,
                              'writes': 4,
-                             'stats': ('active', 2, 1, 0, 0, 0)},
+                             'stats': ('initialized', 2, 1, 0, 0, 0)},
                    'spans': [('domain.execute', 'error', 1.9999999999999978e-07, {'udi': 2})],
                    'counters': {'counter/sdrad_domain_entries_total': 3,
                                 'counter/sdrad_domains_created_total': 2}},
@@ -465,7 +465,7 @@ PINS: dict = {'mpk/ok/miss': {'entry': {'returned': (True, b'entry contract', No
  'cheri/logic/miss': {'entry': {'returned': ('ValueError', 'logic error inside the domain'),
                                 'clock': 2.8999999999999976e-07,
                                 'writes': 3,
-                                'stats': ('active', 1, 0, 0, 0, 0)},
+                                'stats': ('initialized', 1, 0, 0, 0, 0)},
                       'spans': [('domain.execute', 'error', 1.7000000000000007e-07,
                                  {'udi': 2})],
                       'counters': {'counter/sdrad_domain_entries_total': 2,
@@ -473,7 +473,7 @@ PINS: dict = {'mpk/ok/miss': {'entry': {'returned': (True, b'entry contract', No
  'cheri/logic/hit': {'entry': {'returned': ('ValueError', 'logic error inside the domain'),
                                'clock': 2.8999999999999976e-07,
                                'writes': 3,
-                               'stats': ('active', 2, 1, 0, 0, 0)},
+                               'stats': ('initialized', 2, 1, 0, 0, 0)},
                      'spans': [('domain.execute', 'error', 1.7000000000000007e-07, {'udi': 2})],
                      'counters': {'counter/sdrad_domain_entries_total': 3,
                                   'counter/sdrad_domains_created_total': 2}},
@@ -627,14 +627,14 @@ PINS: dict = {'mpk/ok/miss': {'entry': {'returned': (True, b'entry contract', No
  'sfi/logic/miss': {'entry': {'returned': ('ValueError', 'logic error inside the domain'),
                               'clock': 5.000000000000037e-08,
                               'writes': 3,
-                              'stats': ('active', 1, 0, 0, 0, 0)},
+                              'stats': ('initialized', 1, 0, 0, 0, 0)},
                     'spans': [('domain.execute', 'error', 5.000000000000037e-08, {'udi': 2})],
                     'counters': {'counter/sdrad_domain_entries_total': 2,
                                  'counter/sdrad_domains_created_total': 2}},
  'sfi/logic/hit': {'entry': {'returned': ('ValueError', 'logic error inside the domain'),
                              'clock': 5.000000000000037e-08,
                              'writes': 3,
-                             'stats': ('active', 2, 1, 0, 0, 0)},
+                             'stats': ('initialized', 2, 1, 0, 0, 0)},
                    'spans': [('domain.execute', 'error', 5.000000000000037e-08, {'udi': 2})],
                    'counters': {'counter/sdrad_domain_entries_total': 3,
                                 'counter/sdrad_domains_created_total': 2}},
@@ -690,7 +690,7 @@ class TestStateErrors:
         assert (runtime.clock.now - clock, gate.writes - writes) == PINS[
             f"{backend}/reenter"
         ]
-        assert _stats(domain) == ("active", 1, 0, 0, 0, 0)
+        assert _stats(domain) == ("initialized", 1, 0, 0, 0, 0)
 
 
 def _ids(obs):
