@@ -267,7 +267,11 @@ class DomainServer:
         try:
             responses = self._handle_batch(client_id, raws)
         except ProcessCrashed:
+            # As in ``handle``: the crashed request counts as a ``crash``
+            # request. The batch's earlier requests died with the process
+            # before their responses left it, so they count none.
             obs.record_batch(self.app, len(raws))
+            obs.record_request(self.app, clock.now - started, "crash")
             obs.end_span(span, status="crash")
             raise
         except BaseException:

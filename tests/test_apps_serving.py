@@ -192,7 +192,11 @@ def _cluster_outputs(isolation: str, obs_on: bool):
 #: Recorded before the two servers shared one serving core. The snapshot
 #: digest (element 3) of the per-request cases was re-recorded when
 #: per-request domains started to retire and hand their mapped regions and
-#: key to the next init: only its TLB hit/miss/flush counts moved.
+#: key to the next init: only its TLB hit/miss/flush counts moved. The
+#: snapshot and Prometheus digests (elements 3 and 4) of the ``none``/obs
+#: cases were re-recorded when a crashed batch started to count its crashed
+#: request: only ``app_requests_total{status="crash"}`` and the request
+#: latency histogram moved.
 _SERVER_OUTPUTS = {
     ('memcached', 'per-connection', 'mpk', False): ('6646596b4c2f1c49', 0.0026115, 'a86ceab5be9adb5b', '43ddc95928d280d9'),
     ('memcached', 'per-connection', 'mpk', True): ('6646596b4c2f1c49', 0.0026115, 'a86ceab5be9adb5b', '0b30cea99431617a', '478fed2a1d99fbc0', '463fe34282a8e723'),
@@ -207,11 +211,11 @@ _SERVER_OUTPUTS = {
     ('memcached', 'per-request', 'sfi', False): ('6646596b4c2f1c49', 0.002703784, 'a86ceab5be9adb5b', 'f1cf0a71db932cd9'),
     ('memcached', 'per-request', 'sfi', True): ('6646596b4c2f1c49', 0.002703784, 'a86ceab5be9adb5b', '12b846bb34560b7a', '47c30584bf9f6acd', '7e896c44bffe469c'),
     ('memcached', 'none', 'mpk', False): ('8aec2a46cdf57d6c', 0.002562000000000001, '122a5236a5e2371f', '0f412414039c3e48'),
-    ('memcached', 'none', 'mpk', True): ('8aec2a46cdf57d6c', 0.002562000000000001, '122a5236a5e2371f', '2cd935ee31b9555e', '3e3dfb46c54ce4e3', '1b45c9ca9d2418ab'),
+    ('memcached', 'none', 'mpk', True): ('8aec2a46cdf57d6c', 0.002562000000000001, '122a5236a5e2371f', '1c80e08d7220ceb9', '528a61efef09bee7', '1b45c9ca9d2418ab'),
     ('memcached', 'none', 'cheri', False): ('8aec2a46cdf57d6c', 0.002562000000000001, '122a5236a5e2371f', 'ea13814db42f18ca'),
-    ('memcached', 'none', 'cheri', True): ('8aec2a46cdf57d6c', 0.002562000000000001, '122a5236a5e2371f', '002795f043d1bcbe', '3e3dfb46c54ce4e3', '1b45c9ca9d2418ab'),
+    ('memcached', 'none', 'cheri', True): ('8aec2a46cdf57d6c', 0.002562000000000001, '122a5236a5e2371f', 'f445a6212b16f896', '528a61efef09bee7', '1b45c9ca9d2418ab'),
     ('memcached', 'none', 'sfi', False): ('8aec2a46cdf57d6c', 0.002562000000000001, '122a5236a5e2371f', 'df799b633d052c32'),
-    ('memcached', 'none', 'sfi', True): ('8aec2a46cdf57d6c', 0.002562000000000001, '122a5236a5e2371f', 'badca453847b7232', '3e3dfb46c54ce4e3', '1b45c9ca9d2418ab'),
+    ('memcached', 'none', 'sfi', True): ('8aec2a46cdf57d6c', 0.002562000000000001, '122a5236a5e2371f', '67045793343c5b4b', '528a61efef09bee7', '1b45c9ca9d2418ab'),
     ('nginx', 'per-connection', 'mpk', False): ('33f9f10059ececc8', 0.0039078, 'e0afd85cc4e89839', 'f9aae2511d8bcc51'),
     ('nginx', 'per-connection', 'mpk', True): ('33f9f10059ececc8', 0.0039078, 'e0afd85cc4e89839', '8b7de04420a67a19', '1450f95e2d0ca581', '2e45c4268b4f8653'),
     ('nginx', 'per-connection', 'cheri', False): ('33f9f10059ececc8', 0.0038978000000000033, 'e0afd85cc4e89839', 'ce9753eb5e4a7ab3'),
@@ -225,11 +229,11 @@ _SERVER_OUTPUTS = {
     ('nginx', 'per-request', 'sfi', False): ('33f9f10059ececc8', 0.0036497520000000018, 'e0afd85cc4e89839', 'eab004560b581922'),
     ('nginx', 'per-request', 'sfi', True): ('33f9f10059ececc8', 0.0036497520000000018, 'e0afd85cc4e89839', '451d1cc9b5057bfb', '2e290e2dd70d87eb', '65f39ba77d682301'),
     ('nginx', 'none', 'mpk', False): ('6de54a5809e3beca', 0.0036007000000000014, '0e0d2f9e36de7c5d', '5306e151ff94c40e'),
-    ('nginx', 'none', 'mpk', True): ('6de54a5809e3beca', 0.0036007000000000014, '0e0d2f9e36de7c5d', 'd42cd68616726bc9', '9cb198a45c76e65d', 'edf9183d8e7f1763'),
+    ('nginx', 'none', 'mpk', True): ('6de54a5809e3beca', 0.0036007000000000014, '0e0d2f9e36de7c5d', 'd4621650342dd450', 'af10d9dd8be4179f', 'edf9183d8e7f1763'),
     ('nginx', 'none', 'cheri', False): ('6de54a5809e3beca', 0.0036007000000000014, '0e0d2f9e36de7c5d', '4a2fe00586921e48'),
-    ('nginx', 'none', 'cheri', True): ('6de54a5809e3beca', 0.0036007000000000014, '0e0d2f9e36de7c5d', '572a6803bdedb6e6', '9cb198a45c76e65d', 'edf9183d8e7f1763'),
+    ('nginx', 'none', 'cheri', True): ('6de54a5809e3beca', 0.0036007000000000014, '0e0d2f9e36de7c5d', '238a5172f967eaab', 'af10d9dd8be4179f', 'edf9183d8e7f1763'),
     ('nginx', 'none', 'sfi', False): ('6de54a5809e3beca', 0.0036007000000000014, '0e0d2f9e36de7c5d', 'b2a127cd5181f17a'),
-    ('nginx', 'none', 'sfi', True): ('6de54a5809e3beca', 0.0036007000000000014, '0e0d2f9e36de7c5d', 'b3de6e767854ae22', '9cb198a45c76e65d', 'edf9183d8e7f1763'),
+    ('nginx', 'none', 'sfi', True): ('6de54a5809e3beca', 0.0036007000000000014, '0e0d2f9e36de7c5d', '3ed1a1180de21afc', 'af10d9dd8be4179f', 'edf9183d8e7f1763'),
 }
 
 #: Recorded before the two servers shared one serving core; the per-request

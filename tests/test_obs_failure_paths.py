@@ -192,6 +192,25 @@ class TestWorkerCrashRestart:
         assert obs.open_span_count == 0
         assert obs.buffer.tree_violations() == []
 
+    def test_uncontained_batch_crash_counts_one_crash_request(self):
+        """The crashed request is counted as ``handle`` counts it; the
+        batch's earlier requests ran, but their responses died with the
+        process, so they are counted by the server only."""
+        runtime = observed_runtime()
+        server = MemcachedServer(runtime, isolation=IsolationMode.NONE)
+        server.connect("mallory")
+        with pytest.raises(ProcessCrashed):
+            server.handle_batch("mallory", [b"get k\r\n", ATTACK_LONG_KEY])
+        registry = runtime.obs.registry
+        assert registry.counter_total(
+            "app_requests_total", status="crash"
+        ) == server.metrics.crashes == 1
+        assert registry.counter_total("app_requests_total") == 1
+        assert registry.histogram(
+            "app_request_latency_seconds", app="memcached"
+        ).count == 1
+        assert server.metrics.requests == 2
+
 
 class TestCallerErrors:
     """A caller's mistake is not a crash: the span ends as ``error``, as
