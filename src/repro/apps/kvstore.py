@@ -122,7 +122,6 @@ class KVStore:
         else:
             self.runtime.space.raw_store(addr, header + key + value)
         self._index[key] = addr
-        self._index.move_to_end(key)
         self.runtime.charge(self.runtime.cost.memcached_op)
 
     def get(self, key: bytes) -> Optional[tuple[bytes, int]]:
@@ -287,16 +286,18 @@ class KVStore:
             raise SdradError("key contains protocol delimiters")
 
     def _alloc_with_eviction(self, needed: int) -> int:
-        while True:
-            try:
-                return self.slabs.alloc(needed)
-            except AllocationFailure:
-                if not self._index:
-                    raise
-                # Evict the least recently used item and retry.
-                lru_key = next(iter(self._index))
-                self._free_item(lru_key)
-                self.stats.evictions += 1
+        slabs = self.slabs
+        class_id = slabs.class_for(needed)
+        addr = slabs.take(class_id)
+        while addr is None:
+            if not self._index:
+                # Nothing left to evict: raise the arena-exhausted failure.
+                return slabs.alloc(needed)
+            # Evict the least recently used item and retry.
+            self._free_item(next(iter(self._index)))
+            self.stats.evictions += 1
+            addr = slabs.take(class_id)
+        return addr
 
     def _free_item(self, key: bytes) -> None:
         addr = self._index.pop(key)
