@@ -104,6 +104,16 @@ class FreeListAllocator:
         # coalesce. Any other operation retires it through the normal
         # free path first, so observable heap state never diverges.
         self._hot: "tuple[int, int] | None" = None  # (block addr, capacity)
+        # Compiled kernel window over the arena for boundary-tag I/O;
+        # looked up on first use, and again after a full shootdown.
+        self._plan = None
+        # What every reset writes: the whole arena as one free block.
+        capacity = size - HEADER_SIZE - GUARD_SIZE
+        self._empty = (
+            capacity,
+            _HEADER_STRUCT.pack(FREE_MAGIC, capacity, 0, FREE_MAGIC ^ capacity),
+            base + HEADER_SIZE + capacity,
+        )
         self.reset_full(name)
 
     # ------------------------------------------------------------------
@@ -243,7 +253,10 @@ class FreeListAllocator:
         identity (lifetime counters, peak, a pending lazy scrub): that is a
         rewind. This also renews the identity, so a destroyed domain's
         allocator can serve the next domain on the same arena exactly as a
-        new one would: same bytes written, same plan lookups, same counters.
+        new one would: same bytes written, same counters. It keeps its plan
+        reference: the plan covers the same arena and checks itself on
+        every use (``cell[0]``), so the successor skips the lookup a new
+        allocator would make.
         """
         self.name = name
         self.total_allocs = 0
@@ -253,9 +266,6 @@ class FreeListAllocator:
         # until reallocated; malloc zero-fills each block it hands out.
         self._scrub_pending = False
         self.lazy_scrubbed_bytes = 0
-        # Compiled kernel window over the arena for boundary-tag I/O;
-        # looked up again on first use, and rebuilt after a full shootdown.
-        self._plan = None
         self.reset()
 
     def reset(self, *, scrub: bool = False, lazy: bool = False) -> int:
@@ -280,9 +290,16 @@ class FreeListAllocator:
                 self.space.raw_fill(self.base, self.size, 0)
                 self._scrub_pending = False
                 pages = (self.size + 4095) // 4096
-        # The whole arena becomes one free block.
-        capacity = self.size - HEADER_SIZE - GUARD_SIZE
-        self._write_block(self.base, FREE_MAGIC, capacity, 0)
+        # The whole arena becomes one free block: ``_write_block``'s bytes,
+        # packed once.
+        capacity, header, guard = self._empty
+        plan = self._arena_plan()
+        if plan is not None:
+            plan.store(self.base, header)
+            plan.store(guard, _GUARD_BYTES)
+        else:
+            self.space.raw_store(self.base, header)
+            self.space.raw_store(guard, _GUARD_BYTES)
         self._blocks.clear()
         self._blocks[self.base] = (capacity, False)
         self._addrs = [self.base]

@@ -142,26 +142,29 @@ class CallStack:
         self.size = size
         self.top = base + size
         self._frames: list[StackFrame] = []
+        # Compiled windows over the stack region, looked up on first use: a
+        # kernel plan for prologue/epilogue canary words, a checked plan
+        # (current PKRU) for application buffer I/O.
+        self._plan = None
+        self._rw_plan = None
         self.reset_full(seed)
 
     def reset_full(self, seed: int) -> None:
         """Return to the freshly constructed state under canary ``seed``.
 
         :meth:`unwind_all` abandons the frames (a rewind); this also
-        restarts the canary stream and forgets a pending lazy scrub and the
-        cached plans, so a destroyed domain's stack can serve the next
-        domain on the same region exactly as a new one would.
+        restarts the canary stream and forgets a pending lazy scrub, so a
+        destroyed domain's stack can serve the next domain on the same
+        region exactly as a new one would. It keeps its plan references:
+        they cover the same region and check themselves on every use
+        (``cell[0]``, ``is_valid()``), so the successor skips the lookups a
+        new stack would make.
         """
         # splitmix64 state: advanced by GAMMA per canary drawn.
         self._canary_state = seed & _MASK64
         #: Set by a lazy discard: the stack bytes are stale and are
         #: zero-filled on the next frame push instead of at rewind time.
         self.scrub_pending = False
-        # Compiled windows over the stack region, looked up again on first
-        # use: a kernel plan for prologue/epilogue canary words, a checked
-        # plan (current PKRU) for application buffer I/O.
-        self._plan = None
-        self._rw_plan = None
         self.unwind_all()
 
     def _kernel_plan(self):

@@ -67,8 +67,9 @@ class DomainStats:
         self.retries += other.retries
         self.bytes_copied_in += other.bytes_copied_in
         self.bytes_copied_out += other.bytes_copied_out
-        for kind, count in other.fault_kinds.items():
-            self.fault_kinds[kind] = self.fault_kinds.get(kind, 0) + count
+        if other.fault_kinds:
+            for kind, count in other.fault_kinds.items():
+                self.fault_kinds[kind] = self.fault_kinds.get(kind, 0) + count
 
 
 class Domain:
@@ -85,11 +86,19 @@ class Domain:
         parent_udi: int | None = None,
         *,
         lazy_scrub: bool = False,
+        entry_gate: tuple[int, int] | None = None,
     ) -> None:
         self.udi = udi
         self.pkey = pkey
         self.space = space
-        self.flags = flags  # property setter caches the per-flag booleans
+        # What the ``flags`` setter does, without the property call.
+        self._flags = flags
+        (
+            self.nonisolated_heap,
+            self.check_heap_on_exit,
+            self.scrub_on_discard,
+            self.return_to_parent,
+        ) = _POLICY[int(flags) & _ALL_FLAGS]
         self.parent_udi = parent_udi
         #: When true, ``SCRUB_ON_DISCARD`` defers the zero-fill to
         #: reallocation time (scrub-on-reallocate): discard cost stays flat
@@ -107,6 +116,11 @@ class Domain:
         self.stack_base = stack.base
         self.stack_size = stack.size
         self.stats = DomainStats()
+        #: ``(gate value, modelled writes)`` an isolated entry derives for
+        #: this domain's key, carried over from the retired domain whose key
+        #: and regions it adopted (``None``: derive it). The runtime replays
+        #: it on an entry-ticket miss instead of deriving it again.
+        self.entry_gate = entry_gate
 
     # ------------------------------------------------------------------
     # Flags (policy bits), with derived booleans cached

@@ -183,13 +183,18 @@ class _Parked(NamedTuple):
     """A retired domain's regions and key, still mapped and allocated.
 
     ``pkey`` is ``None`` under key virtualisation, whose keys the manager
-    recycles itself (and which never parks past the retire)."""
+    recycles itself (and which never parks past the retire).
+    ``entry_gate`` is the ``(gate value, modelled writes)`` an isolated
+    entry derives for ``pkey``, if the retired domain was ever entered or
+    had it carried over itself: the same key derives the same value, so an
+    adopting domain replays it (see :attr:`Domain.entry_gate`)."""
 
     pkey: Optional[int]
     heap_base: int
     heap_size: int
     stack_base: int
     stack_size: int
+    entry_gate: Optional[tuple[int, int]]
 
 
 class _EntryTicket(NamedTuple):
@@ -419,6 +424,9 @@ class SdradRuntime:
         it would hand exactly its regions and key to this init: then
         nothing is unmapped, freed, allocated or mapped, and the domain
         gets the same addresses, key, bytes and charges it would have got.
+        It also takes over what its predecessor derived for that key and
+        those regions: the entry gate value (:attr:`Domain.entry_gate`)
+        and, through the pooled allocator and stack, their access plans.
         Any other init settles the parked domain first.
         """
         heap_size = page_align_up(heap_size)
@@ -437,10 +445,11 @@ class SdradRuntime:
         parked = self._parked
         if parked is not None and self._adoptable(parked, heap_size, stack_size):
             self._parked = None
-            pkey, heap_base, _, stack_base, _ = parked
+            pkey, heap_base, _, stack_base, _, entry_gate = parked
         else:
             self._settle()
             pkey, heap_base, stack_base = self._map_domain(heap_size, stack_size)
+            entry_gate = None
         # Substrate setup syscalls (pkey_alloc + two pkey_mprotect on MPK,
         # capability derivation on CHERI, mask install on SFI) + heap arena.
         self.charge(self._setup_cost + self.cost.domain_heap_init)
@@ -456,6 +465,7 @@ class SdradRuntime:
             flags=flags,
             parent_udi=parent_udi,
             lazy_scrub=self.scrub_mode == "lazy",
+            entry_gate=entry_gate,
         )
         self._domains[udi] = domain
         if self.obs is not None:
@@ -518,8 +528,10 @@ class SdradRuntime:
         A destroyed domain's pair parked for exactly these regions is reset
         in place (``reset_full``: the allocator and stack reset that rewind
         uses, plus a fresh name, canary seed and counters); otherwise a new
-        pair is built. Either way the domain sees the same bytes, plan
-        lookups and counters.
+        pair is built. Either way the domain sees the same bytes, counters
+        and virtual time. A reset pair keeps its plan references, which
+        check themselves on every use, so it makes fewer plan-cache lookups
+        (``plans.hits``) than a new pair would.
         """
         name = f"domain-{udi}-heap"
         seed = stack_seed(self.rng.root_seed, udi)
@@ -582,7 +594,8 @@ class SdradRuntime:
             raise SdradError("cannot destroy the root domain")
         if self.contexts.entries and self.contexts.contains_udi(udi):
             raise DomainStateError(f"domain {udi} is currently entered")
-        self._settle()  # at most one parked shape
+        if self._parked is not None:
+            self._settle()  # at most one parked shape
         heap_base, heap_size = domain.heap_base, domain.heap_size
         stack_base, stack_size = domain.stack_base, domain.stack_size
         # Park only what the next init would map: key virtualisation
@@ -603,15 +616,31 @@ class SdradRuntime:
             self._unmap(heap_base, heap_size, stack_base, stack_size)
         # A destroyed udi may be recreated (tests and the facade do), and
         # under key virtualisation the physical key returns to the manager's
-        # pool without a ``pkey_free`` ever firing — so the destroy itself
-        # must drop any prepared entries for this udi.
-        self.invalidate_entry_tickets(udi)
+        # pool without a ``pkey_free`` ever firing — so the retire itself
+        # drops the udi's tickets, counted as ``invalidate_entry_tickets(udi)``
+        # counts. Without key virtualisation it also drops every other
+        # ticket, counted as the flush of the ``pkey_free`` the settle will
+        # issue. One pass does both, and keeps the udi's entry gate value
+        # (all its tickets hold the same one) for the parked slot.
+        entry_gate = domain.entry_gate
+        tickets = self._entry_tickets
+        if tickets:
+            own = [key for key in tickets if key[1] == udi]
+            if own:
+                ticket = tickets[own[0]]
+                entry_gate = (ticket.pkru, ticket.modelled_writes)
+                self.reentry_invalidations += 1
+            if self.keys is not None:
+                for key in own:
+                    del tickets[key]
+            else:
+                if len(tickets) > len(own):
+                    self.reentry_invalidations += 1
+                tickets.clear()
         if self.keys is not None:
             self.keys.release_domain(domain)
             pkey = None
         else:
-            # The ticket flush of the ``pkey_free`` the settle will issue.
-            self._flush_entry_tickets()
             pkey = domain.pkey
         pool = self._memory_pool
         if len(pool) >= _MEMORY_POOL_BOUND:
@@ -623,7 +652,9 @@ class SdradRuntime:
         self.charge(self._teardown_cost)
         if self.obs is not None:
             self.obs.registry.counter("sdrad_domains_destroyed_total").increment()
-        self._parked = _Parked(pkey, heap_base, heap_size, stack_base, stack_size)
+        self._parked = tuple.__new__(
+            _Parked, (pkey, heap_base, heap_size, stack_base, stack_size, entry_gate)
+        )
         if not park:
             self._settle(unmap=False)
 
@@ -635,7 +666,7 @@ class SdradRuntime:
         parked = self._parked
         if parked is None:
             return
-        pkey, heap_base, heap_size, stack_base, stack_size = parked
+        pkey, heap_base, heap_size, stack_base, stack_size, _ = parked
         if unmap:
             self._unmap(heap_base, heap_size, stack_base, stack_size)
         self._free_regions += ((heap_base, heap_size), (stack_base, stack_size))
@@ -800,14 +831,26 @@ class SdradRuntime:
             key = (saved_gate, udi)
             ticket = tickets.get(key)
             if ticket is None:
-                writes_before = gate.writes
-                self._apply_domain_gate(domain)
-                ticket = _EntryTicket(
-                    gate.value,
-                    gate.writes - writes_before,
-                    DomainHandle(self, domain),
-                    domain,
-                    domain.check_heap_on_exit,
+                entry_gate = domain.entry_gate
+                if entry_gate is None:
+                    writes_before = gate.writes
+                    self._apply_domain_gate(domain)
+                    value, writes = gate.value, gate.writes - writes_before
+                else:
+                    # Adopted: the predecessor derived this for the same
+                    # key, so replay it as a ticket hit would.
+                    value, writes = entry_gate
+                    gate.write_prepared(value, writes)
+                # ``tuple.__new__`` skips the generated ``__new__``'s frame.
+                ticket = tuple.__new__(
+                    _EntryTicket,
+                    (
+                        value,
+                        writes,
+                        DomainHandle(self, domain),
+                        domain,
+                        domain.check_heap_on_exit,
+                    ),
                 )
                 if len(tickets) >= 4096:
                     tickets.clear()

@@ -11,8 +11,11 @@ traffic, stale reads of retired heaps, retags, unmaps and downgrades of
 recycled or live regions —
 against an ``access_plans=False``
 twin and against a twin that destroys where the others retire, and checks
-that no plan the cache hands out fails its probe. The bound tests drive
-the plan cache and the entry-ticket cache past their limits.
+that no plan the cache hands out fails its probe. An adopting domain also
+replays the entry gate value its predecessor derived; the differential
+checks each adopter's first entry against the destroy twin, which derives
+it. The bound tests drive the plan cache and the entry-ticket cache past
+their limits.
 """
 
 from __future__ import annotations
@@ -127,12 +130,26 @@ class _LifeSide:
         self.udis: list[int] = []
         self.gone: list[int] = []
         self.gone_heaps: list[int] = []
+        # The udi the last step entered and the gate value inside it.
+        self.entered = None
+        self.entry_gate = None
 
     def _domain(self, pick: int):
         return self.runtime.domain(self.udis[pick % len(self.udis)])
 
+    def _execute(self, udi: int, body):
+        gate = self.space.gate
+
+        def entry(handle):
+            self.entry_gate = gate.value
+            return body(handle)
+
+        self.entered = udi
+        return self.runtime.execute(udi, entry)
+
     def apply(self, op):
         runtime, name = self.runtime, op[0]
+        self.entered = self.entry_gate = None
         if name == "init":
             udi = self.gone.pop() if op[2] and self.gone else None
             domain = runtime.domain_init(
@@ -170,12 +187,11 @@ class _LifeSide:
             if not self.gone_heaps:
                 return None
             stale = self.gone_heaps[op[2] % len(self.gone_heaps)]
-            return runtime.execute(self._domain(op[1]).udi, lambda h: h.load(stale, 8))
+            return self._execute(self._domain(op[1]).udi, lambda h: h.load(stale, 8))
         if name == "heap":
-            domain = self._domain(op[1])
-            return runtime.execute(domain.udi, _heap_body(op[2], op[3]))
+            return self._execute(self._domain(op[1]).udi, _heap_body(op[2], op[3]))
         if name == "stack":
-            return runtime.execute(self._domain(op[1]).udi, _stack_body(op[2]))
+            return self._execute(self._domain(op[1]).udi, _stack_body(op[2]))
         _, kind, where, pick, tag_pick, readable, writable = op
         if where == "recycled":
             # A region a destroyed domain left for the next init to reuse.
@@ -220,6 +236,39 @@ def _life_outcome(side: _LifeSide, op):
         runtime.reentry_invalidations,
         runtime.destroyed_count,
         runtime.mapped_bytes(),
+    )
+
+
+def _adopts(runtime, op) -> bool:
+    """Whether ``op`` is an init that will adopt the parked domain."""
+    parked = runtime._parked
+    return (
+        op[0] == "init"
+        and parked is not None
+        and runtime._adoptable(parked, op[1], _STACK)
+    )
+
+
+def _tlb_marks(side: _LifeSide) -> tuple[int, int]:
+    space = side.space
+    return space.tlb_hits + space.tlb_misses, space.tlb_flushes
+
+
+def _first_entry(side: _LifeSide, marks: tuple[int, int]):
+    """What an adopter's first entry must share with a derived entry: the
+    gate value inside it, the gate writes, the TLB lookups and flushes the
+    entry made, the ticket misses and the clock. The split of lookups into
+    hits and misses is not shared: a destroy's ``pkey_free`` flushes the
+    verdicts that a retire keeps for the adopter."""
+    space, runtime = side.space, side.runtime
+    lookups, flushes = marks
+    return (
+        side.entry_gate,
+        space.gate.writes,
+        space.tlb_hits + space.tlb_misses - lookups,
+        space.tlb_flushes - flushes,
+        runtime.reentry_misses,
+        runtime.clock.now,
     )
 
 
@@ -289,6 +338,28 @@ def _stale(outcome, parked: tuple[range, ...], mechanism: DetectionMechanism):
         ("stack", 0, 40),
     ]
 )
+@example(  # the adopter replays its predecessor's gate, not its peer's
+    ops=[
+        ("init", 4 * PAGE_SIZE, False),
+        ("init", 4 * PAGE_SIZE, False),
+        ("heap", 0, 0, 8),
+        ("heap", 1, 0, 8),
+        ("retire", 1),
+        ("init", 4 * PAGE_SIZE, False),
+        ("heap", 1, 0, 8),
+    ]
+)
+@example(  # an adopter retired before its first entry passes the gate on
+    ops=[
+        ("init", 4 * PAGE_SIZE, False),
+        ("stack", 0, 8),
+        ("retire", 0),
+        ("init", 4 * PAGE_SIZE, False),
+        ("retire", 0),
+        ("init", 4 * PAGE_SIZE, False),
+        ("stack", 0, 8),
+    ]
+)
 @example(  # a lower key is free: the init takes it, not the parked one
     ops=[
         ("init", 8 * PAGE_SIZE, False),
@@ -309,17 +380,28 @@ def test_rearmed_plans_match_plan_off_twin(backend, ops):
     twin that destroys where it retires, every init gets the same udi,
     key and regions, and everything else matches too, except that a
     stale access into a parked region is a gate violation where the
-    destroyed region's is a page fault."""
+    destroyed region's is a page fault. An adopter's first entry, which
+    replays its predecessor's gate value, matches the destroy twin's
+    derived entry (:func:`_first_entry`)."""
     on = _LifeSide(backend, access_plans=True)
     off = _LifeSide(backend, access_plans=False)
     ref = _LifeSide(backend, access_plans=False, retire=False)
+    adopted = set()  # adopters not entered yet
     for op in ops:
         parked = _parked_pages(on.runtime)
+        adopting = _adopts(off.runtime, op)
+        marks = _tlb_marks(off), _tlb_marks(ref)
         outcome = _life_outcome(on, op)
         assert outcome == _life_outcome(off, op), op
         assert _stale(outcome, parked, DetectionMechanism.PKEY_VIOLATION) == _stale(
             _life_outcome(ref, op), parked, DetectionMechanism.PAGE_FAULT
         ), op
+        if op[0] == "init" and outcome[0][0] == "ok":
+            udi = outcome[0][1][0]
+            (adopted.add if adopting else adopted.discard)(udi)
+        elif off.entered in adopted:
+            adopted.discard(off.entered)
+            assert _first_entry(off, marks[0]) == _first_entry(ref, marks[1]), op
         cache = on.space.plans
         for plan in cache.handed_out:
             if plan.is_valid():

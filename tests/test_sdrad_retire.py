@@ -235,3 +235,104 @@ def test_retire_refuses_what_destroy_refuses(runtime):
     with pytest.raises(DomainStateError):
         runtime.execute(domain.udi, nested)
     assert runtime._parked is None
+
+
+#: (key virtualisation, retired domain entered, peers holding tickets) ->
+#: (``reentry_invalidations`` added by the retire, tickets left after it).
+#: The retire drops the retired udi's tickets (one invalidation when it
+#: had any) and, as the ``pkey_free`` the settle will issue, every other
+#: ticket (one more when there were any). Key virtualisation recycles its
+#: keys without a ``pkey_free``, so the peers' tickets survive it.
+_RETIRE_INVALIDATIONS = {
+    (False, True, 0): (1, 0),
+    (False, True, 1): (2, 0),
+    (False, True, 2): (2, 0),
+    (False, False, 0): (0, 0),
+    (False, False, 1): (1, 0),
+    (False, False, 2): (1, 0),
+    (True, True, 0): (1, 0),
+    (True, True, 1): (1, 1),
+    (True, True, 2): (1, 2),
+    (True, False, 0): (0, 0),
+    (True, False, 1): (0, 1),
+    (True, False, 2): (0, 2),
+}
+
+
+@pytest.mark.parametrize(
+    "case",
+    sorted(_RETIRE_INVALIDATIONS),
+    ids=lambda c: "virt%d-entered%d-peers%d" % c,
+)
+def test_retire_counts_ticket_invalidations(case):
+    virtualized, entered, peers = case
+    runtime = SdradRuntime(key_virtualization=virtualized)
+    retired = _init(runtime)
+    others = [_init(runtime) for _ in range(peers)]
+    root_gate = runtime.space.gate.value
+
+    def enter_retired(handle):
+        # A second ticket for the retired udi, keyed by this peer's gate.
+        assert runtime.execute(retired.udi, lambda h: None).ok
+
+    for index, peer in enumerate(others):
+        body = enter_retired if entered and index == 0 else (lambda h: None)
+        assert runtime.execute(peer.udi, body).ok
+    if entered:
+        assert runtime.execute(retired.udi, lambda h: None).ok
+    own = [key for key in runtime._entry_tickets if key[1] == retired.udi]
+    assert len(own) == (0 if not entered else 2 if others else 1)
+    before = runtime.reentry_invalidations
+    runtime.domain_retire(retired.udi)
+    added, left = _RETIRE_INVALIDATIONS[case]
+    assert runtime.reentry_invalidations - before == added
+    assert len(runtime._entry_tickets) == left
+    assert sorted(runtime._entry_tickets) == sorted(
+        (root_gate, peer.udi) for peer in others[:left]
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_an_adopting_domain_replays_its_predecessors_entry_gate(backend, monkeypatch):
+    """The parked slot carries the gate value the retired domain's entries
+    derived; the adopter's first entry replays it (no derivation) with the
+    same gate value and write count, and still counts a ticket miss. A
+    domain that is never entered passes the value on to its adopter."""
+    runtime = SdradRuntime(backend=backend)
+    gate = runtime.space.gate
+    seen = []
+
+    def body(handle):
+        seen.append((gate.value, gate.writes))
+
+    first = _init(runtime)
+    assert first.entry_gate is None
+    writes = gate.writes
+    assert runtime.execute(first.udi, body).ok
+    derived_value, derived_writes = seen[-1][0], seen[-1][1] - writes
+    runtime.domain_retire(first.udi)
+    assert runtime._parked.entry_gate == (derived_value, derived_writes)
+
+    derivations = []
+    apply_domain_gate = runtime._apply_domain_gate
+    monkeypatch.setattr(
+        runtime,
+        "_apply_domain_gate",
+        lambda domain: derivations.append(domain) or apply_domain_gate(domain),
+    )
+    idle = _init(runtime)  # adopted, retired without an entry
+    assert idle.entry_gate == (derived_value, derived_writes)
+    runtime.domain_retire(idle.udi)
+    assert runtime._parked.entry_gate == (derived_value, derived_writes)
+    adopter = _init(runtime)
+    assert adopter.pkey == first.pkey
+    misses, writes = runtime.reentry_misses, gate.writes
+    assert runtime.execute(adopter.udi, body).ok
+    assert seen[-1] == (derived_value, writes + derived_writes)
+    assert runtime.reentry_misses == misses + 1
+    assert derivations == []
+    # An init that does not adopt derives its gate on its first entry.
+    other = _init(runtime, heap_size=32 * 1024)
+    assert other.entry_gate is None
+    assert runtime.execute(other.udi, body).ok
+    assert derivations == [other]
