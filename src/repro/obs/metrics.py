@@ -284,6 +284,10 @@ class BucketHistogram:
 
 _MetricKey = "tuple[str, tuple[tuple[str, str], ...]]"
 
+#: The label set a family's series past :attr:`ObsRegistry.LABEL_SETS_BOUND`
+#: fold into.
+OVERFLOW_LABELS: "tuple[tuple[str, str], ...]" = (("overflow", "true"),)
+
 
 class ObsRegistry:
     """The central metric registry: one namespace for every family.
@@ -292,32 +296,64 @@ class ObsRegistry:
     ``gauge()`` / ``histogram()`` are get-or-create and return the same
     object for the same key, so call sites can hold on to a metric or
     re-resolve it each time interchangeably.
+
+    A family (one kind and name) holds at most :attr:`LABEL_SETS_BOUND`
+    label sets. Once it is full, a request for a label set it does not
+    hold returns the family's one overflow series, labelled
+    ``overflow="true"`` (:data:`OVERFLOW_LABELS`), which every further new
+    label set shares: the family's total stays exact, and so does every
+    series created before the bound, but an unbounded label (a key, a
+    client address) cannot grow memory or the export without bound. The
+    bound is checked only when a series would be created, so resolving an
+    existing series costs one dict lookup as before.
     """
+
+    #: Most label sets one metric family holds, its overflow series aside.
+    LABEL_SETS_BOUND = 1024
 
     def __init__(self) -> None:
         self._counters: "dict" = {}
         self._gauges: "dict" = {}
         self._histograms: "dict" = {}
         self._adopted: "dict[str, object]" = {}
+        # Label sets held per (kind, name), the overflow series excluded.
+        self._family_sizes: "dict[tuple[str, str], int]" = {}
 
     # ------------------------------------------------------------------
     # Get-or-create accessors
     # ------------------------------------------------------------------
 
+    def _admit(self, kind: str, key: _MetricKey) -> _MetricKey:
+        """The key a series missing under ``key`` is created under: ``key``
+        itself while its family is below the bound, else the family's
+        overflow key."""
+        family = (kind, key[0])
+        size = self._family_sizes.get(family, 0)
+        if size >= self.LABEL_SETS_BOUND:
+            return (key[0], OVERFLOW_LABELS)
+        self._family_sizes[family] = size + 1
+        return key
+
     def counter(self, name: str, **labels: object) -> Counter:
         key = (name, _label_items({k: str(v) for k, v in labels.items()}))
         metric = self._counters.get(key)
         if metric is None:
-            metric = Counter(name, labels=dict(key[1]))
-            self._counters[key] = metric
+            key = self._admit("counter", key)
+            metric = self._counters.get(key)
+            if metric is None:
+                metric = Counter(name, labels=dict(key[1]))
+                self._counters[key] = metric
         return metric
 
     def gauge(self, name: str, **labels: object) -> Gauge:
         key = (name, _label_items({k: str(v) for k, v in labels.items()}))
         metric = self._gauges.get(key)
         if metric is None:
-            metric = Gauge(name, labels=dict(key[1]))
-            self._gauges[key] = metric
+            key = self._admit("gauge", key)
+            metric = self._gauges.get(key)
+            if metric is None:
+                metric = Gauge(name, labels=dict(key[1]))
+                self._gauges[key] = metric
         return metric
 
     def histogram(
@@ -329,10 +365,13 @@ class ObsRegistry:
         key = (name, _label_items({k: str(v) for k, v in labels.items()}))
         metric = self._histograms.get(key)
         if metric is None:
-            if buckets is None:
-                buckets = DEFAULT_BUCKETS.get(name, REQUEST_LATENCY_BUCKETS)
-            metric = BucketHistogram(name, buckets=buckets, labels=dict(key[1]))
-            self._histograms[key] = metric
+            key = self._admit("histogram", key)
+            metric = self._histograms.get(key)
+            if metric is None:
+                if buckets is None:
+                    buckets = DEFAULT_BUCKETS.get(name, REQUEST_LATENCY_BUCKETS)
+                metric = BucketHistogram(name, buckets=buckets, labels=dict(key[1]))
+                self._histograms[key] = metric
         return metric
 
     def adopt_histogram(self, histogram: object) -> None:

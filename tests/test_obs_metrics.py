@@ -14,6 +14,7 @@ from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     FLEET_LATENCY_BUCKETS,
     Gauge,
+    OVERFLOW_LABELS,
     ObsRegistry,
     REWIND_LATENCY_BUCKETS,
     log_buckets,
@@ -220,3 +221,47 @@ class TestObsRegistry:
         assert "summary/exact_latency" in reg.snapshot()
         with pytest.raises(SdradError):
             reg.adopt_histogram(object())
+
+
+class TestLabelSetBound:
+    """Every family holds at most ``LABEL_SETS_BOUND`` label sets; later
+    new label sets share one overflow series (ROADMAP 6(e))."""
+
+    BOUND = ObsRegistry.LABEL_SETS_BOUND
+
+    @pytest.mark.parametrize("kind", ["counter", "gauge", "histogram"])
+    def test_a_full_family_folds_new_label_sets_into_one_series(self, kind):
+        reg = ObsRegistry()
+        make = getattr(reg, kind)
+        held = [make("family", client=str(i)) for i in range(self.BOUND)]
+        other = make("other_family", client="0")
+        past = [make("family", client=str(self.BOUND + i)) for i in range(3)]
+        # The bound was reached: the three newcomers share one series ...
+        assert past[0] is past[1] is past[2]
+        assert past[0].labels == OVERFLOW_LABELS
+        assert all(metric is not past[0] for metric in held)
+        # ... every earlier series still resolves to itself ...
+        assert [make("family", client=str(i)) for i in range(self.BOUND)] == held
+        assert make("other_family", client="0") is other
+        # ... and the family holds the bound plus its overflow series.
+        metrics = getattr(reg, f"iter_{kind}s")()
+        assert sum(m.name == "family" for m in metrics) == self.BOUND + 1
+
+    def test_a_full_counter_family_keeps_its_total_exact(self):
+        reg = ObsRegistry()
+        for i in range(self.BOUND + 10):
+            reg.counter("hits_total", key=f"k{i}").increment(2)
+        assert reg.counter_total("hits_total") == 2 * (self.BOUND + 10)
+        assert reg.counter_total("hits_total", **dict(OVERFLOW_LABELS)) == 20
+        assert reg.counter_total("hits_total", key="k0") == 2
+        snap = reg.snapshot()
+        assert snap['counter/hits_total{overflow="true"}'] == 20
+        assert 'counter/hits_total{key="k%d"}' % self.BOUND not in snap
+
+    def test_the_bound_is_per_kind_and_name(self):
+        reg = ObsRegistry()
+        for i in range(self.BOUND):
+            reg.counter("shared_name", n=str(i))
+        assert reg.counter("shared_name", n="new").labels == OVERFLOW_LABELS
+        assert reg.gauge("shared_name", n="new").labels == (("n", "new"),)
+        assert reg.counter("fresh_name", n="new").labels == (("n", "new"),)
