@@ -760,17 +760,19 @@ def _e1_memcached_counters(backend: str, isolation: IsolationMode, batch: int):
 #: plans that survive range updates and ``pkey_free``. Per-request rows'
 #: flushes, builds, plan hits and shootdowns date from domains that retire
 #: and hand their mapped regions and key to the next init: no range
-#: update, ``pkey_free`` or plan probe per request.
+#: update, ``pkey_free`` or plan probe per request. Their plan hits date
+#: from a pooled allocator and stack that keep their plan references across
+#: ``reset_full``: no plan-cache lookup per request.
 _E1_COUNTERS = {
     ("mpk", "per-connection", 1): (360, 1, 4, 6, 0, 4, 1, 1204, 0.003101799999999996),
     ("mpk", "per-connection", 16): (367, 1, 4, 6, 0, 4, 2, 140, 0.003025500000000007),
-    ("mpk", "per-request", 1): (360, 1, 4, 6, 929, 4, 1, 1204, 0.005504799999999943),
+    ("mpk", "per-request", 1): (360, 1, 4, 6, 29, 4, 1, 1204, 0.005504799999999943),
     ("cheri", "per-connection", 1): (360, 1, 4, 6, 0, 4, 1, 903, 0.0030817400000000346),
     ("cheri", "per-connection", 16): (367, 1, 4, 6, 0, 4, 2, 105, 0.0030214000000000074),
-    ("cheri", "per-request", 1): (360, 1, 4, 6, 929, 4, 1, 903, 0.004132240000000051),
+    ("cheri", "per-request", 1): (360, 1, 4, 6, 29, 4, 1, 903, 0.004132240000000051),
     ("sfi", "per-connection", 1): (360, 1, 4, 6, 0, 4, 1, 903, 0.003009619999999993),
     ("sfi", "per-connection", 16): (367, 1, 4, 6, 0, 4, 2, 105, 0.003013132000000009),
-    ("sfi", "per-request", 1): (360, 1, 4, 6, 929, 4, 1, 903, 0.003729619999999999),
+    ("sfi", "per-request", 1): (360, 1, 4, 6, 29, 4, 1, 903, 0.003729619999999999),
 }
 
 
@@ -873,12 +875,12 @@ def _per_request_server_counters(app: str, backend: str):
 #: counters were re-recorded when per-request domains started to retire
 #: and hand their mapped regions and key to the next init.
 _SERVER_COUNTERS = {
-    ("nginx", "mpk"): ('28fafa16c7ff8c17', 0.0070196999999999786, (407, 1, 3, 3), (5, 383, 3, 480), (120, 114, 6, 6, 0, 0, 0, {'page-fault': 3, 'heap-integrity': 3}), 120, (0, 120, 120)),
-    ("nginx", "cheri"): ('28fafa16c7ff8c17', 0.006472500000000011, (407, 1, 3, 3), (5, 383, 3, 360), (120, 114, 6, 6, 0, 0, 0, {'page-fault': 3, 'heap-integrity': 3}), 120, (0, 120, 120)),
-    ("nginx", "sfi"): ('28fafa16c7ff8c17', 0.006312509999999979, (407, 1, 3, 3), (5, 383, 3, 360), (120, 114, 6, 6, 0, 0, 0, {'page-fault': 3, 'heap-integrity': 3}), 120, (0, 120, 120)),
-    ("tls", "mpk"): ('2b6f63bd18487a2a', 0.002592059999999994, (218, 8, 3, 6), (3, 178, 3, 240), (60, 54, 6, 6, 0, 2880, 0, {'page-fault': 6}), 60, (0, 60, 60)),
-    ("tls", "cheri"): ('2b6f63bd18487a2a', 0.0023184600000000317, (218, 8, 3, 6), (3, 178, 3, 180), (60, 54, 6, 6, 0, 2880, 0, {'page-fault': 6}), 60, (0, 60, 60)),
-    ("tls", "sfi"): ('2b6f63bd18487a2a', 0.002238416000000019, (218, 8, 3, 6), (3, 178, 3, 180), (60, 54, 6, 6, 0, 2880, 0, {'page-fault': 6}), 60, (0, 60, 60)),
+    ("nginx", "mpk"): ('28fafa16c7ff8c17', 0.0070196999999999786, (407, 1, 3, 3), (5, 26, 3, 480), (120, 114, 6, 6, 0, 0, 0, {'page-fault': 3, 'heap-integrity': 3}), 120, (0, 120, 120)),
+    ("nginx", "cheri"): ('28fafa16c7ff8c17', 0.006472500000000011, (407, 1, 3, 3), (5, 26, 3, 360), (120, 114, 6, 6, 0, 0, 0, {'page-fault': 3, 'heap-integrity': 3}), 120, (0, 120, 120)),
+    ("nginx", "sfi"): ('28fafa16c7ff8c17', 0.006312509999999979, (407, 1, 3, 3), (5, 26, 3, 360), (120, 114, 6, 6, 0, 0, 0, {'page-fault': 3, 'heap-integrity': 3}), 120, (0, 120, 120)),
+    ("tls", "mpk"): ('2b6f63bd18487a2a', 0.002592059999999994, (218, 8, 3, 6), (3, 119, 3, 240), (60, 54, 6, 6, 0, 2880, 0, {'page-fault': 6}), 60, (0, 60, 60)),
+    ("tls", "cheri"): ('2b6f63bd18487a2a', 0.0023184600000000317, (218, 8, 3, 6), (3, 119, 3, 180), (60, 54, 6, 6, 0, 2880, 0, {'page-fault': 6}), 60, (0, 60, 60)),
+    ("tls", "sfi"): ('2b6f63bd18487a2a', 0.002238416000000019, (218, 8, 3, 6), (3, 119, 3, 180), (60, 54, 6, 6, 0, 2880, 0, {'page-fault': 6}), 60, (0, 60, 60)),
 }
 
 
