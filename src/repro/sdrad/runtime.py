@@ -617,11 +617,11 @@ class SdradRuntime:
         # A destroyed udi may be recreated (tests and the facade do), and
         # under key virtualisation the physical key returns to the manager's
         # pool without a ``pkey_free`` ever firing — so the retire itself
-        # drops the udi's tickets, counted as ``invalidate_entry_tickets(udi)``
-        # counts. Without key virtualisation it also drops every other
-        # ticket, counted as the flush of the ``pkey_free`` the settle will
-        # issue. One pass does both, and keeps the udi's entry gate value
-        # (all its tickets hold the same one) for the parked slot.
+        # drops the udi's tickets (one invalidation). Without key
+        # virtualisation it also drops every other ticket, as the
+        # ``pkey_free`` the settle will issue would (one more). One pass
+        # does both, and keeps the udi's entry gate value (all its tickets
+        # hold the same one) for the parked slot.
         entry_gate = domain.entry_gate
         tickets = self._entry_tickets
         if tickets:
@@ -698,29 +698,15 @@ class SdradRuntime:
     # Re-entry ticket invalidation (the fast path's shootdown hooks)
     # ------------------------------------------------------------------
 
-    def invalidate_entry_tickets(
-        self, udi: Optional[int] = None, *, domain: Optional[Domain] = None
-    ) -> None:
-        """Drop prepared entry tickets.
-
-        ``domain=`` drops tickets prepared for that exact domain object
-        (used by retag and policy changes, which mutate the object);
-        ``udi=`` drops every ticket for that user-domain index (used by
-        destroy, where a successor domain may reuse the index); with
-        neither, everything goes (key recycling).
-        """
+    def invalidate_entry_tickets(self, domain: Domain) -> None:
+        """Drop the entry tickets prepared for ``domain`` (used by retag
+        and policy changes, which mutate the object). A retire drops its
+        udi's tickets itself, and key recycling drops every ticket
+        (:meth:`_flush_entry_tickets`)."""
         tickets = self._entry_tickets
         if not tickets:
             return
-        if domain is not None:
-            stale = [k for k, t in tickets.items() if t.domain is domain]
-        elif udi is not None:
-            stale = []
-            for key in tickets:
-                if key[1] == udi:
-                    stale.append(key)
-        else:
-            stale = list(tickets)
+        stale = [key for key, ticket in tickets.items() if ticket.domain is domain]
         for key in stale:
             del tickets[key]
         if stale:
