@@ -117,10 +117,14 @@ class Domain:
         self.stack_size = stack.size
         self.stats = DomainStats()
         #: ``(gate value, modelled writes)`` an isolated entry derives for
-        #: this domain's key, carried over from the retired domain whose key
-        #: and regions it adopted (``None``: derive it). The runtime replays
-        #: it on an entry-ticket miss instead of deriving it again.
+        #: this domain's key (``None``: not derived yet). The first entry
+        #: derives it, or it is carried over from the retired domain whose
+        #: key and regions this one adopted; every entry replays it.
         self.entry_gate = entry_gate
+        #: The reusable ``DomainHandle`` of isolated entries, made by the
+        #: first (``None``: not entered since init or the last retag, so
+        #: the next entry counts a re-entry miss).
+        self.entry_handle = None
 
     # ------------------------------------------------------------------
     # Flags (policy bits), with derived booleans cached
@@ -136,8 +140,8 @@ class Domain:
         # orders of magnitude slower than an attribute load, so the checks
         # below read these cached booleans (derived with plain-int masks).
         # Anything that changes flags after construction must go through
-        # this setter (the runtime's ``set_domain_flags`` does, and also
-        # invalidates entry tickets).
+        # this setter (the runtime's ``set_domain_flags`` does). The entry
+        # cached in ``entry_gate`` depends on the key alone, so it stays.
         self._flags = value
         (
             self.nonisolated_heap,
@@ -171,12 +175,12 @@ class Domain:
         """Retire the domain; returns its heap allocator and stack.
 
         The domain keeps its regions' bases and sizes and its final stats,
-        but no longer holds the allocator or the stack: the runtime may
-        reset both for a successor on the same regions, and a destroyed
-        domain must give no path into that successor's memory.
+        but no longer holds the allocator, the stack or its entry handle:
+        the runtime may reset both for a successor on the same regions, and
+        a destroyed domain must give no path into that successor's memory.
         """
         memory = self.heap, self.stack
-        self.heap = self.stack = None
+        self.heap = self.stack = self.entry_handle = None
         self.state = _DESTROYED
         return memory
 

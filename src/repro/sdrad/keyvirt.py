@@ -156,12 +156,13 @@ class VirtualKeyManager:
 
         ``tag_range`` fires the page-table update hook, so cached access
         verdicts for the retagged pages are shot down automatically. The
-        runtime's entry tickets are keyed on the domain, not on pages, so
-        they need an explicit shootdown: a ticket prepared while this domain
-        held its old key would grant that key — which may now tag someone
-        else's pages — on the next re-entry.
+        entry the domain caches (:attr:`Domain.entry_gate` and its handle)
+        lives on the domain, not on pages, so it is cleared here: the gate
+        value derived while the domain held its old key would grant that
+        key — which may now tag someone else's pages — on the next entry.
+        This is the one event that invalidates a domain's cached entry.
         """
-        self.runtime.invalidate_entry_tickets(domain=domain)
+        domain.entry_gate = domain.entry_handle = None
         table = self.runtime.space.page_table
         table.tag_range(domain.heap_base, domain.heap_size, pkey)
         table.tag_range(domain.stack_base, domain.stack_size, pkey)

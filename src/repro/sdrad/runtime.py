@@ -173,21 +173,15 @@ class DomainHandle:
 #: share one instance instead of allocating a fresh policy per request.
 _DEFAULT_REWIND_POLICY = RewindPolicy()
 
-#: Most destroyed domains' heap allocators and stacks kept for reuse, one
-#: per distinct (heap base, heap size, stack base, stack size). Steady
-#: per-request serving keeps one; the oldest entry goes first.
-_MEMORY_POOL_BOUND = 8
-
-
 class _Parked(NamedTuple):
     """A retired domain's regions and key, still mapped and allocated.
 
     ``pkey`` is ``None`` under key virtualisation, whose keys the manager
     recycles itself (and which never parks past the retire).
-    ``entry_gate`` is the ``(gate value, modelled writes)`` an isolated
-    entry derives for ``pkey``, if the retired domain was ever entered or
-    had it carried over itself: the same key derives the same value, so an
-    adopting domain replays it (see :attr:`Domain.entry_gate`)."""
+    ``entry_gate`` is the retired domain's :attr:`Domain.entry_gate`: the
+    same key derives the same value, so an adopting domain replays it.
+    ``memory`` is its heap allocator and stack, which an adopting init
+    resets in place (see :meth:`SdradRuntime._domain_memory`)."""
 
     pkey: Optional[int]
     heap_base: int
@@ -195,25 +189,7 @@ class _Parked(NamedTuple):
     stack_base: int
     stack_size: int
     entry_gate: Optional[tuple[int, int]]
-
-
-class _EntryTicket(NamedTuple):
-    """Prepared state for re-entering a domain from the same caller.
-
-    The slow entry path derives the domain PKRU through several WRPKRUs and
-    builds a fresh handle; in the per-connection steady state (root enters
-    the same connection domain thousands of times) every derivation yields
-    the same result. A ticket caches that result per ``(caller PKRU, udi)``
-    pair and is invalidated on exactly the events that could change it:
-    pkey retag (key virtualisation rebind/evict), ``pkey_free`` (key
-    recycling), domain destroy, and domain policy-flag changes.
-    """
-
-    pkru: int  # final PKRU value the slow path would derive
-    modelled_writes: int  # WRPKRUs the slow path would issue to get there
-    handle: DomainHandle  # reusable handle (stateless between entries)
-    domain: Domain  # the domain object the ticket was prepared for
-    check_heap: bool  # CHECK_HEAP_ON_EXIT at preparation time
+    memory: tuple[FreeListAllocator, CallStack]
 
 
 class SdradRuntime:
@@ -313,37 +289,14 @@ class SdradRuntime:
         self.guard_pages = guard_pages
         # Unmapped regions destroyed domains left behind, as (base, size).
         self._free_regions: list[tuple[int, int]] = []
-        # Destroyed domains' (allocator, stack) pairs by the regions they
-        # cover: an init that reserves the same regions resets the pair in
-        # place instead of building a new one (see ``_domain_memory``).
-        self._memory_pool: dict[
-            tuple[int, int, int, int], tuple[FreeListAllocator, CallStack]
-        ] = {}
-        # Domain re-entry fast path: prepared entry tickets keyed by
-        # (caller PKRU, udi). ``reentry_cache=False`` restores the always-
-        # derive behaviour bit for bit (the bench baseline).
+        # Domain re-entry fast path: a domain's first isolated entry caches
+        # the gate value it derives on the domain (``Domain.entry_gate``),
+        # later entries replay it. ``reentry_cache=False`` restores the
+        # always-derive behaviour bit for bit (the bench baseline).
         self.reentry_enabled = reentry_cache
-        self._entry_tickets: dict[tuple[int, int], _EntryTicket] = {}
         self.reentry_hits = 0
         self.reentry_misses = 0
-        self.reentry_invalidations = 0
-        # Key recycling invalidates like a TLB shootdown: a ticket prepared
-        # for the old owner of a key must not grant it to the next. Chain on
-        # the allocator's free hook (the address space's TLB flush is already
-        # installed there).
-        _chained_on_free = self.space.pkeys.on_free
-
-        def _ticket_on_pkey_free(pkey: int) -> None:
-            if _chained_on_free is not None:
-                _chained_on_free(pkey)
-            # A parked key's tickets went at its retire (see
-            # ``domain_retire``); settling it later must not flush again.
-            parked = self._parked
-            if parked is None or parked.pkey != pkey:
-                self._flush_entry_tickets()
-
-        self.space.pkeys.on_free = _ticket_on_pkey_free
-        # The last retired domain's regions and key, kept mapped and
+        # The last retired domain's regions, key and memory, kept mapped and
         # allocated for the next init of the same shape (``domain_retire``).
         self._parked: Optional[_Parked] = None
         self._root = self._create_root_domain(root_heap_size)
@@ -426,7 +379,7 @@ class SdradRuntime:
         gets the same addresses, key, bytes and charges it would have got.
         It also takes over what its predecessor derived for that key and
         those regions: the entry gate value (:attr:`Domain.entry_gate`)
-        and, through the pooled allocator and stack, their access plans.
+        and, through the parked allocator and stack, their access plans.
         Any other init settles the parked domain first.
         """
         heap_size = page_align_up(heap_size)
@@ -445,16 +398,16 @@ class SdradRuntime:
         parked = self._parked
         if parked is not None and self._adoptable(parked, heap_size, stack_size):
             self._parked = None
-            pkey, heap_base, _, stack_base, _, entry_gate = parked
+            pkey, heap_base, _, stack_base, _, entry_gate, memory = parked
         else:
             self._settle()
             pkey, heap_base, stack_base = self._map_domain(heap_size, stack_size)
-            entry_gate = None
+            entry_gate = memory = None
         # Substrate setup syscalls (pkey_alloc + two pkey_mprotect on MPK,
         # capability derivation on CHERI, mask install on SFI) + heap arena.
         self.charge(self._setup_cost + self.cost.domain_heap_init)
         heap, stack = self._domain_memory(
-            udi, heap_base, heap_size, stack_base, stack_size
+            udi, heap_base, heap_size, stack_base, stack_size, memory
         )
         domain = Domain(
             udi=udi,
@@ -522,22 +475,21 @@ class SdradRuntime:
         heap_size: int,
         stack_base: int,
         stack_size: int,
+        memory: Optional[tuple[FreeListAllocator, CallStack]] = None,
     ) -> tuple[FreeListAllocator, CallStack]:
         """Heap allocator and stack for domain ``udi`` on these regions.
 
-        A destroyed domain's pair parked for exactly these regions is reset
-        in place (``reset_full``: the allocator and stack reset that rewind
-        uses, plus a fresh name, canary seed and counters); otherwise a new
-        pair is built. Either way the domain sees the same bytes, counters
-        and virtual time. A reset pair keeps its plan references, which
-        check themselves on every use, so it makes fewer plan-cache lookups
-        (``plans.hits``) than a new pair would.
+        ``memory``, the pair an adopted retired domain left on exactly these
+        regions, is reset in place (``reset_full``: the allocator and stack
+        reset that rewind uses, plus a fresh name, canary seed and
+        counters); otherwise a new pair is built. Either way the domain
+        sees the same bytes, counters and virtual time. A reset pair keeps
+        its plan references, which check themselves on every use, so it
+        makes fewer plan-cache lookups (``plans.hits``) than a new pair
+        would.
         """
         name = f"domain-{udi}-heap"
         seed = stack_seed(self.rng.root_seed, udi)
-        memory = self._memory_pool.pop(
-            (heap_base, heap_size, stack_base, stack_size), None
-        )
         if memory is None:
             return (
                 FreeListAllocator(self.space, heap_base, heap_size, name=name),
@@ -558,13 +510,13 @@ class SdradRuntime:
         """Tear a domain down, handing its regions and key to the next init.
 
         Everything :meth:`domain_destroy` does to the domain happens here,
-        in the same order and at the same charges: its entry tickets (and,
-        as the ``pkey_free`` it stands for would, every other ticket) are
-        dropped, its allocator and stack go to the memory pool, its stats
-        are folded into :attr:`destroyed_stats` and the teardown is
-        charged. The rest of a destroy — unmapping the regions, returning
-        them to the free list and freeing the key — is deferred to a
-        *settle*. The retired domain's shape waits in one parked slot:
+        in the same order and at the same charges: the domain lets go of
+        its allocator, stack and entry handle, its stats are folded into
+        :attr:`destroyed_stats` and the teardown is charged. The rest of a
+        destroy — unmapping the regions, returning them to the free list
+        and freeing the key — is deferred to a *settle*. The retired
+        domain's shape, entry gate value and memory wait in one parked
+        slot:
 
         * the next :meth:`domain_init` adopts it when settling would hand
           that init exactly these regions and this key (same sizes, no
@@ -614,38 +566,12 @@ class SdradRuntime:
             ) and table.is_mapped_as(stack_base, stack_size, domain.pkey)
         if not park:
             self._unmap(heap_base, heap_size, stack_base, stack_size)
-        # A destroyed udi may be recreated (tests and the facade do), and
-        # under key virtualisation the physical key returns to the manager's
-        # pool without a ``pkey_free`` ever firing — so the retire itself
-        # drops the udi's tickets (one invalidation). Without key
-        # virtualisation it also drops every other ticket, as the
-        # ``pkey_free`` the settle will issue would (one more). One pass
-        # does both, and keeps the udi's entry gate value (all its tickets
-        # hold the same one) for the parked slot.
-        entry_gate = domain.entry_gate
-        tickets = self._entry_tickets
-        if tickets:
-            own = [key for key in tickets if key[1] == udi]
-            if own:
-                ticket = tickets[own[0]]
-                entry_gate = (ticket.pkru, ticket.modelled_writes)
-                self.reentry_invalidations += 1
-            if self.keys is not None:
-                for key in own:
-                    del tickets[key]
-            else:
-                if len(tickets) > len(own):
-                    self.reentry_invalidations += 1
-                tickets.clear()
         if self.keys is not None:
             self.keys.release_domain(domain)
             pkey = None
         else:
             pkey = domain.pkey
-        pool = self._memory_pool
-        if len(pool) >= _MEMORY_POOL_BOUND:
-            del pool[next(iter(pool))]
-        pool[heap_base, heap_size, stack_base, stack_size] = domain.mark_destroyed()
+        memory = domain.mark_destroyed()
         del self._domains[udi]
         self.destroyed_stats.absorb(domain.stats)
         self.destroyed_count += 1
@@ -653,7 +579,11 @@ class SdradRuntime:
         if self.obs is not None:
             self.obs.registry.counter("sdrad_domains_destroyed_total").increment()
         self._parked = tuple.__new__(
-            _Parked, (pkey, heap_base, heap_size, stack_base, stack_size, entry_gate)
+            _Parked,
+            (
+                pkey, heap_base, heap_size, stack_base, stack_size,
+                domain.entry_gate, memory,
+            ),
         )
         if not park:
             self._settle(unmap=False)
@@ -662,11 +592,11 @@ class SdradRuntime:
         """Finish the parked retire, if any, as a destroy would have: unmap
         its regions (unless the retire already did), so a stale pointer
         into them faults, return them to the free list for the next
-        reservation and free the key."""
+        reservation, free the key and drop the memory."""
         parked = self._parked
         if parked is None:
             return
-        pkey, heap_base, heap_size, stack_base, stack_size, _ = parked
+        pkey, heap_base, heap_size, stack_base, stack_size, _, _ = parked
         if unmap:
             self._unmap(heap_base, heap_size, stack_base, stack_size)
         self._free_regions += ((heap_base, heap_size), (stack_base, stack_size))
@@ -694,40 +624,15 @@ class SdradRuntime:
             mapped -= parked.heap_size + parked.stack_size
         return mapped
 
-    # ------------------------------------------------------------------
-    # Re-entry ticket invalidation (the fast path's shootdown hooks)
-    # ------------------------------------------------------------------
-
-    def invalidate_entry_tickets(self, domain: Domain) -> None:
-        """Drop the entry tickets prepared for ``domain`` (used by retag
-        and policy changes, which mutate the object). A retire drops its
-        udi's tickets itself, and key recycling drops every ticket
-        (:meth:`_flush_entry_tickets`)."""
-        tickets = self._entry_tickets
-        if not tickets:
-            return
-        stale = [key for key, ticket in tickets.items() if ticket.domain is domain]
-        for key in stale:
-            del tickets[key]
-        if stale:
-            self.reentry_invalidations += 1
-
-    def _flush_entry_tickets(self) -> None:
-        """Drop every entry ticket (a key was freed, or is as good as)."""
-        if self._entry_tickets:
-            self._entry_tickets.clear()
-            self.reentry_invalidations += 1
-
     def set_domain_flags(self, udi: int, flags: DomainFlags) -> None:
         """Change a domain's containment-policy flags (``sdrad_configure``).
 
         Policy flags decide what an entry must set up and what an exit must
-        verify (heap sharing, exit-time heap sweep, scrub mode), so prepared
-        entry tickets for the domain are stale the moment they change —
-        invalidating them here is the policy-change analogue of a TLB
-        shootdown. Flag mutations must come through this method (or assign
-        ``Domain.flags``, which recomputes the cached policy booleans but
-        cannot see this runtime's ticket cache).
+        verify (heap sharing, exit-time heap sweep, scrub mode). Every entry
+        reads them live, and the gate value an entry caches
+        (:attr:`Domain.entry_gate`) depends on the domain's key alone, so a
+        change takes effect at the next entry with nothing to invalidate.
+        A domain cannot be reconfigured while it is entered.
         """
         domain = self.domain(udi)
         if self.contexts.entries and self.contexts.contains_udi(udi):
@@ -735,7 +640,6 @@ class SdradRuntime:
                 f"cannot change flags of domain {udi} while it is entered"
             )
         domain.flags = flags
-        self.invalidate_entry_tickets(domain=domain)
 
     # ------------------------------------------------------------------
     # The core: execute-in-domain with rewind on fault
@@ -803,56 +707,40 @@ class SdradRuntime:
             access_mark = self.space.loads + self.space.stores
             taxed_mark = self._taxed_accesses
         context = contexts.push(udi, saved_gate, entered)
-        # Re-entry fast path: from the same caller gate state, entering the
-        # same domain always derives the same final gate value and an
-        # equivalent handle, so replay the prepared ticket instead of
-        # re-deriving. Entries with read grants or a shared parent heap
-        # depend on *other* domains' tags too and stay on the slow path.
+        # Re-entry fast path: an entry closes the gate and grants the
+        # domain's key alone, so it derives the same gate value from any
+        # caller. The domain's first entry derives it (or replays what its
+        # adopted predecessor derived) and keeps it with one reusable
+        # handle; later entries replay it. Entries with read grants or a
+        # shared parent heap depend on *other* domains' tags too and stay
+        # on the slow path.
         if (
             self.reentry_enabled
             and granted_domains is None
             and not domain.nonisolated_heap
         ):
-            tickets = self._entry_tickets
-            key = (saved_gate, udi)
-            ticket = tickets.get(key)
-            if ticket is None:
+            handle = domain.entry_handle
+            if handle is not None:
+                value, writes = domain.entry_gate
+                gate.write_prepared(value, writes)
+                self.reentry_hits += 1
+            else:
                 entry_gate = domain.entry_gate
                 if entry_gate is None:
                     writes_before = gate.writes
                     self._apply_domain_gate(domain)
-                    value, writes = gate.value, gate.writes - writes_before
+                    domain.entry_gate = (gate.value, gate.writes - writes_before)
                 else:
-                    # Adopted: the predecessor derived this for the same
-                    # key, so replay it as a ticket hit would.
                     value, writes = entry_gate
                     gate.write_prepared(value, writes)
-                # ``tuple.__new__`` skips the generated ``__new__``'s frame.
-                ticket = tuple.__new__(
-                    _EntryTicket,
-                    (
-                        value,
-                        writes,
-                        DomainHandle(self, domain),
-                        domain,
-                        domain.check_heap_on_exit,
-                    ),
-                )
-                if len(tickets) >= 4096:
-                    tickets.clear()
-                tickets[key] = ticket
+                handle = domain.entry_handle = DomainHandle(self, domain)
                 self.reentry_misses += 1
-            else:
-                gate.write_prepared(ticket.pkru, ticket.modelled_writes)
-                self.reentry_hits += 1
-            handle = ticket.handle
-            check_heap = ticket.check_heap
         else:
             self._apply_domain_gate(domain)
             for granted in granted_domains or ():
                 gate.grant(granted.pkey, read=True, write=False)
             handle = DomainHandle(self, domain)
-            check_heap = domain.check_heap_on_exit
+        check_heap = domain.check_heap_on_exit
         obs = self.obs
         span = None
         if obs is not None:

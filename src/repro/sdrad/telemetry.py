@@ -65,7 +65,6 @@ def snapshot(runtime: SdradRuntime) -> dict[str, Any]:
         "reentry_cache_enabled": runtime.reentry_enabled,
         "reentry_hits": runtime.reentry_hits,
         "reentry_misses": runtime.reentry_misses,
-        "reentry_invalidations": runtime.reentry_invalidations,
     }
 
     out: dict[str, Any] = {

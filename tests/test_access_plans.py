@@ -865,7 +865,7 @@ def _per_request_server_counters(app: str, backend: str):
         (plans.built, plans.hits, plans.shootdowns, space.gate.writes),
         astuple(runtime.destroyed_stats),
         runtime.destroyed_count,
-        (runtime.reentry_hits, runtime.reentry_misses, runtime.reentry_invalidations),
+        (runtime.reentry_hits, runtime.reentry_misses),
     )
 
 

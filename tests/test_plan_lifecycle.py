@@ -14,8 +14,8 @@ twin and against a twin that destroys where the others retire, and checks
 that no plan the cache hands out fails its probe. An adopting domain also
 replays the entry gate value its predecessor derived; the differential
 checks each adopter's first entry against the destroy twin, which derives
-it. The bound tests drive the plan cache and the entry-ticket cache past
-their limits.
+it. The bound tests drive the plan cache past its limit and check that
+per-request serving holds one parked allocator and stack.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.memory.mpk import PkruRegister
 from repro.memory.plans import AccessPlanCache
 from repro.sdrad.constants import DomainFlags
 from repro.sdrad.detect import DetectionMechanism
-from repro.sdrad.runtime import _MEMORY_POOL_BOUND, DomainResult, SdradRuntime
+from repro.sdrad.runtime import DomainResult, SdradRuntime
 
 
 class _ProbingPlanCache(AccessPlanCache):
@@ -167,18 +167,10 @@ class _LifeSide:
         if name in ("retire", "destroy"):
             udi = self.udis[op[1] % len(self.udis)]
             heap_base = runtime.domain(udi).heap_base
-            tickets = list(runtime._entry_tickets)
-            invalidations = runtime.reentry_invalidations
             if name == "retire" and self.retire:
                 runtime.domain_retire(udi)
             else:
                 runtime.domain_destroy(udi)
-            # Both drop the domain's tickets (one invalidation) and, as the
-            # pkey_free they stand for, every other ticket (one more).
-            own = sum(1 for key in tickets if key[1] == udi)
-            expected = (own > 0) + (len(tickets) > own)
-            assert runtime.reentry_invalidations - invalidations == expected
-            assert not runtime._entry_tickets
             self.udis.remove(udi)
             self.gone.append(udi)
             self.gone_heaps.append(heap_base)
@@ -233,7 +225,6 @@ def _life_outcome(side: _LifeSide, op):
         runtime.clock.now,
         runtime.reentry_hits,
         runtime.reentry_misses,
-        runtime.reentry_invalidations,
         runtime.destroyed_count,
         runtime.mapped_bytes(),
     )
@@ -476,71 +467,21 @@ class TestCacheBounds:
             again = cache.checked_plan(plan.base, plan.length, plan.mode)
             assert again is not plan and not plan.is_valid()
 
-    def test_memory_pool_stays_bounded(self):
-        """Destroyed domains park their allocator and stack per region
-        shape; more shapes than the bound keep only the newest, and a
-        successor on a parked shape takes the pair out again."""
-        runtime = SdradRuntime()
-        bound = _MEMORY_POOL_BOUND
-        # Heap and stack of one size per domain, so a successor of that
-        # size gets back both regions of the same predecessor.
-        sizes = [(i + 1) * PAGE_SIZE for i in range(bound + 3)]
-        domains = [runtime.domain_init(heap_size=n, stack_size=n) for n in sizes]
-        for domain in domains:
-            runtime.domain_destroy(domain.udi)
-            assert len(runtime._memory_pool) <= bound
-        assert len(runtime._memory_pool) == bound  # the bound was reached
-        parked = {heap.size for heap, _ in runtime._memory_pool.values()}
-        assert parked == set(sizes[3:])
-        pair = runtime._memory_pool[
-            domains[-1].heap_base, sizes[-1], domains[-1].stack_base, sizes[-1]
-        ]
-        successor = runtime.domain_init(heap_size=sizes[-1], stack_size=sizes[-1])
-        assert successor.heap is pair[0] and successor.stack is pair[1]
-        assert len(runtime._memory_pool) == bound - 1
-        assert successor.heap.name == f"domain-{successor.udi}-heap"
-
-    def test_per_request_serving_keeps_one_pooled_pair(self):
+    def test_per_request_serving_holds_one_parked_pair(self):
+        """Per-request serving holds exactly one allocator/stack pair
+        beyond the live domains': the last retired domain's, parked for
+        the next request's domain to reset in place."""
         runtime = SdradRuntime()
         server = MemcachedServer(runtime, isolation=IsolationMode.PER_REQUEST)
         server.connect("c")
+        first = None
         for i in range(50):
             server.handle("c", b"set k%d 0 0 5\r\nvalue\r\n" % (i % 7))
             assert server.handle("c", b"get k%d\r\n" % (i % 7)).startswith(b"VALUE")
-            assert len(runtime._memory_pool) == 1
-
-    def test_entry_ticket_cache_stays_bounded_on_cheri(self):
-        domains = 4097
-        space = AddressSpace(size=(2 * domains + 64) * PAGE_SIZE, backend="cheri")
-        runtime = SdradRuntime(space=space, root_heap_size=PAGE_SIZE)
-        root_gate = space.gate.value
-
-        def body(handle):
-            buf = handle.malloc(8)
-            handle.store(buf, handle.udi.to_bytes(8, "little"))
-            return int.from_bytes(handle.load(buf, 8), "little")
-
-        udis = []
-        for _ in range(domains):
-            domain = runtime.domain_init(
-                flags=DomainFlags.RETURN_TO_PARENT,
-                heap_size=PAGE_SIZE,
-                stack_size=PAGE_SIZE,
-            )
-            udis.append(domain.udi)
-            assert runtime.execute(domain.udi, body).value == domain.udi
-            assert len(runtime._entry_tickets) <= 4096
-        assert runtime.reentry_misses == domains
-        # The 4,097th entry cleared the cache: evicted domains re-derive
-        # their entry, and isolation still holds after the clear.
-        assert len(runtime._entry_tickets) == 1
-        first, last = udis[0], udis[-1]
-        assert runtime.execute(first, body).value == first
-        assert runtime.execute(last, body).value == last
-        assert runtime.reentry_hits == 1
-        intruder = runtime.execute(
-            first, lambda h: h.store(runtime.domain(last).heap_base, b"x")
-        )
-        assert not intruder.ok
-        assert runtime.contexts.depth == 0
-        assert runtime.space.gate.value == root_gate
+            parked = runtime._parked
+            assert parked is not None
+            heap, stack = parked.memory
+            assert heap.base == parked.heap_base and stack.base == parked.stack_base
+            first = first or parked.memory
+            # Every request's domain reset the one pair in place.
+            assert heap is first[0] and stack is first[1]

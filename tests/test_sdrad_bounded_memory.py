@@ -98,13 +98,14 @@ def _serve(server: MemcachedServer, requests: int) -> None:
 
 def test_per_request_serving_retains_nothing_per_request():
     """A fresh domain per request recycles its predecessor's heap and
-    stack; neither that pool nor anything else may grow with requests."""
+    stack; neither the parked slot nor anything else may grow with
+    requests."""
     runtime = SdradRuntime()
     server = MemcachedServer(runtime, isolation=IsolationMode.PER_REQUEST)
     server.connect("c")
     tracemalloc.start()
     try:
-        _serve(server, 1_000)  # warm-up: store, plans, pool
+        _serve(server, 1_000)  # warm-up: store, plans, parked slot
         before, _ = tracemalloc.get_traced_memory()
         rss_before = _settled_rss()
         _serve(server, PER_REQUEST_REQUESTS)
@@ -113,7 +114,11 @@ def test_per_request_serving_retains_nothing_per_request():
     finally:
         tracemalloc.stop()
     assert runtime.destroyed_count == 1_000 + PER_REQUEST_REQUESTS
-    assert len(runtime._memory_pool) == 1
+    # Exactly one allocator/stack pair, the last retired domain's, waits
+    # for the next request's domain.
+    parked = runtime._parked
+    heap, stack = parked.memory
+    assert (heap.base, stack.base) == (parked.heap_base, parked.stack_base)
     assert after - before < BUDGET, f"retained {after - before} bytes"
     assert rss_after - rss_before < RSS_BUDGET, (
         f"resident set grew {rss_after - rss_before} bytes"

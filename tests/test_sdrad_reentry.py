@@ -1,14 +1,16 @@
 """Adversarial tests for the domain re-entry fast path.
 
-The entry-ticket cache is only sound because four invalidation hooks shoot
-stale tickets down: pkey retag (key-virtualisation rebind/evict),
-``pkey_free`` (key recycling), domain destroy (udi reuse), and
-policy-flag changes. Each hook gets a scenario here that *goes wrong* if
-that hook — and only that hook — is deleted: a stale ticket would then
-grant a recycled key, target a dead domain, or skip a newly-required exit
-check. The batching tests pin the mid-batch fault contract: a fault
-rewinds the (side-effect-free) batch and only the offending request
-errors.
+An isolated entry closes the gate and grants the entered domain's key
+alone, so a domain's first entry derives its gate value once, keeps it on
+the ``Domain`` with one reusable handle, and every later entry replays it,
+from any caller. The only event that invalidates it is a key-virtualisation
+retag, which moves the domain to another key; key recycling and udi reuse
+reach a new ``Domain`` object, which derives afresh, and policy flags are
+read live at every entry. Each rule gets a scenario here that *goes wrong*
+if the rule is broken: a stale entry would grant a foreign key, or skip a
+newly required exit check. The batching tests pin the mid-batch fault
+contract: a fault rewinds the (side-effect-free) batch and only the
+offending request errors.
 """
 
 from __future__ import annotations
@@ -94,20 +96,48 @@ class TestFastPathEquivalence:
         assert memory["reentry_misses"] == 1
 
 
-class TestRetagInvalidation:
-    """Key-virtualisation retag (rebind/evict) must shoot tickets down.
+class TestEntryDerivedOnce:
+    """A domain derives its entry once, whoever enters it."""
 
-    Without the retag hook, the ticket cached while the domain held its
-    old physical key replays a PKRU granting that key — which the evictor
-    may have handed to a *different* domain — while the domain's own pages
-    now carry a new key. The benign re-entry below would then fault (and
-    silently alias another domain's pages into view).
+    def test_entries_from_root_and_from_another_domain_derive_once(self):
+        runtime = SdradRuntime()
+        outer = runtime.domain_init(flags=DomainFlags.RETURN_TO_PARENT)
+        inner = runtime.domain_init(flags=DomainFlags.RETURN_TO_PARENT)
+        gate = runtime.space.gate
+        assert runtime.execute(outer.udi, _roundtrip).ok
+        seen = []
+
+        def body(handle):
+            seen.append(gate.value)
+            return _roundtrip(handle, b"inner")
+
+        misses, hits = runtime.reentry_misses, runtime.reentry_hits
+        assert runtime.execute(inner.udi, body).value == b"inner"
+        nested = runtime.execute(
+            outer.udi, lambda h: runtime.execute(inner.udi, body).value
+        )
+        assert nested.value == b"inner"
+        # The nested entry replays what the entry from root derived.
+        assert runtime.reentry_misses - misses == 1
+        assert runtime.reentry_hits - hits == 2  # outer again, inner nested
+        assert seen[0] == seen[1]
+        assert runtime.contexts.depth == 0
+
+
+class TestRetagInvalidation:
+    """Key-virtualisation retag (rebind/evict) must clear a domain's entry.
+
+    Without the clear, the gate value cached while the domain held its old
+    physical key grants that key — which the evictor may have handed to a
+    *different* domain — while the domain's own pages now carry a new key.
+    The benign re-entry below would then fault (and silently alias another
+    domain's pages into view).
     """
 
     def test_benign_reentry_after_eviction_churn(self):
         runtime = SdradRuntime(key_virtualization=True)
         domains = [runtime.domain_init() for _ in range(14)]
-        for d in domains:  # bind every physical key, cache every ticket
+        for d in domains:  # bind every physical key, cache every entry
             assert runtime.execute(d.udi, _roundtrip).ok
         victim = domains[0]
         for d in domains[1:]:  # make the victim the LRU binding
@@ -116,28 +146,27 @@ class TestRetagInvalidation:
         assert runtime.execute(extra.udi, _roundtrip).ok  # evicts the victim
         assert not runtime.keys.is_bound(victim.udi)
         assert runtime.keys.stats.evictions >= 1
-        invalidations = runtime.reentry_invalidations
-        assert invalidations > 0  # eviction retag already fired the hook
+        assert victim.entry_gate is None  # the eviction retag cleared it
         # Re-entry rebinds the victim (another retag) and must re-derive.
+        misses = runtime.reentry_misses
         result = runtime.execute(victim.udi, _roundtrip, b"still-mine")
         assert result.ok
         assert result.value == b"still-mine"
-        assert runtime.reentry_invalidations > invalidations
+        assert runtime.reentry_misses == misses + 1
 
 
 class TestDestroyInvalidation:
-    """Destroying a domain must drop its tickets even when no ``pkey_free``
-    fires (key virtualisation recycles keys outside the kernel allocator).
+    """A domain created under a destroyed domain's udi is a new ``Domain``
+    and derives its own entry, even when it gets another key.
 
-    Without the destroy hook, a successor domain reusing the udi would be
-    entered through the *predecessor's* ticket: a handle bound to a dead
-    domain whose regions are unmapped.
+    Were the predecessor's entry carried over, the successor would be
+    entered with a gate that grants the predecessor's key and not its own.
     """
 
     def test_udi_reuse_with_different_geometry(self):
         runtime = SdradRuntime(key_virtualization=True)
         first = runtime.domain_init(udi=7, heap_size=256 * 1024)
-        assert runtime.execute(first.udi, _roundtrip).ok  # ticket cached
+        assert runtime.execute(first.udi, _roundtrip).ok  # entry cached
         runtime.domain_destroy(7)
         # Different heap size, so the successor's regions do not recycle
         # the predecessor's exact mappings.
@@ -148,58 +177,93 @@ class TestDestroyInvalidation:
 
     def test_udi_reuse_without_keyvirt(self):
         runtime = SdradRuntime()
+        filler = runtime.domain_init()
         first = runtime.domain_init(udi=9, heap_size=256 * 1024)
         assert runtime.execute(first.udi, _roundtrip).ok
-        runtime.domain_destroy(9)
-        runtime.domain_init(udi=9, heap_size=64 * 1024)
+        runtime.domain_destroy(filler.udi)  # a lower key is free
+        runtime.domain_retire(9)  # parked with its entry, not adoptable
+        successor = runtime.domain_init(udi=9, heap_size=64 * 1024)
+        assert successor.pkey != first.pkey
         result = runtime.execute(9, _roundtrip, b"successor")
         assert result.ok
         assert result.value == b"successor"
 
 
-class TestPkeyFreeInvalidation:
-    """Key recycling through the kernel allocator flushes every ticket,
-    exactly like the TLB shootdown chained on the same hook."""
+class TestKeyRecycling:
+    """Freeing a key touches no live domain's entry; a key recycled into
+    a new ``Domain`` derives afresh."""
 
-    def test_direct_pkey_free_flushes_tickets(self):
+    def test_direct_pkey_free_keeps_live_entries(self):
         runtime = SdradRuntime()
         domain = runtime.domain_init(flags=DomainFlags.RETURN_TO_PARENT)
         assert runtime.execute(domain.udi, _roundtrip).ok
         misses = runtime.reentry_misses
-        invalidations = runtime.reentry_invalidations
         pkey = runtime.space.pkeys.alloc()
         runtime.space.pkeys.free(pkey)
-        assert runtime.reentry_invalidations == invalidations + 1
-        # The next entry must re-derive, not replay a flushed ticket.
         assert runtime.execute(domain.udi, _roundtrip).ok
-        assert runtime.reentry_misses == misses + 1
+        assert runtime.reentry_misses == misses
 
-    def test_destroying_a_sibling_flushes_tickets(self):
+    def test_destroying_a_sibling_keeps_live_entries(self):
         runtime = SdradRuntime()
         kept = runtime.domain_init(flags=DomainFlags.RETURN_TO_PARENT)
         doomed = runtime.domain_init(flags=DomainFlags.RETURN_TO_PARENT)
         assert runtime.execute(kept.udi, _roundtrip).ok
+        assert runtime.execute(doomed.udi, _roundtrip).ok
+        misses, hits = runtime.reentry_misses, runtime.reentry_hits
+        runtime.domain_destroy(doomed.udi)  # pkey_free of the sibling's key
+        result = runtime.execute(kept.udi, _roundtrip, b"kept")
+        assert result.value == b"kept"
+        assert runtime.reentry_misses == misses
+        assert runtime.reentry_hits == hits + 1
+
+    @pytest.mark.parametrize("settled_by", ["lower-key", "other-shape"])
+    def test_a_recycled_key_derives_afresh(self, settled_by, monkeypatch):
+        """The parked domain's key goes to an init that does not adopt it
+        (a lower key is free, or the shape differs): that domain derives
+        its own entry; it replays nothing."""
+        runtime = SdradRuntime()
+        low = runtime.domain_init(flags=DomainFlags.RETURN_TO_PARENT)
+        parked = runtime.domain_init(flags=DomainFlags.RETURN_TO_PARENT)
+        assert runtime.execute(low.udi, _roundtrip).ok
+        assert runtime.execute(parked.udi, _roundtrip).ok
+        if settled_by == "other-shape":
+            heap_size = 2 * parked.heap_size  # takes the parked key itself
+        else:
+            heap_size = parked.heap_size
+            runtime.domain_destroy(low.udi)  # frees the lower key
+        runtime.domain_retire(parked.udi)
+        derived = []
+        apply_domain_gate = runtime._apply_domain_gate
+        monkeypatch.setattr(
+            runtime,
+            "_apply_domain_gate",
+            lambda domain: derived.append(domain) or apply_domain_gate(domain),
+        )
+        fresh = runtime.domain_init(
+            flags=DomainFlags.RETURN_TO_PARENT, heap_size=heap_size
+        )
+        assert runtime._parked is None  # settled, not adopted
+        assert fresh.entry_gate is None
         misses = runtime.reentry_misses
-        runtime.domain_destroy(doomed.udi)  # pkey_free -> full flush
-        assert runtime.execute(kept.udi, _roundtrip).ok
+        result = runtime.execute(fresh.udi, _roundtrip, b"fresh")
+        assert result.value == b"fresh"
+        assert derived == [fresh]
         assert runtime.reentry_misses == misses + 1
 
 
 class TestPolicyChangeInvalidation:
-    """Tickets cache what an exit must verify; changing the policy must
-    invalidate them, or a newly-enabled exit check would be skipped."""
+    """Policy flags are read at every entry, so a newly enabled exit check
+    applies at once to a domain whose entry is cached."""
 
     def test_check_heap_applies_after_flag_change(self):
         runtime = SdradRuntime()
         domain = runtime.domain_init(flags=DomainFlags.RETURN_TO_PARENT)
-        # Ticket cached while CHECK_HEAP_ON_EXIT is off.
+        # Entry cached while CHECK_HEAP_ON_EXIT is off.
         assert runtime.execute(domain.udi, _roundtrip).ok
-        invalidations = runtime.reentry_invalidations
         runtime.set_domain_flags(
             domain.udi,
             DomainFlags.RETURN_TO_PARENT | DomainFlags.CHECK_HEAP_ON_EXIT,
         )
-        assert runtime.reentry_invalidations == invalidations + 1
 
         def corrupt(handle):
             # Smash the allocator guard and leave the block allocated, so
