@@ -719,28 +719,25 @@ class SdradRuntime:
             and granted_domains is None
             and not domain.nonisolated_heap
         ):
-            handle = domain.entry_handle
-            if handle is not None:
-                value, writes = domain.entry_gate
-                gate.write_prepared(value, writes)
-                self.reentry_hits += 1
+            entry_gate = domain.entry_gate
+            if entry_gate is None:
+                writes_before = gate.writes
+                self._apply_domain_gate(domain)
+                domain.entry_gate = (gate.value, gate.writes - writes_before)
             else:
-                entry_gate = domain.entry_gate
-                if entry_gate is None:
-                    writes_before = gate.writes
-                    self._apply_domain_gate(domain)
-                    domain.entry_gate = (gate.value, gate.writes - writes_before)
-                else:
-                    value, writes = entry_gate
-                    gate.write_prepared(value, writes)
+                value, writes = entry_gate
+                gate.write_prepared(value, writes)
+            handle = domain.entry_handle
+            if handle is None:
                 handle = domain.entry_handle = DomainHandle(self, domain)
                 self.reentry_misses += 1
+            else:
+                self.reentry_hits += 1
         else:
             self._apply_domain_gate(domain)
             for granted in granted_domains or ():
                 gate.grant(granted.pkey, read=True, write=False)
             handle = DomainHandle(self, domain)
-        check_heap = domain.check_heap_on_exit
         obs = self.obs
         span = None
         if obs is not None:
@@ -753,7 +750,7 @@ class SdradRuntime:
             domain.mark_active()
             try:
                 value = fn(handle, *args)
-                if check_heap:
+                if domain.check_heap_on_exit:
                     domain.heap.check()
             except BaseException as exc:  # noqa: BLE001 - boundary must see all
                 attempt += 1
