@@ -129,7 +129,7 @@ lint-domains:
 # tests, cache byte-identity tests, the SARIF golden file, and the pinned
 # set of domain bodies the registry finds in src/repro/apps.
 lint-fixtures:
-	PYTHONPATH=src python -m pytest -q \
+	PYTHONPATH=src python -m pytest \
 		tests/test_analysis_fixtures.py \
 		tests/test_analysis_callgraph.py \
 		tests/test_analysis_cache.py \
