@@ -19,9 +19,9 @@ and are unchanged by any of this). Four benches:
                        per-request, batched (16-request pipelines through
                        ``handle_batch``), and with the domain re-entry
                        fast path disabled (the PR 1 baseline behaviour);
-* ``domain_reentry`` — enter/exit a persistent domain with the entry-
-                       ticket cache on vs. off, isolating the re-entry
-                       fast path from protocol work;
+* ``domain_reentry`` — enter/exit a persistent domain with the re-entry
+                       cache on vs. off, isolating the re-entry fast
+                       path from protocol work;
 * ``memcached_obs``  — the PR 6 cheap-by-default contract: the memcached
                        set/get mix pipelined through ``handle_batch`` (the
                        PR 6 serving configuration) with observability
@@ -495,7 +495,7 @@ def bench_memcached_e2e(min_time: float) -> dict:
 
 def bench_domain_reentry(min_time: float) -> dict:
     """Same loop as ``domain_switch``, but explicitly contrasting the
-    entry-ticket cache on (PR 2) vs. off (the PR 1 enter/exit path)."""
+    re-entry cache on (PR 2) vs. off (the PR 1 enter/exit path)."""
 
     def run(reentry: bool) -> dict:
         runtime = SdradRuntime(reentry_cache=reentry)

@@ -39,8 +39,8 @@ R3  **rewind-unsafe side effects** — a rewindable domain body must not
 R4  **WRPKRU gadgets** — ERIM-style scan of the simulated instruction/API
     stream: every PKRU-write site must sit inside the entry-gate sequence
     (a function that brackets the write with ``contexts.push``/``pop``, or
-    one only reachable from such a gate), including the entry-ticket
-    replay path of the re-entry cache.
+    one only reachable from such a gate), including the re-entry cache's
+    replay of a domain's entry gate value.
 R5  **interprocedural heap escape** — a helper *returns* a domain-memory
     alias the body then leaks, stores a fresh alias into a caller-owned
     argument (out-param escape), or leaks an alias to trusted state

@@ -16,8 +16,8 @@ backend and demands it sit inside the *entry-gate sequence*:
   ``contexts.push(...)`` or ``contexts.pop(...)`` call appears lexically
   **before** the write (the ``sigsetjmp`` analogue precedes the PKRU
   derivation on entry, and the context pop precedes the restore on exit);
-  this also covers the re-entry cache's ticket-replay
-  ``write_prepared`` (PR2), which replays only after the context push; or
+  this also covers the re-entry cache's replay of ``Domain.entry_gate``
+  through ``write_prepared``, which happens only after the context push; or
 * the enclosing function is only reachable from such a gate — computed as
   the same-module call closure of gate functions (e.g.
   ``SdradRuntime._apply_domain_gate``, called from ``execute`` between

@@ -12,8 +12,8 @@ above are written once against :class:`IsolationBackend`:
   capability set, active SFI mask). All gates speak the same protocol:
   ``value``/``snapshot``/``write``/``write_prepared``/``grant``/``revoke``/
   ``close_all``/``allows_read``/``allows_write``, a ``writes`` counter and
-  an ``on_write`` hook — exactly the surface the software TLB, the access
-  plans and the re-entry ticket cache key their coherency on.
+  an ``on_write`` hook — exactly the surface the software TLB and the
+  access plans key their coherency on, and the re-entry cache replays.
 * **tag allocator** — the kernel-side bookkeeping of domain tags
   (``pkey_alloc`` for MPK, capability/region identifiers elsewhere), with
   the ``on_free`` recycling hook the permission cache flushes through.
@@ -80,7 +80,7 @@ class GrantSetGate:
     the set of capabilities installed / the active address mask — an
     arbitrary set of ``tag -> (read, write)`` grants. To stay drop-in for
     everything the MPK register plugs into (software-TLB keying by
-    ``gate.value``, plan epochs, entry tickets keyed on snapshots), each
+    ``gate.value``, plan epochs, entry gate values a domain replays), each
     distinct grant set is **interned to a small integer**: ``value`` is that
     integer, ``snapshot``/``write`` save and restore it in O(1), and the
     ``on_write`` hook fires with it exactly like a WRPKRU.

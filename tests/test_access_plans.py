@@ -1,10 +1,9 @@
 """Adversarial tests for compiled access plans and batched coalescing.
 
-A checked plan is a batched TLB verdict, and like the re-entry tickets it
-is only sound because every event that could change the verdict shoots it
-down: mprotect, pkey retag or (un)map of any page of its run,
-``pkey_free``, explicit TLB flush, PKRU switch (dormancy, not death), and
-domain destroy. Each event gets a scenario that *goes wrong* if its
+A checked plan is a batched TLB verdict, and it is only sound because
+every event that could change the verdict shoots it down: mprotect, pkey
+retag or (un)map of any page of its run, ``pkey_free``, explicit TLB
+flush, PKRU switch (dormancy, not death), and domain destroy. Each event gets a scenario that *goes wrong* if its
 shootdown hook — and only that hook — is deleted: a stale plan would then
 read through revoked permissions, a recycled key, or a freed domain's
 heap. Range shootdown is scoped: a plan whose run the update misses stays

@@ -255,7 +255,7 @@ class TestGrantSetGate:
 
     def test_interning_is_stable(self):
         # The same grant set, re-derived, interns to the same value — the
-        # software TLB and entry tickets key on this.
+        # software TLB and a domain's cached entry gate value rely on this.
         gate = GrantSetGate()
         base = gate.snapshot()
         gate.grant(3, read=True, write=False)

@@ -4,8 +4,8 @@ A domain entry is the hottest host path in the simulator, and its Python
 is tuned for speed; these pins make sure the tuning never changes what an
 entry *does*. For every substrate (mpk, cheri, sfi), with the obs hub off
 and on, and for the five outcomes of an entry — ok, a rewound fault, a
-retry that then succeeds, an abort and a logic error — on a ticket miss
-(first entry) and a ticket hit (primed entry), they record the
+retry that then succeeds, an abort and a logic error — on a re-entry
+miss (first entry) and a re-entry hit (primed entry), they record the
 :class:`DomainResult` fields (or the escaping exception), the virtual
 clock delta, the gate-write delta, the spans and counters the hub kept,
 and check that the context stack and the gate come back as they were.

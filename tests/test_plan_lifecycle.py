@@ -248,7 +248,7 @@ def _tlb_marks(side: _LifeSide) -> tuple[int, int]:
 def _first_entry(side: _LifeSide, marks: tuple[int, int]):
     """What an adopter's first entry must share with a derived entry: the
     gate value inside it, the gate writes, the TLB lookups and flushes the
-    entry made, the ticket misses and the clock. The split of lookups into
+    entry made, the re-entry misses and the clock. The split of lookups into
     hits and misses is not shared: a destroy's ``pkey_free`` flushes the
     verdicts that a retire keeps for the adopter."""
     space, runtime = side.space, side.runtime

@@ -56,7 +56,7 @@ def test_retained_memory_does_not_grow_with_events():
     domain = runtime.domain_init(flags=DomainFlags.RETURN_TO_PARENT)
     tracemalloc.start()
     try:
-        _drive(runtime, domain.udi, 1_000, 50)  # warm-up: caches, tickets
+        _drive(runtime, domain.udi, 1_000, 50)  # warm-up: caches, entry
         before, _ = tracemalloc.get_traced_memory()
         rss_before = _settled_rss()
         _drive(runtime, domain.udi, EXECUTES, LIFECYCLES)

@@ -73,7 +73,7 @@ class TestFastPathEquivalence:
         for reentry in (True, False):
             runtime = SdradRuntime(reentry_cache=reentry)
             domain = runtime.domain_init(flags=DomainFlags.RETURN_TO_PARENT)
-            runtime.execute(domain.udi, _roundtrip)  # prime the ticket
+            runtime.execute(domain.udi, _roundtrip)  # prime the entry
             result = runtime.execute(domain.udi, smash)
             results[reentry] = (
                 result.ok,
