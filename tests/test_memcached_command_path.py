@@ -3,8 +3,12 @@
 * a differential test: random pipelines through ``handle_batch`` on one
   server and per-request ``handle`` on a twin must agree on every response
   and counter, and both must match a plain-dict model of the store;
-* pinned outputs of a seeded 500-pipeline ``handle_batch`` run, so a
-  faster command path cannot move a response, a counter or the clock;
+* pinned outputs of a seeded 500-pipeline run, through ``handle_batch``
+  and through per-request ``handle``, on mpk, cheri and sfi, so a faster
+  command path cannot move a response, a counter, a checked access or the
+  clock (on SFI every checked load and store is taxed on the clock);
+* an invalid key reaching ``KVStore.get``/``get_many`` raises before any
+  counter, LRU move or charge;
 * an item above the largest slab class is refused with ``CLIENT_ERROR``
   before anything is freed or evicted.
 """
@@ -21,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.apps.kvstore import KVStore
 from repro.apps.memcached_server import MemcachedServer
-from repro.errors import AllocationFailure
+from repro.errors import AllocationFailure, SdradError
 from repro.fleet.balancer import Fleet
 from repro.fleet.health import HealthMonitor
 from repro.sdrad.runtime import SdradRuntime
@@ -241,15 +245,21 @@ def _seeded_pipelines(seed: int, count: int = 500, batch: int = 16) -> list:
     return out
 
 
-def pipeline_outputs(seed: int = 2023) -> tuple:
-    """Digest, clock and counters of 500 pipelines from 4 clients."""
-    runtime = SdradRuntime()
+def pipeline_outputs(seed: int = 2023, backend: str = "mpk", batched: bool = True) -> tuple:
+    """Digest, clock and counters of 500 pipelines from 4 clients, served
+    by ``handle_batch`` or, with ``batched=False``, one ``handle`` each."""
+    runtime = SdradRuntime(backend=backend)
     server = MemcachedServer(runtime)
     for client in range(4):
         server.connect(f"c{client}")
     digest = hashlib.blake2b(digest_size=16)
     for index, raws in enumerate(_seeded_pipelines(seed)):
-        for response in server.handle_batch(f"c{index % 4}", raws):
+        client = f"c{index % 4}"
+        if batched:
+            responses = server.handle_batch(client, raws)
+        else:
+            responses = [server.handle(client, raw) for raw in raws]
+        for response in responses:
             digest.update(response)
     space = runtime.space
     return (
@@ -264,23 +274,67 @@ def pipeline_outputs(seed: int = 2023) -> tuple:
     )
 
 
-#: (digest, clock, loads, stores, tlb_hits, plan hits, StoreStats,
-#: ServerMetrics), recorded from the dataclass-based command path this
-#: one replaced.
-_PINNED = (
-    "b1e46dcf7e7ce27a15a231b68b97f42a",
-    0.10722900000000098,
-    1312,
-    12946,
-    14258,
-    0,
-    (7585, 1055, 589, 4078, 3507, 0, 0),
-    (8000, 7755, 163, 82, 82, 0, 0, 0, {"c2": 21, "c0": 17, "c1": 22, "c3": 22}),
-)
+#: Outputs as (digest, clock, loads, stores, tlb_hits, plan hits,
+#: StoreStats, ServerMetrics). The mpk batched entry was recorded from the
+#: dataclass-based command path the tuple one replaced; the others from the
+#: per-command parse and apply calls the command loops replaced. Every
+#: backend and both paths answer the same bytes and count the same.
+_DIGEST = "b1e46dcf7e7ce27a15a231b68b97f42a"
+_STORE_STATS = (7585, 1055, 589, 4078, 3507, 0, 0)
+_METRICS = (8000, 7755, 163, 82, 82, 0, 0, 0, {"c2": 21, "c0": 17, "c1": 22, "c3": 22})
+#: ``(backend, batched)`` -> (clock, loads, stores, tlb_hits, plan hits).
+_MEASURED = {
+    ("mpk", True): (0.10722900000000098, 1312, 12946, 14258, 0),
+    ("mpk", False): (0.10883010000001686, 1131, 11226, 12357, 0),
+    ("cheri", True): (0.10711804000000485, 1312, 12946, 14258, 0),
+    ("cheri", False): (0.10834210000003326, 1131, 11226, 12357, 0),
+    ("sfi", True): (0.10673231599999616, 1312, 12946, 14258, 0),
+    ("sfi", False): (0.10644441399998829, 1131, 11226, 12357, 0),
+}
+_PINNED = {
+    key: (_DIGEST, *measured, _STORE_STATS, _METRICS) for key, measured in _MEASURED.items()
+}
 
 
 def test_pipeline_outputs_pinned():
-    assert pipeline_outputs() == _PINNED
+    assert pipeline_outputs() == _PINNED["mpk", True]
+
+
+@pytest.mark.parametrize(
+    "backend, batched",
+    [key for key in _MEASURED if key != ("mpk", True)],
+    ids=lambda value: {True: "batch", False: "per-request"}.get(value, value),
+)
+def test_twin_pipeline_outputs_pinned(backend, batched):
+    assert pipeline_outputs(backend=backend, batched=batched) == _PINNED[backend, batched]
+
+
+# ----------------------------------------------------------------------
+# Key check: an invalid key raises before any effect
+# ----------------------------------------------------------------------
+
+#: Empty, over the protocol limit, and bearing each protocol delimiter.
+BAD_KEYS = (b"", b"k" * 251, b"a b", b"a\rb", b"a\nb")
+
+
+def _store_state(store: KVStore) -> tuple:
+    return dataclasses.astuple(store.stats), store.keys(), store.runtime.clock.now
+
+
+@pytest.mark.parametrize("bad", BAD_KEYS, ids=("empty", "251-bytes", "space", "cr", "lf"))
+@pytest.mark.parametrize("call", ("get", "get_many"))
+def test_invalid_key_raises_before_any_effect(call, bad):
+    store = KVStore(SdradRuntime())
+    for i in range(8):
+        store.set(b"k%d" % i, b"v%d" % i)
+    store.get(b"k2")  # LRU order is no longer insertion order
+    before = _store_state(store)
+    with pytest.raises(SdradError):
+        if call == "get":
+            store.get(bad)
+        else:
+            store.get_many([bad, b"k1"])
+    assert _store_state(store) == before
 
 
 # ----------------------------------------------------------------------
