@@ -289,15 +289,15 @@ class KVStore:
         slabs = self.slabs
         class_id = slabs.class_for(needed)
         addr = slabs.take(class_id)
-        while addr is None:
-            if not self._index:
-                # Nothing left to evict: raise the arena-exhausted failure.
-                return slabs.alloc(needed)
-            # Evict the least recently used item and retry.
+        # Evict the least recently used item and retry, unless the class has
+        # no slab page: pages never move between classes, so no eviction
+        # can give it a chunk.
+        while addr is None and self._index and slabs.class_pages(class_id):
             self._free_item(next(iter(self._index)))
             self.stats.evictions += 1
             addr = slabs.take(class_id)
-        return addr
+        # Nothing evictable helps: raise the arena-exhausted failure.
+        return slabs.alloc(needed) if addr is None else addr
 
     def _free_item(self, key: bytes) -> None:
         addr = self._index.pop(key)

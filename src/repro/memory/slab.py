@@ -147,6 +147,10 @@ class SlabAllocator:
             )
         return payload
 
+    def class_pages(self, class_id: int) -> int:
+        """Slab pages handed to ``class_id`` (pages never change class)."""
+        return self._pages_per_class[class_id]
+
     def take(self, class_id: int) -> int | None:
         """:meth:`alloc` for a known class, without raising when the arena
         is exhausted: returns the payload address, or ``None`` when the

@@ -393,3 +393,47 @@ def test_oversized_set_through_fleet_is_not_a_shard_failure():
     assert failures == [] and fleet.last_op_failed == []
     assert fleet.metrics.errors == 0
     assert fleet.get(b"big") == b"VALUE big 0 3\r\nold\r\nEND\r\n"
+
+
+# ----------------------------------------------------------------------
+# A set whose size class owns no slab page
+# ----------------------------------------------------------------------
+
+
+def _full_store(arena_size: int, items: int, value: bytes) -> KVStore:
+    """A store whose arena has handed every slab page to one class."""
+    store = KVStore(SdradRuntime(), arena_size=arena_size)
+    for i in range(items):
+        store.set(b"k%07d" % i, value)
+    assert store.slabs.resident_bytes() == arena_size
+    assert store.stats.evictions == 0
+    return store
+
+
+FULL_STORES = {
+    # Every one of the 64 pages full of 64-byte chunks (910 a page).
+    "4MiB": (4 * 1024 * 1024, 58_240, b"v" * 20),
+    # 40-byte items: the last one opens the fourth and last page.
+    "256KiB": (256 * 1024, 2_731, b"v" * 24),
+}
+
+
+@pytest.mark.parametrize("case", FULL_STORES)
+def test_set_into_a_class_without_a_page_evicts_nothing(case):
+    arena_size, items, value = FULL_STORES[case]
+    store = _full_store(arena_size, items, value)
+    with pytest.raises(AllocationFailure, match="slab arena exhausted"):
+        store.set(b"big", b"x" * 2000)
+    assert store.item_count == items
+    assert store.stats.evictions == 0
+    assert store.get(b"k0000000") == (value, 0)
+
+
+def test_set_into_a_class_without_a_page_through_handle():
+    arena_size, items, value = FULL_STORES["256KiB"]
+    store = _full_store(arena_size, items, value)
+    server = MemcachedServer(store.runtime, store=store)
+    server.connect("c")
+    assert server.handle("c", b"set big 0 0 2000\r\n" + b"x" * 2000 + b"\r\n") == TOO_LARGE
+    assert store.item_count == items
+    assert server.handle("c", b"get k0000000\r\n") == b"VALUE k0000000 0 24\r\n%s\r\nEND\r\n" % value
