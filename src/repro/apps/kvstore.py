@@ -125,13 +125,14 @@ class KVStore:
         self.runtime.charge(self.runtime.cost.memcached_op)
 
     def get(self, key: bytes) -> Optional[tuple[bytes, int]]:
-        """Return ``(value, flags)`` or ``None`` on miss."""
-        if _valid_key(key) is None:
+        """Return ``(value, flags)`` or ``None`` on miss. Only :meth:`set`,
+        which validates, indexes a key, so only a miss checks it."""
+        index = self._index
+        addr = index.get(key)
+        if addr is None and _valid_key(key) is None:
             self._validate_key(key)
         stats = self.stats
         stats.gets += 1
-        index = self._index
-        addr = index.get(key)
         runtime = self.runtime
         runtime.charge(runtime.cost.memcached_op)
         if addr is None:
@@ -154,16 +155,18 @@ class KVStore:
         """Batched ``get`` (the protocol's multi-key ``get k1 k2 ...``).
 
         Hit items are read with batched kernel-path loads instead of one
-        round-trip per item; stats and LRU behaviour match per-key ``get``.
+        round-trip per item; stats, LRU behaviour and the key check on a
+        miss match per-key ``get``.
         """
         hits: list[tuple[bytes, int]] = []
         for key in keys:
-            self._validate_key(key)
-            self.stats.gets += 1
             addr = self._index.get(key)
             if addr is None:
+                self._validate_key(key)
+                self.stats.gets += 1
                 self.stats.misses += 1
             else:
+                self.stats.gets += 1
                 self.stats.hits += 1
                 self._index.move_to_end(key)
                 hits.append((key, addr))

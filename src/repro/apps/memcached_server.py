@@ -42,6 +42,8 @@ from .serving import DomainServer, IsolationMode
 __all__ = ["IsolationMode", "MemcachedServer", "ServerMetrics"]
 
 KEY_STACK_BUFFER = 256
+#: Token count of each single-key command: set/add/replace, incr/decr, delete.
+_TOKENS = {b"set": 5, b"add": 5, b"replace": 5, b"incr": 3, b"decr": 3, b"delete": 2}
 
 
 @dataclass
@@ -58,119 +60,108 @@ class ServerMetrics:
 
 
 def _parse_in_domain(handle: DomainHandle, raw: bytes) -> Optional[tuple]:
-    """The "unsafe C parser" running inside the client's domain.
-
-    Faithfully unsafe: the key copy trusts token length, the value buffer
-    trusts the declared byte count. Both bugs corrupt only domain memory.
-    """
-    line_end = raw.find(b"\r\n")
-    if line_end < 0:
+    """Parse one request inside the client's domain (no frame is pushed
+    for a line without CRLF)."""
+    if b"\r\n" not in raw:
         return None
-    parts = raw[:line_end].split(b" ")
-
     frame = handle.push_frame("process_command")
     try:
-        return _parse_parts(handle, frame, None, parts, raw, line_end)
+        return _parse_commands(handle, frame, None, (raw,))[0]
     finally:
         handle.pop_frame(frame)
 
 
-def _parse_parts(
-    handle: DomainHandle,
-    frame,
-    key_buf: Optional[int],
-    parts: list,
-    raw: bytes,
-    line_end: int,
-) -> Optional[tuple]:
-    """Parse one split command line inside an already-open stack frame.
+def _parse_commands(
+    handle: DomainHandle, frame, key_buf: Optional[int], raws
+) -> list[Optional[tuple]]:
+    """The "unsafe C parser": one loop over command lines inside an open
+    stack frame of the client's domain. The key copy trusts token length,
+    the value buffer trusts the declared byte count; both bugs corrupt only
+    domain memory.
 
-    Returns a plain tuple, or ``None`` for a malformed line:
-    ``(b"get", key, ...)`` with one entry per requested key,
-    ``(op, key, flags, value)`` for set/add/replace, ``(op, key, delta)``
-    for incr/decr, ``(b"delete", key)`` and ``(b"stats",)``. ``get``, most
-    of the traffic, is tested first.
-
-    ``key_buf`` is ``None`` on the per-request path (each command allocas
-    its own buffer, the seed behaviour) and a pre-alloca'd buffer on the
-    batch path, where every command of the pipeline strcpy's into the same
-    stack slot — the same reuse idiom as a multi-key ``get``.
+    Returns one plain tuple per line, or ``None`` for a malformed one:
+    ``(b"get", key, ...)``, ``(op, key, flags, value)`` for
+    set/add/replace, ``(op, key, delta)`` for incr/decr, ``(b"delete",
+    key)`` and ``(b"stats",)``; ``get``, most of the traffic, is tested
+    first. Every key is strcpy'd into one stack slot, ``key_buf``, which
+    the first command that copies a key allocas when it is ``None``.
     """
-    command = parts[0]
-    if command == b"get":
-        if len(parts) < 2:
-            return None
-        keys = parts[1:]
-        # Each key of a multi-key get is "strcpy'd" into the same fixed
-        # stack buffer in turn — BUG 1 fires for any over-long key in
-        # the pipeline, exactly as for a single-key get.
-        if key_buf is None:
-            key_buf = frame.alloca(KEY_STACK_BUFFER)
-        for key in keys:
-            frame.write_buffer(key_buf, key + b"\x00")
-        if max(map(len, keys)) > MAX_KEY_LEN:
-            return None
-        if len(keys) == 1:
-            return (command, bytes(keys[0]))
-        return (command, *[bytes(key) for key in keys])
-    if command in (b"set", b"add", b"replace"):
-        if len(parts) != 5:
-            return None
-        key = parts[1]
-        # BUG 1: strcpy-style copy into a fixed stack buffer.
-        if key_buf is None:
-            key_buf = frame.alloca(KEY_STACK_BUFFER)
-        frame.write_buffer(key_buf, key + b"\x00")
-        try:
-            flags = int(parts[2])
-            int(parts[3])  # exptime parsed but unused in the subset
-            declared = int(parts[4])
-        except ValueError:
-            return None
-        if declared < 0:
-            return None
-        data = raw[line_end + 2 :]
-        if data.endswith(b"\r\n"):
-            data = data[:-2]
-        # BUG 2: allocation sized by the *declared* length, filled with
-        # the *actual* payload.
-        value_buf = handle.malloc(max(declared, 1))
-        handle.store(value_buf, data)
-        # Zero-copy read-back: the view runs the same checked-access
-        # path as ``load`` (same TLB verdicts, same counters) but the
-        # only copy is the one materialising the trusted-side value.
-        value = bytes(handle.load_view(value_buf, min(declared, len(data))))
-        handle.free(value_buf)
-        if len(key) > MAX_KEY_LEN:
-            return None  # reached only if the overflow was survivable
-        return (command, bytes(key), flags, value)
-    if command in (b"incr", b"decr"):
-        if len(parts) != 3:
-            return None
+    write_buffer = frame.write_buffer
+    out: list[Optional[tuple]] = []
+    append = out.append
+    for raw in raws:
+        line_end = raw.find(b"\r\n")
+        if line_end < 0:
+            append(None)
+            continue
+        parts = raw[:line_end].split(b" ")
+        command = parts[0]
+        nparts = len(parts)
+        if command == b"get":
+            if nparts < 2:
+                append(None)
+                continue
+            if key_buf is None:
+                key_buf = frame.alloca(KEY_STACK_BUFFER)
+            if nparts == 2:
+                # BUG 1: strcpy-style copy into a fixed stack buffer.
+                key = parts[1]
+                write_buffer(key_buf, key + b"\x00")
+                append(None if len(key) > MAX_KEY_LEN else (command, bytes(key)))
+                continue
+            # Each key of a multi-key get lands in the same buffer in turn:
+            # BUG 1 fires for any over-long key, as for a single-key get.
+            keys = parts[1:]
+            for key in keys:
+                write_buffer(key_buf, key + b"\x00")
+            if max(map(len, keys)) > MAX_KEY_LEN:
+                append(None)
+            else:
+                append((command, *map(bytes, keys)))
+            continue
+        if command == b"stats":
+            append((command,))
+            continue
+        if _TOKENS.get(command) != nparts:
+            append(None)
+            continue
         key = parts[1]
         if key_buf is None:
             key_buf = frame.alloca(KEY_STACK_BUFFER)
-        frame.write_buffer(key_buf, key + b"\x00")
-        try:
-            delta = int(parts[2])
-        except ValueError:
-            return None
-        if delta < 0 or len(key) > MAX_KEY_LEN:
-            return None
-        return (command, bytes(key), delta)
-    if command == b"delete":
-        if len(parts) != 2:
-            return None
-        key = parts[1]
-        if key_buf is None:
-            key_buf = frame.alloca(KEY_STACK_BUFFER)
-        frame.write_buffer(key_buf, key + b"\x00")
-        if len(key) > MAX_KEY_LEN:
-            return None
-        return (command, bytes(key))
-    if command == b"stats":
-        return (command,)
-    return None
+        write_buffer(key_buf, key + b"\x00")
+        if nparts == 5:
+            try:
+                flags = int(parts[2])
+                int(parts[3])  # exptime parsed but unused in the subset
+                declared = int(parts[4])
+            except ValueError:
+                append(None)
+                continue
+            if declared < 0:
+                append(None)
+                continue
+            data = raw[line_end + 2 :]
+            if data.endswith(b"\r\n"):
+                data = data[:-2]
+            # BUG 2: allocation sized by the *declared* length, filled with
+            # the *actual* payload. The zero-copy read-back runs the same
+            # checked path as ``load``; the only copy is the trusted one.
+            value_buf = handle.malloc(max(declared, 1))
+            handle.store(value_buf, data)
+            value = bytes(handle.load_view(value_buf, min(declared, len(data))))
+            handle.free(value_buf)
+            # Reached only if the overflow was survivable.
+            append(None if len(key) > MAX_KEY_LEN else (command, bytes(key), flags, value))
+        elif nparts == 3:
+            try:
+                delta = int(parts[2])
+            except ValueError:
+                append(None)
+                continue
+            append(None if delta < 0 or len(key) > MAX_KEY_LEN else (command, bytes(key), delta))
+        else:
+            append(None if len(key) > MAX_KEY_LEN else (command, bytes(key)))
+    return out
 
 
 def _parse_batch_in_domain(
@@ -178,30 +169,15 @@ def _parse_batch_in_domain(
 ) -> list[Optional[tuple]]:
     """Parse a whole request pipeline inside one domain entry.
 
-    The batch parser is one "C function": a single activation record whose
-    locals are reused across the pipeline loop, exactly like memcached's
-    connection event loop (and like a multi-key ``get`` reuses one key
-    buffer). Every command still strcpy's its key into a canary-guarded
-    stack buffer and every value still round-trips the domain heap, so the
-    per-request attack surface is unchanged — an over-long key anywhere in
-    the pipeline smashes the shared frame's canary, the epilogue check
-    trips when the batch parse returns, and the whole (unapplied) batch is
-    rewound; the server then falls back to per-request handling so only
-    the offender errors.
+    One activation record and one key buffer serve the whole pipeline, like
+    memcached's connection event loop. An over-long key anywhere smashes
+    the shared frame's canary, the epilogue check trips when the parse
+    returns, and the whole (unapplied) batch is rewound; the server then
+    falls back to per-request handling so only the offender errors.
     """
     frame = handle.push_frame("process_batch")
     try:
-        key_buf = frame.alloca(KEY_STACK_BUFFER)
-        out = []
-        append = out.append
-        for raw in raws:
-            line_end = raw.find(b"\r\n")
-            if line_end < 0:
-                append(None)
-                continue
-            parts = raw[:line_end].split(b" ")
-            append(_parse_parts(handle, frame, key_buf, parts, raw, line_end))
-        return out
+        return _parse_commands(handle, frame, frame.alloca(KEY_STACK_BUFFER), raws)
     finally:
         handle.pop_frame(frame)
 
@@ -236,92 +212,94 @@ class MemcachedServer(DomainServer):
         self.metrics.server_errors += 1
         return self.DISCARDED
 
-    def _apply(self, parsed: Optional[tuple]) -> bytes:
-        """Trusted-side application of a successfully parsed command.
-
-        ``parsed`` is ``_parse_parts``'s tuple, or ``None`` for a line the
-        parser rejected. No branch answers ``SERVER_ERROR``: the pipelined
-        obs path and the fleet's health accounting rely on that.
-        """
-        if parsed is None:
-            self.metrics.client_errors += 1
-            return b"ERROR\r\n"
-        op = parsed[0]
-        if op == b"get":
-            try:
-                if len(parsed) == 2:
-                    key = parsed[1]
-                    hit = self.store.get(key)
-                    self.metrics.ok += 1
-                    if hit is None:
-                        return b"END\r\n"
-                    value, flags = hit
-                    return b"VALUE %s %d %d\r\n%s\r\nEND\r\n" % (key, flags, len(value), value)
-                # Multi-key get: one batched store lookup for the whole
-                # request (memcached's ``get k1 k2 ...``).
-                keys = parsed[1:]
-                hits = self.store.get_many(list(keys))
-            except SdradError:
-                self.metrics.client_errors += 1
-                return b"CLIENT_ERROR bad key\r\n"
-            self.metrics.ok += 1
-            chunks = []
-            for key in keys:
-                item = hits.get(key)
-                if item is not None:
-                    value, flags = item
-                    chunks.append(b"VALUE %s %d %d\r\n%s\r\n" % (key, flags, len(value), value))
-            chunks.append(b"END\r\n")
-            return b"".join(chunks)
-        if op in (b"set", b"add", b"replace"):
-            _, key, flags, value = parsed
-            try:
-                if op == b"set":
-                    self.store.set(key, value, flags)
-                    stored = True
-                elif op == b"add":
-                    stored = self.store.add(key, value, flags)
-                else:
-                    stored = self.store.replace(key, value, flags)
-            except AllocationFailure:
-                # No slab chunk can hold the item (refused before anything
-                # is freed or evicted), or its class has no page left and
-                # nothing is left to evict.
-                self.metrics.client_errors += 1
-                return b"CLIENT_ERROR object too large for cache\r\n"
-            except SdradError:
-                self.metrics.client_errors += 1
-                return b"CLIENT_ERROR bad data chunk\r\n"
-            self.metrics.ok += 1
-            return b"STORED\r\n" if stored else b"NOT_STORED\r\n"
-        if op in (b"incr", b"decr"):
-            _, key, delta = parsed
-            try:
-                new_value = self.store.incr(key, delta if op == b"incr" else -delta)
-            except SdradError:
-                self.metrics.client_errors += 1
-                return b"CLIENT_ERROR bad key\r\n"
-            self.metrics.ok += 1
-            if new_value is None:
-                return b"NOT_FOUND\r\n"
-            return b"%d\r\n" % new_value
-        if op == b"delete":
-            try:
-                found = self.store.delete(parsed[1])
-            except SdradError:
-                self.metrics.client_errors += 1
-                return b"CLIENT_ERROR bad key\r\n"
-            self.metrics.ok += 1
-            return b"DELETED\r\n" if found else b"NOT_FOUND\r\n"
-        if op == b"stats":
-            self.metrics.ok += 1
-            stats = self.store.stats
-            body = (
-                b"STAT cmd_get %d\r\nSTAT cmd_set %d\r\n"
-                b"STAT get_hits %d\r\nSTAT get_misses %d\r\n"
-                b"STAT evictions %d\r\nEND\r\n"
-                % (stats.gets, stats.sets, stats.hits, stats.misses, stats.evictions)
-            )
-            return body
-        self.metrics.client_errors += 1
-        return b"ERROR\r\n"
+    def _apply_all(self, parsed_seq) -> list[bytes]:
+        """Apply ``_parse_commands`` results trusted-side, in order. No
+        answer is ``SERVER_ERROR``: the pipelined obs path and the fleet's
+        health accounting rely on that."""
+        store = self.store
+        metrics = self.metrics
+        out = []
+        append = out.append
+        for parsed in parsed_seq:
+            if parsed is None:
+                metrics.client_errors += 1
+                append(b"ERROR\r\n")
+                continue
+            op = parsed[0]
+            if op == b"get":
+                try:
+                    if len(parsed) == 2:
+                        key = parsed[1]
+                        hit = store.get(key)
+                        metrics.ok += 1
+                        if hit is None:
+                            append(b"END\r\n")
+                            continue
+                        value, flags = hit
+                        append(b"VALUE %s %d %d\r\n%s\r\nEND\r\n" % (key, flags, len(value), value))
+                        continue
+                    # Multi-key get: one batched store lookup for the whole
+                    # request (memcached's ``get k1 k2 ...``).
+                    keys = parsed[1:]
+                    hits = store.get_many(list(keys))
+                except SdradError:
+                    metrics.client_errors += 1
+                    append(b"CLIENT_ERROR bad key\r\n")
+                    continue
+                metrics.ok += 1
+                chunks = []
+                for key in keys:
+                    item = hits.get(key)
+                    if item is not None:
+                        value, flags = item
+                        chunks.append(b"VALUE %s %d %d\r\n%s\r\n" % (key, flags, len(value), value))
+                chunks.append(b"END\r\n")
+                append(b"".join(chunks))
+            elif op in (b"set", b"add", b"replace"):
+                _, key, flags, value = parsed
+                try:
+                    if op == b"set":
+                        store.set(key, value, flags)
+                        stored = True
+                    elif op == b"add":
+                        stored = store.add(key, value, flags)
+                    else:
+                        stored = store.replace(key, value, flags)
+                except AllocationFailure:
+                    # No slab chunk can hold the item (refused before
+                    # anything is freed or evicted), its class has no slab
+                    # page, or nothing is left to evict.
+                    metrics.client_errors += 1
+                    append(b"CLIENT_ERROR object too large for cache\r\n")
+                    continue
+                except SdradError:
+                    metrics.client_errors += 1
+                    append(b"CLIENT_ERROR bad data chunk\r\n")
+                    continue
+                metrics.ok += 1
+                append(b"STORED\r\n" if stored else b"NOT_STORED\r\n")
+            elif op == b"stats":
+                metrics.ok += 1
+                stats = store.stats
+                append(
+                    b"STAT cmd_get %d\r\nSTAT cmd_set %d\r\n"
+                    b"STAT get_hits %d\r\nSTAT get_misses %d\r\n"
+                    b"STAT evictions %d\r\nEND\r\n"
+                    % (stats.gets, stats.sets, stats.hits, stats.misses, stats.evictions)
+                )
+            else:
+                # incr/decr or delete: a missing key is NOT_FOUND.
+                try:
+                    if op == b"delete":
+                        response = b"DELETED\r\n" if store.delete(parsed[1]) else None
+                    else:
+                        _, key, delta = parsed
+                        new_value = store.incr(key, delta if op == b"incr" else -delta)
+                        response = None if new_value is None else b"%d\r\n" % new_value
+                except SdradError:
+                    metrics.client_errors += 1
+                    append(b"CLIENT_ERROR bad key\r\n")
+                    continue
+                metrics.ok += 1
+                append(b"NOT_FOUND\r\n" if response is None else response)
+        return out

@@ -24,6 +24,8 @@ from .http import (
 )
 from .serving import DomainServer, IsolationMode
 
+_BAD_REQUEST = HttpResponse(status=400, reason="Bad Request", body=b"bad request\n").encode()
+
 
 @dataclass
 class NginxMetrics:
@@ -67,17 +69,19 @@ class NginxServer(DomainServer):
         self.metrics.responses_5xx += 1
         return self.DISCARDED
 
-    def _apply(self, request) -> bytes:
-        if request is None:
-            self.metrics.responses_4xx += 1
-            return HttpResponse(
-                status=400, reason="Bad Request", body=b"bad request\n"
-            ).encode()
-        response = self.router.route(request)
-        if 200 <= response.status < 300:
-            self.metrics.responses_2xx += 1
-        elif 400 <= response.status < 500:
-            self.metrics.responses_4xx += 1
-        else:
-            self.metrics.responses_5xx += 1
-        return response.encode()
+    def _apply_all(self, requests) -> list[bytes]:
+        out = []
+        for request in requests:
+            if request is None:
+                self.metrics.responses_4xx += 1
+                out.append(_BAD_REQUEST)
+                continue
+            response = self.router.route(request)
+            if 200 <= response.status < 300:
+                self.metrics.responses_2xx += 1
+            elif 400 <= response.status < 500:
+                self.metrics.responses_4xx += 1
+            else:
+                self.metrics.responses_5xx += 1
+            out.append(response.encode())
+        return out

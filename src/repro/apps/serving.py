@@ -57,12 +57,13 @@ class DomainServer:
     dataclass with ``rewinds``, ``crashes`` and ``per_client_faults``; with
     a watchdog also ``quarantines`` and ``quarantine_refusals``). A server
     that parses each request in one domain entry — Memcached, NGINX — also
-    counts ``requests`` and implements ``_apply`` (trusted-side handling
-    of one parsed request, ``None`` for a line the parser rejected) and
-    ``_discard`` (count a rewound request and return :attr:`DISCARDED`).
-    ``_apply`` must never return :attr:`REFUSED` or :attr:`DISCARDED`: the
-    pipelined obs path records every response of a batch that parsed in
-    one entry as ``ok`` without looking at it. A server with its own
+    counts ``requests`` and implements ``_apply_all`` (trusted-side
+    handling of a sequence of parsed requests, ``None`` for one the parser
+    rejected, returning one response each, in order) and ``_discard``
+    (count a rewound request and return :attr:`DISCARDED`). ``_apply_all``
+    never answers :attr:`REFUSED` or :attr:`DISCARDED`: the pipelined obs
+    path records every response of a batch that parsed in one entry as
+    ``ok`` without looking at it. A server with its own
     trusted-side dispatch — TLS decodes records and runs the handshake
     outside any domain — overrides ``_handle`` instead and calls
     :meth:`_run` for each piece of untrusted work.
@@ -190,7 +191,7 @@ class DomainServer:
             runtime = self.runtime
             runtime.charge(getattr(runtime.cost, self.request_cost))
         ok, parsed = self._run(client_id, self._parse, raw)
-        return self._apply(parsed) if ok else self._discard()
+        return self._apply_all((parsed,))[0] if ok else self._discard()
 
     def _run(
         self,
@@ -320,7 +321,7 @@ class DomainServer:
         if not self._batch_pipelined:
             return [self._handle(client_id, raw) for raw in raws]
         self.metrics.requests += len(raws)
-        return list(map(self._apply, result.value))
+        return self._apply_all(result.value)
 
     # ------------------------------------------------------------------
     # Internals

@@ -157,8 +157,8 @@ class CallStack:
         destroyed domain's stack can serve the next domain on the same
         region exactly as a new one would. It keeps its plan references:
         they cover the same region and check themselves on every use
-        (``cell[0]``, ``is_valid()``), so the successor skips the lookups a
-        new stack would make.
+        (``cell[0]``, ``cell[0] is space._tlb``), so the successor skips
+        the lookups a new stack would make.
         """
         # splitmix64 state: advanced by GAMMA per canary drawn.
         self._canary_state = seed & _MASK64
@@ -179,7 +179,7 @@ class CallStack:
 
     def _checked_plan(self):
         plan = self._rw_plan
-        if plan is not None and plan.is_valid():
+        if plan is not None and plan.cell[0] is self.space._tlb:
             return plan
         cache = self.space.plans
         if cache is None:

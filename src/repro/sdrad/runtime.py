@@ -102,9 +102,10 @@ class DomainHandle:
 
     def _heap_plan(self):
         plan = self._plan
-        if plan is not None and plan.is_valid():
+        space = self._runtime.space
+        if plan is not None and plan.cell[0] is space._tlb:
             return plan
-        cache = self._runtime.space.plans
+        cache = space.plans
         if cache is None:
             return None
         domain = self._domain

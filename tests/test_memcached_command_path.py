@@ -1,4 +1,4 @@
-"""The trusted-side command path: parser tuples, ``_apply`` dispatch, store.
+"""The trusted-side command path: parser tuples, ``_apply_all`` dispatch, store.
 
 * a differential test: random pipelines through ``handle_batch`` on one
   server and per-request ``handle`` on a twin must agree on every response
