@@ -16,14 +16,15 @@ from repro.analysis.model import ModuleModel
 APPS = Path(__file__).resolve().parent.parent / "src" / "repro" / "apps"
 
 #: (module, qualname, why the registry classified it), recorded before TLS
-#: was served through the shared serving core.
+#: was served through the shared serving core; memcached's command parser is
+#: the one loop ``_parse_commands``.
 _DOMAIN_BODIES = {
     ("http.py", "parse_pipeline_in_domain", "first parameter is a DomainHandle"),
     ("http.py", "parse_request_in_domain", "first parameter is a DomainHandle"),
     ("imagelib.py", "decode_image_unsafe", "sandboxed function"),
     ("memcached_server.py", "_parse_batch_in_domain", "first parameter is a DomainHandle"),
     ("memcached_server.py", "_parse_in_domain", "first parameter is a DomainHandle"),
-    ("memcached_server.py", "_parse_parts", "first parameter is a DomainHandle"),
+    ("memcached_server.py", "_parse_commands", "first parameter is a DomainHandle"),
     ("tls.py", "mask_record_in_domain", "first parameter is a DomainHandle"),
     ("tls.py", "process_heartbeat_in_domain", "first parameter is a DomainHandle"),
 }
