@@ -1,6 +1,6 @@
 # Convenience targets for the SDRaD reproduction.
 
-.PHONY: install test bench bench-fast bench-obs bench-plans bench-fleet bench-backends bench-campaign campaign profile tables tables-golden examples examples-golden pins lint lint-domains lint-fixtures all
+.PHONY: install test bench bench-fast bench-obs bench-plans bench-fleet bench-backends bench-campaign campaign profile pairs tables tables-golden examples examples-golden pins lint lint-domains lint-fixtures all
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -72,6 +72,33 @@ campaign:
 # cProfile the hot request paths; prints the top-20 cumulative hotspots.
 profile:
 	PYTHONPATH=src python scripts/profile.py
+
+# Paired runs of the repository benchmark (bench/): PAIRS suite runs of
+# PARENT's committed tree, unpacked into a temporary directory, alternating
+# with PAIRS runs of this working tree (odd pairs run the parent first, even
+# pairs the change), then bench/compare.py's verdict per end-to-end metric
+# and workload. ONLY picks the workloads (default: all). The runs are kept
+# in PAIRS_OUT (parent.json, change.json).
+PARENT ?= HEAD~1
+ONLY ?= mc_pipeline,mc_per_request,mc_attack,fleet_zipf
+PAIRS ?= 10
+SEED ?= 2023
+PAIRS_OUT ?= pairs.out
+pairs:
+	@set -e; parent=$$(mktemp -d); trap 'rm -rf "$$parent"' EXIT; \
+	git archive $(PARENT) | tar -x -C "$$parent"; \
+	mkdir -p $(PAIRS_OUT); rm -f $(PAIRS_OUT)/parent.json $(PAIRS_OUT)/change.json; \
+	out=$$(cd $(PAIRS_OUT) && pwd); \
+	for i in $$(seq $(PAIRS)); do \
+		echo "pair $$i/$(PAIRS)"; \
+		if [ $$((i % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi; \
+		for side in $$order; do \
+			if [ $$side = parent ]; then dir="$$parent"; else dir=.; fi; \
+			(cd "$$dir" && python3 bench/run.py --only $(ONLY) --seed $(SEED) \
+				--out "$$out/$$side.json" >/dev/null); \
+		done; \
+	done; \
+	python3 bench/compare.py "$$out/parent.json" "$$out/change.json"
 
 tables:
 	pytest benchmarks/ -s --benchmark-disable
