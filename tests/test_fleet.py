@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import random
+
 import pytest
 
 from repro.errors import SdradError
@@ -12,7 +16,9 @@ from repro.fleet import (
     HealthConfig,
     HealthMonitor,
 )
+from repro.obs.exporters import prometheus_text, spans_to_jsonl
 from repro.obs.hub import Observability
+from repro.sdrad import telemetry
 
 ITEMS = [(b"item:%05d" % i, b"payload-%d-" % i + b"x" * (i % 50)) for i in range(400)]
 KEYS = [key for key, _ in ITEMS]
@@ -363,3 +369,96 @@ class TestObservability:
         assert registry.counter_total("fleet_failovers_total") == 1
         assert registry.counter_total("fleet_rejoins_total") == 1
         assert registry.gauge_value("fleet_shards") == 2
+
+
+# ----------------------------------------------------------------------
+# Pinned script: every effect of a seeded mixed run, as one digest
+# ----------------------------------------------------------------------
+
+SCRIPT_KEYS = [b"pin:%04d" % i for i in range(160)]
+
+
+def _scripted_fleet_digest(span_capacity):
+    """Serve a fixed seeded script on an 8-shard fleet with obs on.
+
+    The script mixes single gets and sets with 8-key multigets, kills a
+    shard whose restart is first seen by a routed request (no probe runs
+    in between), then kills a second shard until the front-end fails it
+    over and a probe rejoins it. Returns the digest of every response,
+    every ``last_op_services`` and ``last_op_failed``, the fleet metrics,
+    each shard's telemetry snapshot, the Prometheus text, the span JSONL
+    and the dropped-span count, and that count itself.
+    """
+    obs = Observability(span_capacity=span_capacity)
+    fleet = Fleet(8, seed=7, obs=obs)
+    monitor = HealthMonitor(fleet, HealthConfig(probe_interval=0.1))
+    rng = random.Random(2023)
+    digest = hashlib.blake2b(digest_size=16)
+
+    def record(response):
+        digest.update(response)
+        digest.update(repr((fleet.last_op_services, fleet.last_op_failed)).encode())
+
+    def mixed(ops):
+        for _ in range(ops):
+            draw = rng.random()
+            if draw < 0.3:
+                key = rng.choice(SCRIPT_KEYS)
+                record(fleet.set(key, b"v%d-" % rng.randrange(1000) + key))
+            elif draw < 0.8:
+                record(fleet.get(rng.choice(SCRIPT_KEYS)))
+            else:
+                record(fleet.multiget(rng.sample(SCRIPT_KEYS, 8)))
+
+    def owned_by(name):
+        return [key for key in SCRIPT_KEYS if fleet.ring.shard_for(key) == name]
+
+    monitor.tick(fleet.clock.now)
+    mixed(150)
+    # A kill below the failure threshold: the shard stays on the ring and
+    # the routed request after the outage restarts it (an empty cache).
+    first = fleet.ring.shard_for(SCRIPT_KEYS[0])
+    fleet.shards[first].kill(0.05)
+    for key in owned_by(first)[:2]:
+        record(fleet.get(key))
+    fleet.clock.advance(0.06)
+    record(fleet.get(owned_by(first)[0]))
+    mixed(60)
+    # A kill the front-end fails over, then a probe that rejoins it.
+    second = next(
+        fleet.ring.shard_for(key)
+        for key in SCRIPT_KEYS
+        if fleet.ring.shard_for(key) != first
+    )
+    fleet.shards[second].kill(0.05)
+    record(fleet.multiget(SCRIPT_KEYS[:8]))
+    for key in owned_by(second):
+        if second not in fleet.ring:
+            break
+        record(fleet.get(key))
+    mixed(60)
+    fleet.clock.advance(0.06)
+    monitor.tick(fleet.clock.now)
+    mixed(80)
+
+    digest.update(repr(dataclasses.asdict(fleet.metrics)).encode())
+    for name in sorted(fleet.shards):
+        digest.update(repr(telemetry.snapshot(fleet.shards[name].runtime)).encode())
+    digest.update(prometheus_text(obs.registry).encode())
+    digest.update(spans_to_jsonl(obs.buffer).encode())
+    digest.update(repr(obs.buffer.dropped).encode())
+    return digest.hexdigest(), obs.buffer.dropped
+
+
+class TestPinnedScript:
+    #: ``span_capacity`` -> (digest, dropped spans). The script makes 1,336
+    #: spans: the default capacity keeps them all, and 668 fills the store
+    #: halfway through, so the later half runs with the store full.
+    PINNED = {
+        100_000: ("03e92e48e2f4ca4aefb6f2fa23e782f2", 0),
+        668: ("d1f08342587e76aab6f67b5c5bde26ef", 668),
+    }
+
+    @pytest.mark.parametrize("span_capacity", sorted(PINNED))
+    def test_scripted_fleet_outputs_pinned(self, span_capacity):
+        assert _scripted_fleet_digest(span_capacity) == self.PINNED[span_capacity]

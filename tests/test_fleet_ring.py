@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.errors import SdradError
@@ -46,6 +48,22 @@ class TestDeterminism:
             b"user:0000003": "s1",
             b"user:0000004": "s2",
         }
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_placement_digest_is_pinned(self, seed):
+        # The owners of 1,000 probe keys on an 8-shard ring, as one digest:
+        # a change to the hash, its key or the point order moves it.
+        ring = ring_with([f"shard-{i}" for i in range(8)], seed=seed)
+        owners = "\n".join(ring.shard_for(key) for key in PROBE_KEYS[:1000])
+        digest = hashlib.blake2b(owners.encode(), digest_size=16).hexdigest()
+        assert digest == PLACEMENT_DIGESTS[seed]
+
+
+#: ``seed`` -> digest of the owners of ``PROBE_KEYS[:1000]`` on 8 shards.
+PLACEMENT_DIGESTS = {
+    0: "fb9f4ddb96dbd1c52944c742427f8c60",
+    7: "d1c73b49c5aae882e5e4e8c174e471bf",
+}
 
 
 class TestMinimalMovement:
