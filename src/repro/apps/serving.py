@@ -5,7 +5,8 @@ the untrusted work inside a domain, rewind on a fault, then answer from
 the trusted side. :class:`DomainServer` implements that protocol once —
 the connection registry, the three isolation modes, the isolated run
 with rewind, crash and watchdog accounting (:meth:`DomainServer._run`,
-which all three servers call), the pipelined batch with its per-request
+which all three servers call; a single per-connection request runs the
+same steps in ``_handle``), the pipelined batch with its per-request
 fallback, and the observability wrappers. A concrete server supplies
 only what differs between applications: its domain bodies, its
 trusted-side handling, its wire bytes for a refused and a discarded
@@ -180,16 +181,24 @@ class DomainServer:
         return response
 
     def _handle(self, client_id: str, raw: bytes) -> bytes:
-        if client_id not in self._connections:
+        udi = self._connections.get(client_id)
+        if udi is None:
             raise SdradError(f"client {client_id!r} is not connected")
         self.metrics.requests += 1
         if self.watchdog is not None and self.watchdog.is_quarantined(client_id):
             # Refused at the front door: no parsing, no domain, ~zero cost.
             self.metrics.quarantine_refusals += 1
             return self.REFUSED
+        runtime = self.runtime
         if self.request_cost is not None:
-            runtime = self.runtime
             runtime.charge(getattr(runtime.cost, self.request_cost))
+        if self.isolation is _PER_CONNECTION:
+            # ``_run``'s per-connection case, without its result tuple.
+            result = runtime.execute(udi, self._parse, raw)
+            if result.ok:
+                return self._apply_all((result.value,))[0]
+            self._count_rewind(client_id)
+            return self._discard()
         ok, parsed = self._run(client_id, self._parse, raw)
         return self._apply_all((parsed,))[0] if ok else self._discard()
 
@@ -204,12 +213,12 @@ class DomainServer:
         mode dictates; returns ``(True, value)``, or ``(False, None)`` when
         the body faulted and its domain was rewound.
 
-        The rewind is counted here, once: the server's ``rewinds``, the
-        client's fault and the watchdog. ``stage`` is copied into a
-        per-request domain before the body runs — session state that a
-        per-connection domain keeps resident. In ``NONE`` isolation a fault
-        has nothing to contain it: the crash is counted and
-        :class:`ProcessCrashed` propagates.
+        The rewind is counted here, once (:meth:`_count_rewind`, which
+        ``_handle`` shares for the per-connection request it runs itself).
+        ``stage`` is copied into a per-request domain before the body runs —
+        session state that a per-connection domain keeps resident. In
+        ``NONE`` isolation a fault has nothing to contain it: the crash is
+        counted and :class:`ProcessCrashed` propagates.
         """
         runtime = self.runtime
         if self.isolation is _PER_CONNECTION:
@@ -234,11 +243,7 @@ class DomainServer:
                 raise
 
         if not result.ok:
-            metrics = self.metrics
-            metrics.rewinds += 1
-            self._bump_fault(client_id)
-            if self.watchdog is not None and self.watchdog.record_fault(client_id):
-                metrics.quarantines += 1
+            self._count_rewind(client_id)
             return False, None
         return True, result.value
 
@@ -334,6 +339,15 @@ class DomainServer:
             heap_size=self.domain_heap_size,
             stack_size=self.domain_stack_size,
         ).udi
+
+    def _count_rewind(self, client_id: str) -> None:
+        """Count a rewound request once: the server's ``rewinds``, the
+        client's fault and the watchdog (which may quarantine the client)."""
+        metrics = self.metrics
+        metrics.rewinds += 1
+        self._bump_fault(client_id)
+        if self.watchdog is not None and self.watchdog.record_fault(client_id):
+            metrics.quarantines += 1
 
     def _bump_fault(self, client_id: str) -> None:
         faults = self.metrics.per_client_faults

@@ -39,12 +39,13 @@ from ..sdrad.watchdog import WatchdogConfig
 from ..sim.clock import VirtualClock
 from ..sim.cost import DEFAULT_COST_MODEL, CostModel
 from .ring import DEFAULT_VNODES, HashRing
-from .shard import Shard
+from .shard import FRONTEND_CLIENT, Shard, ShardState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs.hub import Observability
     from .health import HealthMonitor
 
+_UP = ShardState.UP  # tested on every routed request
 _NO_SHARD = b"SERVER_ERROR no shard available\r\n"
 _SHARD_DOWN = b"SERVER_ERROR shard down\r\n"
 
@@ -261,14 +262,17 @@ class Fleet:
         per_shard_ops = self.metrics.per_shard_ops
         per_shard_ops[name] = per_shard_ops.get(name, 0) + 1
         health = self.health
-        if shard.is_down:
+        # ``is_down`` restarts a shard whose outage is over; an UP shard
+        # has nothing to restart, so only a DOWN one reads it.
+        if shard.state is not _UP and shard.is_down:
             self.last_op_failed.append(name)
             if health is not None:
                 health.on_failure(name)
             return _SHARD_DOWN
-        started = self.clock.now
-        response = shard.handle(raw)
-        self.last_op_services.append((name, self.clock.now - started))
+        clock = self.clock
+        started = clock.now
+        response = shard.server.handle(FRONTEND_CLIENT, raw)
+        self.last_op_services.append((name, clock.now - started))
         if response.startswith(b"SERVER_ERROR"):
             self.last_op_failed.append(name)
             if health is not None:

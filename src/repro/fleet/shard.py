@@ -43,7 +43,7 @@ class ShardState(enum.Enum):
     DOWN = "down"
 
 
-_DOWN = ShardState.DOWN  # tested on every routed request
+_DOWN = ShardState.DOWN  # tested by is_down
 
 
 class Shard:
@@ -118,10 +118,6 @@ class Shard:
     def is_quarantined(self) -> bool:
         """True while the shard-side watchdog refuses the fleet connection."""
         return self.watchdog.is_quarantined(FRONTEND_CLIENT)
-
-    def handle(self, raw: bytes) -> bytes:
-        """Serve one request on the fleet connection."""
-        return self.server.handle(FRONTEND_CLIENT, raw)
 
     def handle_batch(self, raws: "list[bytes]") -> "list[bytes]":
         """Serve a pipeline of requests in one domain entry (amortised)."""

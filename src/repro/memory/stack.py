@@ -73,23 +73,13 @@ def stack_seed(root_seed: int, udi: int) -> int:
 
 
 class StackFrame:
-    """One activation record; created by :meth:`CallStack.push_frame`."""
+    """One activation record; only :meth:`CallStack.push_frame` creates
+    one, and it sets every slot."""
 
     __slots__ = (
         "stack", "name", "return_slot", "canary_slot", "sp",
         "_expected_canary", "popped",
     )
-
-    def __init__(
-        self, stack: "CallStack", name: str, return_slot: int, canary_slot: int
-    ) -> None:
-        self.stack = stack
-        self.name = name
-        self.return_slot = return_slot
-        self.canary_slot = canary_slot
-        self.sp = canary_slot  # next local goes below the canary
-        self._expected_canary: int = 0
-        self.popped = False
 
     def alloca(self, nbytes: int) -> int:
         """Allocate a local buffer in this frame; returns its address.
@@ -119,11 +109,14 @@ class StackFrame:
         compiled plan covers the whole stack region, so an overflow inside
         it corrupts the canary exactly like the per-access path would.
         """
-        plan = self.stack._checked_plan()
+        stack = self.stack
+        plan = stack._rw_plan
+        if plan is None or plan.cell[0] is not stack.space._tlb:
+            plan = stack._checked_plan()  # (re)acquires the stack's plan
         if plan is not None:
             plan.store(addr, data)
         else:
-            self.stack.space.store(addr, data)
+            stack.space.store(addr, data)
 
     def read_buffer(self, addr: int, nbytes: int) -> bytes:
         plan = self.stack._checked_plan()
@@ -197,7 +190,8 @@ class CallStack:
 
     def push_frame(self, name: str, return_address: int = 0) -> StackFrame:
         """Function prologue: reserve return slot + canary, write canary."""
-        parent_sp = self._frames[-1].sp if self._frames else self._sp
+        frames = self._frames
+        parent_sp = frames[-1].sp if frames else self._sp
         return_slot = parent_sp - WORD
         canary_slot = return_slot - WORD
         if canary_slot < self.base:
@@ -206,13 +200,21 @@ class CallStack:
             # Deferred discard-time scrub: paid on first reuse, not rewind.
             self.space.raw_fill(self.base, self.size, 0)
             self.scrub_pending = False
-        frame = StackFrame(self, name, return_slot, canary_slot)
         self._canary_state = state = (self._canary_state + GAMMA) & _MASK64
         canary = mix64(state) & _CANARY_MASK
+        frame = StackFrame()
+        frame.stack = self
+        frame.name = name
+        frame.return_slot = return_slot
+        frame.canary_slot = frame.sp = canary_slot  # locals go below it
         frame._expected_canary = canary
+        frame.popped = False
         # The canary slot sits directly below the return slot, so both words
         # go down in one store (same bytes, same layout, half the calls).
-        plan = self._kernel_plan()
+        # Test the cached kernel plan in line; look it up only when dead.
+        plan = self._plan
+        if plan is None or not plan.cell[0]:
+            plan = self._kernel_plan()
         if plan is not None:
             plan.pack_into(_FRAME_STRUCT, canary_slot, canary, return_address)
         else:
@@ -221,7 +223,7 @@ class CallStack:
                 canary.to_bytes(WORD, "little")
                 + return_address.to_bytes(WORD, "little"),
             )
-        self._frames.append(frame)
+        frames.append(frame)
         return frame
 
     def pop_frame(self, frame: StackFrame) -> int:
@@ -235,7 +237,9 @@ class CallStack:
             raise SdradError(
                 f"pop of frame '{frame.name}' that is not the innermost frame"
             )
-        plan = self._kernel_plan()
+        plan = self._plan
+        if plan is None or not plan.cell[0]:
+            plan = self._kernel_plan()
         if plan is not None:
             found, return_address = plan.unpack_from(
                 _FRAME_STRUCT, frame.canary_slot

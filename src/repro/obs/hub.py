@@ -146,15 +146,19 @@ class Observability:
         stack = self._stack
         if stack:
             parent = stack[-1]
-            if parent is UNSAMPLED:
-                stack.append(UNSAMPLED)
-                return UNSAMPLED
-            if parent is DROPPED or self.buffer.full:
+            # A dropped parent first: a saturated store makes it the
+            # common case.
+            if parent is DROPPED or (
+                parent is not UNSAMPLED and self.buffer.full
+            ):
                 # Saturation fast path: advance the id exactly as the
                 # build-then-drop path would, skip the construction.
                 self._next_span_id += 1
                 stack.append(DROPPED)
                 return DROPPED
+            if parent is UNSAMPLED:
+                stack.append(UNSAMPLED)
+                return UNSAMPLED
             trace_id = parent.trace_id  # type: ignore[union-attr]
             parent_id = parent.span_id  # type: ignore[union-attr]
         else:
@@ -194,6 +198,11 @@ class Observability:
         if not stack:
             raise ObsError("end_span with no open span")
         top = stack.pop()
+        if span is DROPPED and top is DROPPED:
+            # Closing a dropped span first: the common case once the store
+            # is full.
+            self.buffer.dropped += 1
+            return
         if span is UNSAMPLED or span is DROPPED:
             if top is not span:
                 stack.append(top)
@@ -201,8 +210,6 @@ class Observability:
                     f"mis-nested end_span: expected {span!r}, "
                     f"innermost open span is {top!r}"
                 )
-            if span is DROPPED:
-                self.buffer.dropped += 1
             return
         if top is not span:
             stack.append(top)

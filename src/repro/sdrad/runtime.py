@@ -53,7 +53,7 @@ from ..sim.rng import RngFactory
 from .constants import ROOT_UDI, DomainFlags
 from .context import ContextStack
 from .detect import FaultReport, classify, is_recoverable
-from .domain import _DESTROYED, _INITIALIZED, Domain, DomainStats
+from .domain import _ACTIVE, _DESTROYED, _INITIALIZED, Domain, DomainStats
 from .policy import (
     ProcessCrashed,
     RecoveryPolicy,
@@ -699,7 +699,7 @@ class SdradRuntime:
                 self.keys.ensure_bound(parent)
         entered = self.charge(self._enter_cost)
         gate = self.space.gate
-        saved_gate = gate.snapshot()
+        saved_gate = gate._value  # ``gate.snapshot()``, without the call
         # SFI's per-access tax anchors: checked accesses between here and
         # the matching leave are charged at exit (minus any already taxed
         # by nested entries). Zero-tax substrates never read these.
@@ -747,8 +747,12 @@ class SdradRuntime:
 
         attempt = 0
         recovery_time = 0.0
+        stats = domain.stats
         while True:
-            domain.mark_active()
+            # ``Domain.mark_active`` in line; its destroyed check is moot
+            # here (checked above, and an entered domain cannot be destroyed).
+            domain.state = _ACTIVE
+            stats.entries += 1
             try:
                 value = fn(handle, *args)
                 if domain.check_heap_on_exit:
@@ -767,14 +771,19 @@ class SdradRuntime:
                 return DomainResult(
                     False, None, report, attempt - 1, recovery_time, left - started
                 )
-            else:
-                domain.mark_exited()
-                left = self._leave(context, saved_gate, access_mark, taxed_mark)
-                if obs is not None:
-                    obs.end_span(span, "ok")
-                return DomainResult(
-                    True, value, None, attempt, recovery_time, left - started
-                )
+            # Clean exit: ``Domain.mark_exited`` and :meth:`_leave`, in line.
+            domain.state = _INITIALIZED
+            stats.clean_exits += 1
+            contexts.pop(context)
+            gate.write(saved_gate)
+            left = self.charge(self._exit_cost)
+            if self._access_tax:
+                left = self._charge_access_tax(left, access_mark, taxed_mark)
+            if obs is not None:
+                obs.end_span(span, "ok")
+            return DomainResult(
+                True, value, None, attempt, recovery_time, left - started
+            )
 
     def _recover(
         self, exc: BaseException, domain: Domain, policy: RecoveryPolicy,
@@ -908,21 +917,29 @@ class SdradRuntime:
     def _leave(
         self, context, saved_gate: int, access_mark: int = 0, taxed_mark: int = 0
     ) -> float:
-        """Leave an entry; returns the virtual time after its charges."""
+        """Leave an entry; returns the virtual time after its charges.
+
+        :meth:`execute`'s clean exit does the same in line."""
         self.contexts.pop(context)
-        space = self.space
-        space.gate.write(saved_gate)
+        self.space.gate.write(saved_gate)
         now = self.charge(self._exit_cost)
         if self._access_tax:
-            # SFI: charge the instrumentation tax for every checked access
-            # executed inside this entry that an inner entry has not
-            # already paid for (an access is masked exactly once).
-            fresh = (space.loads + space.stores - access_mark) - (
-                self._taxed_accesses - taxed_mark
-            )
-            if fresh > 0:
-                now = self.charge(fresh * self._access_tax)
-                self._taxed_accesses += fresh
+            now = self._charge_access_tax(now, access_mark, taxed_mark)
+        return now
+
+    def _charge_access_tax(
+        self, now: float, access_mark: int, taxed_mark: int
+    ) -> float:
+        """SFI: charge the instrumentation tax for every checked access
+        executed inside the entry that an inner entry has not already paid
+        for (an access is masked exactly once); returns the virtual time."""
+        space = self.space
+        fresh = (space.loads + space.stores - access_mark) - (
+            self._taxed_accesses - taxed_mark
+        )
+        if fresh > 0:
+            now = self.charge(fresh * self._access_tax)
+            self._taxed_accesses += fresh
         return now
 
     def _apply_domain_gate(self, domain: Domain) -> None:

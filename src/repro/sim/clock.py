@@ -33,48 +33,49 @@ class VirtualClock:
     Drivers jump it to arrival times with :meth:`advance_to`; components
     that model costs call :meth:`advance` directly when they execute
     synchronously.
+
+    :attr:`now`, the current virtual time in seconds, is a plain attribute
+    that anyone may read freely (a request reads it several times) and
+    that only :meth:`advance`, :meth:`advance_to` and :meth:`reset` move.
+    Each refuses a time that would move it backwards or to NaN.
     """
 
-    __slots__ = ("_now",)
+    __slots__ = ("now",)
 
     def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise SimulationError(f"clock cannot start at negative time {start}")
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
+        # ``not x >= 0`` rather than ``x < 0``: NaN compares false both ways.
+        if not start >= 0:
+            raise SimulationError(f"clock cannot start at negative or NaN time {start}")
+        self.now = float(start)
 
     def advance(self, delta: float) -> float:
         """Move time forward by ``delta`` seconds and return the new time.
 
-        Negative deltas are rejected: simulated time never flows backwards,
-        and a negative cost is always a bug in a cost model.
+        Negative and NaN deltas are rejected: simulated time never flows
+        backwards, and such a cost is always a bug in a cost model.
         """
-        if delta < 0:
-            raise SimulationError(f"cannot advance clock by negative delta {delta}")
-        self._now += delta
-        return self._now
+        if not delta >= 0:
+            raise SimulationError(f"cannot advance clock by negative or NaN delta {delta}")
+        now = self.now = self.now + delta
+        return now
 
     def advance_to(self, timestamp: float) -> float:
         """Jump directly to ``timestamp`` (a driver moving to the next arrival)."""
-        if timestamp < self._now:
+        if not timestamp >= self.now:
             raise SimulationError(
-                f"cannot rewind clock from {self._now} to {timestamp}"
+                f"cannot move clock from {self.now} to {timestamp}"
             )
-        self._now = timestamp
-        return self._now
+        self.now = timestamp
+        return timestamp
 
     def reset(self, start: float = 0.0) -> None:
         """Reset the clock; only experiments should do this, between runs."""
-        if start < 0:
-            raise SimulationError(f"clock cannot reset to negative time {start}")
-        self._now = float(start)
+        if not start >= 0:
+            raise SimulationError(f"clock cannot reset to negative or NaN time {start}")
+        self.now = float(start)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VirtualClock(now={self._now:.9f})"
+        return f"VirtualClock(now={self.now:.9f})"
 
 
 class Stopwatch:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -66,6 +68,21 @@ class TestVirtualClock:
     def test_reset_rejects_negative(self):
         with pytest.raises(SimulationError):
             VirtualClock().reset(-5)
+
+    @pytest.mark.parametrize(
+        "move",
+        [
+            VirtualClock,
+            lambda nan: VirtualClock().advance(nan),
+            lambda nan: VirtualClock().advance_to(nan),
+            lambda nan: VirtualClock().reset(nan),
+        ],
+        ids=["start", "advance", "advance_to", "reset"],
+    )
+    def test_rejects_nan(self, move):
+        # NaN compares false with everything, so ``x < 0`` lets it through.
+        with pytest.raises(SimulationError):
+            move(math.nan)
 
     def test_nanosecond_resolution_survives(self):
         clock = VirtualClock()
