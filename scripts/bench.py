@@ -580,17 +580,9 @@ def bench_memcached_obs(min_time: float) -> dict:
     sampled.bind_clock(runtime.clock)
     server = MemcachedServer(runtime, isolation=IsolationMode.PER_CONNECTION)
     server.connect("bench-client")
-    # ``runtime._obs_entries`` is resolved against the constructed-with hub;
-    # each toggle swaps the matching counter in with the hub.
-    entry_counters = {
-        id(None): None,
-        id(full): runtime._obs_entries,
-        id(sampled): sampled.registry.counter("sdrad_domain_entries_total"),
-    }
 
     for hub_obj in (full, sampled):
         runtime.obs = hub_obj
-        runtime._obs_entries = entry_counters[id(hub_obj)]
         # Warm the real serving loop (metric handles, interned codes) ...
         for _ in range(64):
             for raws in batches:
@@ -602,35 +594,28 @@ def bench_memcached_obs(min_time: float) -> dict:
             span = hub_obj.start_span("memcached.batch", client="bench-client")
             hub_obj.end_span(span, status="ok")
     runtime.obs = None
-    runtime._obs_entries = None
 
     def make_loop(hub_obj, *, batched: bool):
-        counter = entry_counters[id(hub_obj)]
-
         if batched:
             def loop(n: int) -> None:
                 runtime.obs = hub_obj
-                runtime._obs_entries = counter
                 try:
                     handle_batch = server.handle_batch
                     for i in range(n // batch_size):
                         handle_batch("bench-client", batches[i % len(batches)])
                 finally:
                     runtime.obs = None
-                    runtime._obs_entries = None
 
             return loop
 
         def loop(n: int) -> None:
             runtime.obs = hub_obj
-            runtime._obs_entries = counter
             try:
                 handle = server.handle
                 for i in range(n):
                     handle("bench-client", reqs[i % len(reqs)])
             finally:
                 runtime.obs = None
-                runtime._obs_entries = None
 
         return loop
 

@@ -89,6 +89,8 @@ class _Worker:
         self.down_until = started + restart
         self.outages.append((started, self.down_until))
         self.restarts += 1
+        if self.obs is not None:
+            self.obs.registry.release(self.runtime)
         self._boot()  # fresh process image, no connections
         return restart
 
@@ -118,6 +120,13 @@ class NginxCluster:
         ]
         self.metrics = ClusterMetrics()
         self._clients: dict[str, int] = {}  # client -> worker index
+        if obs is not None:
+            obs.registry.collect(self)
+
+    def collect_counters(self):
+        """The count an obs hub reads from :attr:`metrics`, once nonzero."""
+        if self.metrics.worker_restarts:
+            yield "cluster_worker_restarts_total", (), self.metrics.worker_restarts
 
     # ------------------------------------------------------------------
 
@@ -202,7 +211,6 @@ class NginxCluster:
                     cause="process-crash",
                     duration=restart,
                 )
-                self.obs.registry.counter("cluster_worker_restarts_total").increment()
             return b"HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0\r\n\r\n"
         self.metrics.served += 1
         return response

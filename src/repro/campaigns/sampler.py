@@ -230,6 +230,7 @@ class InjectionProcess:
         """A whole-process restart: ``downtime`` seconds of reload, then a
         fresh runtime on the same clock and hub."""
         self.clock.advance(downtime)
+        self.obs.registry.release(self.runtime)
         self._boot()
 
     def serve(self, count: int) -> None:

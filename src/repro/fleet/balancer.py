@@ -108,16 +108,11 @@ class Fleet:
         self._route_cache: "dict[bytes, str]" = {}
         self._route_cache_max = 1 << 20
         self.shards: "dict[str, Shard]" = {}
-        for index in range(shards):
-            self._add_shard(
-                f"shard-{index}",
-                isolation=isolation,
-                arena_size=arena_size,
-                watchdog_config=watchdog_config,
-            )
         self._isolation = isolation
         self._arena_size = arena_size
         self._watchdog_config = watchdog_config
+        for index in range(shards):
+            self._add_shard(f"shard-{index}")
         self._next_index = shards
         self.metrics = FleetMetrics()
         self.health: "Optional[HealthMonitor]" = None
@@ -134,12 +129,21 @@ class Fleet:
         self.host_serial_s = 0.0
         self.host_critical_s = 0.0
         self.host_parallel_total_s = 0.0
+        if obs is not None:
+            obs.registry.collect(self)
+
+    def collect_counters(self):
+        """The counts an obs hub reads from :attr:`metrics`, once nonzero."""
+        if self.metrics.failovers:
+            yield "fleet_failovers_total", (), self.metrics.failovers
+        if self.metrics.rejoins:
+            yield "fleet_rejoins_total", (), self.metrics.rejoins
 
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
 
-    def _add_shard(self, name: str, **kwargs: object) -> Shard:
+    def _add_shard(self, name: str) -> Shard:
         policy = self._recovery_policies.get(
             name, self._recovery_policies.get("default")
         )
@@ -148,8 +152,10 @@ class Fleet:
             self.clock,
             cost=self.cost,
             obs=self.obs,
+            isolation=self._isolation,
+            arena_size=self._arena_size,
+            watchdog_config=self._watchdog_config,
             recovery_policy=policy,
-            **kwargs,
         )
         self.shards[name] = shard
         self.ring.add_shard(name)
@@ -160,12 +166,7 @@ class Fleet:
         """Autoscale up: place one new (empty) shard on the ring."""
         name = f"shard-{self._next_index}"
         self._next_index += 1
-        shard = self._add_shard(
-            name,
-            isolation=self._isolation,
-            arena_size=self._arena_size,
-            watchdog_config=self._watchdog_config,
-        )
+        shard = self._add_shard(name)
         if self.obs is not None:
             self.obs.event("fleet.scale_up", shard=name, shards=len(self.ring))
             self.obs.registry.gauge("fleet_shards").set(len(self.ring))
@@ -184,7 +185,7 @@ class Fleet:
         name = max(serving, key=lambda n: int(n.rsplit("-", 1)[1]))
         self.ring.remove_shard(name)
         self._route_cache.clear()
-        self.shards.pop(name)
+        self.shards.pop(name).release()
         if self.obs is not None:
             self.obs.event("fleet.scale_down", shard=name, shards=len(self.ring))
             self.obs.registry.gauge("fleet_shards").set(len(self.ring))
@@ -199,7 +200,6 @@ class Fleet:
         self.metrics.failovers += 1
         if self.obs is not None:
             self.obs.event("fleet.failover", shard=name, shards=len(self.ring))
-            self.obs.registry.counter("fleet_failovers_total").increment()
             self.obs.registry.gauge("fleet_shards").set(len(self.ring))
 
     def rejoin(self, name: str) -> None:
@@ -211,50 +211,39 @@ class Fleet:
         self.metrics.rejoins += 1
         if self.obs is not None:
             self.obs.event("fleet.rejoin", shard=name, shards=len(self.ring))
-            self.obs.registry.counter("fleet_rejoins_total").increment()
             self.obs.registry.gauge("fleet_shards").set(len(self.ring))
 
     # ------------------------------------------------------------------
     # Single-key operations
     # ------------------------------------------------------------------
 
-    def _shard_name_for(self, key: bytes) -> str:
-        """Ring lookup through the route cache (cleared on ring changes)."""
+    def _route_miss(self, key: bytes) -> str:
+        """Owner of a key the route cache lacks, now cached (raises
+        :class:`SdradError` on an empty ring)."""
+        name = self.ring.shard_for(key)
         cache = self._route_cache
-        name = cache.get(key)
-        if name is None:
-            name = self.ring.shard_for(key)
-            if len(cache) >= self._route_cache_max:
-                cache.clear()
-            cache[key] = name
+        if len(cache) >= self._route_cache_max:
+            cache.clear()
+        cache[key] = name
         return name
 
-    def _plan(self, keys: "list[bytes]") -> "dict[str, list[bytes]]":
-        """Group keys by owning shard, preserving first-seen shard order."""
+    def _plan(
+        self, keys: "list[bytes]", items: "list[bytes]"
+    ) -> "dict[str, list[bytes]]":
+        """Group ``items[i]`` by the shard owning ``keys[i]``, preserving
+        first-seen shard order and each shard's item order."""
         plan: "dict[str, list[bytes]]" = {}
         cache = self._route_cache
-        shard_for = self.ring.shard_for
-        cache_max = self._route_cache_max
-        for key in keys:
+        for key, item in zip(keys, items):
             name = cache.get(key)
             if name is None:
-                name = shard_for(key)
-                if len(cache) >= cache_max:
-                    cache.clear()
-                cache[key] = name
+                name = self._route_miss(key)
             bucket = plan.get(name)
             if bucket is None:
-                plan[name] = [key]
+                plan[name] = [item]
             else:
-                bucket.append(key)
+                bucket.append(item)
         return plan
-
-    def _route(self, key: bytes) -> Optional[Shard]:
-        try:
-            name = self._shard_name_for(key)
-        except SdradError:
-            return None
-        return self.shards[name]
 
     def _serve_one(self, shard: Shard, raw: bytes) -> bytes:
         """One routed request with health reporting + service bookkeeping."""
@@ -295,11 +284,14 @@ class Fleet:
         self.metrics.ops += 1
         self.last_op_services = []
         self.last_op_failed = []
-        shard = self._route(key)
-        if shard is None:
-            self.metrics.errors += 1
-            return _NO_SHARD
-        response = self._serve_one(shard, raw)
+        name = self._route_cache.get(key)
+        if name is None:
+            try:
+                name = self._route_miss(key)
+            except SdradError:
+                self.metrics.errors += 1
+                return _NO_SHARD
+        response = self._serve_one(self.shards[name], raw)
         if self.last_op_failed:
             self.metrics.errors += 1
         else:
@@ -324,7 +316,7 @@ class Fleet:
         self.metrics.multigets += 1
         self.last_op_services = []
         self.last_op_failed = []
-        plan = self._plan(keys) if self.ring.shards else {}
+        plan = self._plan(keys, keys) if self.ring.shards else {}
         requests = [
             (name, b"get " + b" ".join(shard_keys) + b"\r\n")
             for name, shard_keys in plan.items()
@@ -336,27 +328,19 @@ class Fleet:
         self.metrics.scatter_keys += len(keys)
 
         responses = [self._serve_one(self.shards[name], raw) for name, raw in requests]
-        merged = self._finish_multiget(keys, requests, responses)
+        # Single owning shard: its response already IS the single-shard
+        # byte stream for these keys (same order, same END) — skip the
+        # parse/reassemble round-trip entirely.
+        merged = responses[0]
+        if len(requests) > 1 or not (
+            merged.startswith(b"VALUE ") or merged == b"END\r\n"
+        ):
+            merged = self._gather(keys, responses)
         if self.last_op_failed:
             self.metrics.errors += 1
         else:
             self.metrics.served += 1
         return merged
-
-    def _finish_multiget(
-        self,
-        keys: "list[bytes]",
-        requests: "list[tuple[str, bytes]]",
-        responses: "list[bytes]",
-    ) -> bytes:
-        # Single owning shard: its response already IS the single-shard
-        # byte stream for these keys (same order, same END) — skip the
-        # parse/reassemble round-trip entirely.
-        if len(requests) == 1 and (
-            responses[0].startswith(b"VALUE ") or responses[0] == b"END\r\n"
-        ):
-            return responses[0]
-        return self._gather(keys, responses)
 
     @staticmethod
     def _parse_values(response: bytes, blocks: "dict[bytes, bytes]") -> None:
@@ -427,7 +411,7 @@ class Fleet:
             if not keys:
                 raise SdradError("multiget needs at least one key")
             total_keys += len(keys)
-            plan = self._plan(keys)
+            plan = self._plan(keys, keys)
             target = whole if len(plan) == 1 else split
             for name, sub in plan.items():
                 bucket = target.get(name)
@@ -472,7 +456,7 @@ class Fleet:
                     failed.add(index)
             else:
                 started = self.clock.now
-                responses = shard.handle_batch(raws)
+                responses = shard.server.handle_batch(FRONTEND_CLIENT, raws)
                 self.last_op_services.append(
                     (name, self.clock.now - started)
                 )
@@ -527,18 +511,14 @@ class Fleet:
         its whole sub-pipeline in a single domain entry (``handle_batch``),
         so bulk loads pay one activation record per shard.
         """
-        by_shard: "dict[str, list[bytes]]" = {}
-        for key, value in items:
-            name = self._shard_name_for(key)
-            by_shard.setdefault(name, []).append(
-                b"set %s 0 0 %d\r\n%s\r\n" % (key, len(value), value)
-            )
+        raws = [b"set %s 0 0 %d\r\n%s\r\n" % (k, len(v), v) for k, v in items]
+        by_shard = self._plan([key for key, _ in items], raws)
         stored = 0
         for name, raws in by_shard.items():
             shard = self.shards[name]
             if shard.is_down:
                 continue
-            for response in shard.handle_batch(raws):
+            for response in shard.server.handle_batch(FRONTEND_CLIENT, raws):
                 if response == b"STORED\r\n":
                     stored += 1
         return stored

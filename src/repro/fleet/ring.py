@@ -38,8 +38,8 @@ class HashRing:
     def __init__(self, vnodes: int = DEFAULT_VNODES, seed: int = 0) -> None:
         if vnodes < 1:
             raise SdradError(f"ring needs at least one vnode, got {vnodes}")
-        if seed < 0:
-            raise SdradError(f"ring seed must be non-negative, got {seed}")
+        if not 0 <= seed < 1 << 64:
+            raise SdradError(f"ring seed must be in [0, 2**64), got {seed}")
         self.vnodes = vnodes
         self.seed = seed
         # Keyed once; ``copy()`` then ``update(data)`` hashes ``data`` under

@@ -119,10 +119,6 @@ class Shard:
         """True while the shard-side watchdog refuses the fleet connection."""
         return self.watchdog.is_quarantined(FRONTEND_CLIENT)
 
-    def handle_batch(self, raws: "list[bytes]") -> "list[bytes]":
-        """Serve a pipeline of requests in one domain entry (amortised)."""
-        return self.server.handle_batch(FRONTEND_CLIENT, raws)
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -145,9 +141,16 @@ class Shard:
         self.restarts += 1
         self.state = ShardState.UP
         self.down_until = 0.0
+        self.release()
         self._boot()
         if self.obs is not None:
             self.obs.event("shard.restart", shard=self.name)
+
+    def release(self) -> None:
+        """The process is gone: the hub keeps its counts, not its memory."""
+        if self.obs is not None:
+            self.obs.registry.release(self.runtime)
+            self.obs.registry.release(self.watchdog)
 
     def item_count(self) -> int:
         return self.store.item_count

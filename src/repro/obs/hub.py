@@ -10,9 +10,8 @@ Fast-path contract
 
 The default is ``obs=None`` and every instrumentation site in the hot
 path guards with a single ``if obs is not None`` — the disabled cost is
-one attribute load and a falsy check, verified by the ``memcached_obs``
-bench. With obs enabled, the hot path is budgeted for the ≤1.05x
-wall-clock gate (DESIGN.md §9):
+one attribute load and a falsy check. With obs enabled, the hot path is
+budgeted for the ≤1.05x wall-clock gate (DESIGN.md §9):
 
 * an open span is a :class:`Span` on the hub's stack; when it ends, the
   buffer stores it as one row of flat columns (ids, interned name and
@@ -33,9 +32,20 @@ wall-clock gate (DESIGN.md §9):
 
 When obs is enabled but ``sampling < 1.0``, span construction is skipped
 for unsampled traces (a shared sentinel is pushed instead, no
-allocation), while **metrics are always recorded** — counters must stay
-exact for :func:`repro.sdrad.telemetry.consistency_check` to cross-check
-them against the runtime's own statistics.
+allocation), while **metrics are always recorded**: sampling thins
+traces, never counts. A counter whose fact its owner counts is read from
+the owner at query time (:meth:`ObsRegistry.collect`): the runtime's
+domain entries, creations, destructions and faults, the watchdog's
+faults and quarantines, the fleet's failovers and rejoins and the
+cluster's worker restarts. A rebooted or drained process's runtime is
+released (:meth:`ObsRegistry.release`): its counts stay, its memory
+goes. Pushed are only facts with no other home:
+``sdrad_rewinds_total{cause}`` with its latency histogram (rewinds by
+cause), ``sdrad_crashes_total`` (crashes by mechanism), ``app_*`` and
+``cluster_requests_total`` (per-status counts beside their latency
+histograms; ``TlsMetrics`` has no request count), and the gauges
+``fleet_shards`` and ``watchdog_quarantined_principals``, set on an
+event (a live read would change when and what they show).
 
 Sampling is deterministic: an accumulator gains ``sampling`` per root
 span and fires when it reaches 1.0, so ``sampling=0.25`` keeps exactly

@@ -316,6 +316,7 @@ class ObsRegistry:
         self._gauges: "dict" = {}
         self._histograms: "dict" = {}
         self._adopted: "dict[str, object]" = {}
+        self._sources: "list[object]" = []
         # Label sets held per (kind, name), the overflow series excluded.
         self._family_sizes: "dict[tuple[str, str], int]" = {}
 
@@ -385,12 +386,35 @@ class ObsRegistry:
             raise SdradError("adopted histogram must expose a .name string")
         self._adopted[name] = histogram
 
+    def collect(self, source: object) -> None:
+        """Count what ``source`` counts: every query reads the ``(name,
+        label items, value)`` series of ``source.collect_counters()`` and
+        adds them to the pushed series (the custom-collector pattern of the
+        Prometheus client libraries), so a fact is counted once."""
+        self._sources.append(source)
+
+    def release(self, source: object) -> None:
+        """Stop reading ``source`` (a process the hub outlives) and let go
+        of it; its last values fold into pushed series, so no total drops."""
+        self._sources.remove(source)
+        for name, items, value in source.collect_counters():  # type: ignore[attr-defined]
+            self.counter(name, **dict(items)).increment(value)
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
 
     def iter_counters(self) -> "list[Counter]":
-        return list(self._counters.values())
+        """Every counter series, pushed and collected values summed by name
+        and labels."""
+        values = {key: metric._value for key, metric in self._counters.items()}
+        for source in self._sources:
+            for name, items, value in source.collect_counters():  # type: ignore[attr-defined]
+                values[name, items] = values.get((name, items), 0) + value
+        counters = [Counter(name, dict(items)) for name, items in values]
+        for counter, value in zip(counters, values.values()):
+            counter._value = value
+        return counters
 
     def iter_gauges(self) -> "list[Gauge]":
         return list(self._gauges.values())
@@ -410,10 +434,10 @@ class ObsRegistry:
         """
         want = {k: str(v) for k, v in labels.items()}
         total = 0
-        for (fam, items), metric in self._counters.items():
-            if fam != name:
+        for metric in self.iter_counters():
+            if metric.name != name:
                 continue
-            have = dict(items)
+            have = dict(metric.labels)
             if all(have.get(k) == v for k, v in want.items()):
                 total += metric.value
         return total
@@ -430,8 +454,8 @@ class ObsRegistry:
         ``{"count", "sum", "buckets": {le: cumulative}}``.
         """
         out: "dict[str, object]" = {}
-        for (name, items), metric in self._counters.items():
-            out[f"counter/{_render_key(name, items)}"] = metric.value
+        for metric in self.iter_counters():
+            out[f"counter/{_render_key(metric.name, metric.labels)}"] = metric.value
         for (name, items), metric in self._gauges.items():
             out[f"gauge/{_render_key(name, items)}"] = metric.value
         for (name, items), metric in self._histograms.items():

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import DomainStateError
 from ..memory.address_space import AddressSpace
 from ..memory.allocator import FreeListAllocator
 from ..memory.stack import CallStack
@@ -153,20 +152,6 @@ class Domain:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-
-    def mark_active(self) -> None:
-        if self.state is _DESTROYED:
-            raise DomainStateError(f"domain {self.udi} is destroyed")
-        self.state = _ACTIVE
-        self.stats.entries += 1
-
-    def mark_exited(self) -> None:
-        if self.state is not _ACTIVE:
-            raise DomainStateError(
-                f"domain {self.udi} exit while in state {self.state.value}"
-            )
-        self.state = _INITIALIZED
-        self.stats.clean_exits += 1
 
     def mark_faulted(self) -> None:
         self.state = _FAULTED

@@ -254,17 +254,11 @@ class SdradRuntime:
         self._taxed_accesses = 0
         # Observability is strictly opt-in: with ``obs=None`` (the
         # default) every instrumented site below reduces to one attribute
-        # load and a falsy check, keeping E1's overhead numbers intact
-        # (the ``memcached_obs`` bench holds this to account).
+        # load and a falsy check; obs on or off, responses and virtual time
+        # are bit-identical (``tests/test_access_plans.py``).
         self.obs = obs
-        self._obs_entries = None
         if obs is not None:
             obs.bind_clock(self.clock)
-            # Resolved once: the per-entry counter is on the hottest path
-            # in the runtime, and registry lookups resolve label kwargs.
-            self._obs_entries = obs.registry.counter(
-                "sdrad_domain_entries_total"
-            )
         self.rng = rng if rng is not None else RngFactory(0)
         # What ``execute(policy=None)`` falls back to. The shared stateless
         # rewind singleton keeps the default path allocation-free and bit-
@@ -317,6 +311,8 @@ class SdradRuntime:
             from .keyvirt import VirtualKeyManager
 
             self.keys = VirtualKeyManager(self)
+        if obs is not None:
+            obs.registry.collect(self)
 
     # ------------------------------------------------------------------
     # Setup / teardown
@@ -422,8 +418,6 @@ class SdradRuntime:
             entry_gate=entry_gate,
         )
         self._domains[udi] = domain
-        if self.obs is not None:
-            self.obs.registry.counter("sdrad_domains_created_total").increment()
         return domain
 
     def _adoptable(self, parked: _Parked, heap_size: int, stack_size: int) -> bool:
@@ -577,8 +571,6 @@ class SdradRuntime:
         self.destroyed_stats.absorb(domain.stats)
         self.destroyed_count += 1
         self.charge(self._teardown_cost)
-        if self.obs is not None:
-            self.obs.registry.counter("sdrad_domains_destroyed_total").increment()
         self._parked = tuple.__new__(
             _Parked,
             (
@@ -624,6 +616,23 @@ class SdradRuntime:
         if parked is not None:
             mapped -= parked.heap_size + parked.stack_size
         return mapped
+
+    def collect_counters(self):
+        """The counts an obs hub reads, over live and destroyed domains:
+        executions (a retry is no new one) from construction on; domains
+        created and destroyed and faults by mechanism once nonzero."""
+        lifetime = DomainStats()
+        lifetime.absorb(self.destroyed_stats)
+        for domain in self._domains.values():
+            lifetime.absorb(domain.stats)
+        yield "sdrad_domain_entries_total", (), lifetime.entries - lifetime.retries
+        created = len(self._domains) - 1 + self.destroyed_count
+        if created:
+            yield "sdrad_domains_created_total", (), created
+        if self.destroyed_count:
+            yield "sdrad_domains_destroyed_total", (), self.destroyed_count
+        for mechanism, count in lifetime.fault_kinds.items():
+            yield "sdrad_domain_faults_total", (("mechanism", mechanism),), count
 
     def set_domain_flags(self, udi: int, flags: DomainFlags) -> None:
         """Change a domain's containment-policy flags (``sdrad_configure``).
@@ -743,14 +752,11 @@ class SdradRuntime:
         span = None
         if obs is not None:
             span = obs.start_span("domain.execute", udi=udi)
-            self._obs_entries._value += 1  # Counter.increment(), inlined
 
         attempt = 0
         recovery_time = 0.0
         stats = domain.stats
         while True:
-            # ``Domain.mark_active`` in line; its destroyed check is moot
-            # here (checked above, and an entered domain cannot be destroyed).
             domain.state = _ACTIVE
             stats.entries += 1
             try:
@@ -771,7 +777,7 @@ class SdradRuntime:
                 return DomainResult(
                     False, None, report, attempt - 1, recovery_time, left - started
                 )
-            # Clean exit: ``Domain.mark_exited`` and :meth:`_leave`, in line.
+            # Clean exit: :meth:`_leave`, in line.
             domain.state = _INITIALIZED
             stats.clean_exits += 1
             contexts.pop(context)
@@ -810,9 +816,6 @@ class SdradRuntime:
         domain.stats.record_fault(mechanism)
         if obs is not None:
             obs.event("domain.fault", attempt=attempt, **report.span_attrs())
-            obs.registry.counter(
-                "sdrad_domain_faults_total", mechanism=mechanism
-            ).increment()
         decision = policy.decide(report, attempt)
         if decision.abort:
             self._leave(*leave)

@@ -38,7 +38,6 @@ class QuarantineRecord:
     fault_times: Deque[float] = field(default_factory=deque)
     quarantined_until: float = 0.0
     quarantine_count: int = 0
-    total_faults: int = 0
 
 
 @dataclass
@@ -78,7 +77,18 @@ class FaultWatchdog:
         self.config = config or WatchdogConfig()
         self.obs = obs
         self._records: Dict[str, QuarantineRecord] = {}
+        # Lifetime totals (``pardon`` drops a principal's record).
+        self.total_faults = 0
         self.total_quarantines = 0
+        if obs is not None:
+            obs.registry.collect(self)
+
+    def collect_counters(self):
+        """The counts an obs hub reads from the watchdog, once nonzero."""
+        if self.total_faults:
+            yield "watchdog_faults_total", (), self.total_faults
+        if self.total_quarantines:
+            yield "watchdog_quarantines_total", (), self.total_quarantines
 
     # ------------------------------------------------------------------
 
@@ -86,11 +96,9 @@ class FaultWatchdog:
         """Register one fault; returns True if this tripped a quarantine."""
         record = self._records.setdefault(principal, QuarantineRecord())
         now = self.clock.now
-        record.total_faults += 1
+        self.total_faults += 1
         record.fault_times.append(now)
         self._trim(record, now)
-        if self.obs is not None:
-            self.obs.registry.counter("watchdog_faults_total").increment()
         if len(record.fault_times) >= self.config.threshold:
             period = min(
                 self.config.quarantine_period * (2**record.quarantine_count),
@@ -107,7 +115,6 @@ class FaultWatchdog:
                     duration=period,
                     offence=record.quarantine_count,
                 )
-                self.obs.registry.counter("watchdog_quarantines_total").increment()
                 self.obs.registry.gauge("watchdog_quarantined_principals").set(
                     len(self.quarantined_principals())
                 )

@@ -221,7 +221,7 @@ class TestRouteCacheBound:
             keys = KEYS[start : start + 30]
             assert fleet.multiget(keys) == reference.multiget(keys)
             self._assert_bounded_and_correct(fleet)
-        plan = fleet._plan(KEYS[:50])
+        plan = fleet._plan(KEYS[:50], KEYS[:50])
         assert sorted(key for bucket in plan.values() for key in bucket) == KEYS[:50]
         for name, bucket in plan.items():
             assert all(fleet.ring.shard_for(key) == name for key in bucket)

@@ -7,6 +7,7 @@ import hashlib
 import pytest
 
 from repro.errors import SdradError
+from repro.fleet.balancer import Fleet
 from repro.fleet.ring import DEFAULT_VNODES, HashRing
 
 PROBE_KEYS = [b"user:%07d" % i for i in range(5_000)]
@@ -145,6 +146,16 @@ class TestValidation:
             HashRing(vnodes=0)
         with pytest.raises(SdradError):
             HashRing(seed=-1)
+
+    def test_seed_past_64_bits_refused(self):
+        # The seed keys blake2b as 8 bytes: a wider one must be refused
+        # by name, not overflow inside the conversion.
+        for seed in (2**64, 2**70):
+            with pytest.raises(SdradError, match=str(seed)):
+                HashRing(seed=seed)
+        with pytest.raises(SdradError, match=str(2**64)):
+            Fleet(1, seed=2**64)
+        assert HashRing(seed=2**64 - 1).seed == 2**64 - 1
 
     def test_contains_and_len(self):
         ring = ring_with(["s0", "s1"])

@@ -4,35 +4,49 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import DomainStateError
+from repro.errors import DomainNotFound
 from repro.sdrad.constants import DomainFlags, DomainState
+from repro.sdrad.policy import RetryPolicy
 from repro.sdrad.runtime import SdradRuntime
 
 
 class TestLifecycleStates:
+    """State moves are the runtime's: ``execute`` enters and exits a
+    domain, ``domain_destroy`` retires it. That only a clean exit counts
+    as one is pinned per outcome by ``tests/test_entry_contract.py``
+    (``test_entry_contract_pinned``: ``clean_exits`` stays 0 for a fault,
+    an abort and a logic error)."""
+
     def test_initial_state(self, domain):
         assert domain.state is DomainState.INITIALIZED
 
-    def test_active_exit_cycle(self, domain):
-        domain.mark_active()
-        assert domain.state is DomainState.ACTIVE
-        domain.mark_exited()
+    def test_active_exit_cycle(self, runtime, domain):
+        inside = runtime.execute(domain.udi, lambda h: domain.state).value
+        assert inside is DomainState.ACTIVE
         assert domain.state is DomainState.INITIALIZED
+        assert (domain.stats.entries, domain.stats.clean_exits) == (1, 1)
 
-    def test_exit_without_enter_rejected(self, domain):
-        with pytest.raises(DomainStateError):
-            domain.mark_exited()
+    def test_destroyed_cannot_activate(self, runtime, domain):
+        runtime.domain_destroy(domain.udi)
+        assert domain.state is DomainState.DESTROYED
+        with pytest.raises(DomainNotFound):
+            runtime.execute(domain.udi, lambda h: None)
+        assert domain.stats.entries == 0
 
-    def test_destroyed_cannot_activate(self, domain):
-        domain.mark_destroyed()
-        with pytest.raises(DomainStateError):
-            domain.mark_active()
+    def test_faulted_can_reactivate(self, runtime, domain):
+        states = []
 
-    def test_faulted_can_reactivate(self, domain):
-        domain.mark_active()
-        domain.mark_faulted()
-        domain.mark_active()  # retry path
-        assert domain.state is DomainState.ACTIVE
+        def body(handle):
+            states.append(domain.state)
+            if len(states) == 1:
+                handle.store(0, b"fault")
+
+        result = runtime.execute(domain.udi, body, policy=RetryPolicy(max_retries=1))
+        assert result.ok and result.retries == 1
+        # The retry re-entered the domain its fault had rewound.
+        assert states == [DomainState.ACTIVE, DomainState.ACTIVE]
+        assert (domain.stats.entries, domain.stats.faults) == (2, 1)
+        assert domain.state is DomainState.INITIALIZED
 
 
 class TestDiscard:

@@ -109,10 +109,10 @@ class TestConsistency:
 
 
 class TestObsConsistency:
-    """The obs counters are cross-checked against the runtime's own
-    lifetime totals (live domains plus the destroyed-domain aggregate), so
-    silent counter drift fails a tier-1 test instead of shipping wrong
-    metrics."""
+    """The pushed rewind counter is cross-checked against the runtime's
+    own lifetime total (live domains plus the destroyed-domain aggregate),
+    so silent drift fails a tier-1 test instead of shipping wrong metrics.
+    The hub reads the other lifecycle counters from the runtime."""
 
     def busy_observed_runtime(self) -> SdradRuntime:
         from repro.obs import Observability
@@ -128,12 +128,6 @@ class TestObsConsistency:
 
     def test_observed_runtime_is_consistent(self):
         assert consistency_check(self.busy_observed_runtime()) == []
-
-    def test_counter_drift_fails_loudly(self):
-        runtime = self.busy_observed_runtime()
-        runtime.obs.registry.counter("sdrad_domain_entries_total").increment()
-        problems = consistency_check(runtime)
-        assert any("sdrad_domain_entries_total" in p for p in problems)
 
     def test_rewind_drift_after_destroying_faulted_domain(self):
         runtime = self.busy_observed_runtime()
@@ -155,6 +149,8 @@ class TestObsConsistency:
         )
         assert domain.stats.entries == 3
         assert domain.stats.retries == 2
+        registry = runtime.obs.registry
+        assert registry.counter_total("sdrad_domain_entries_total") == 1
         assert consistency_check(runtime) == []
 
     def test_snapshot_obs_block_serialises(self):
